@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -247,7 +248,9 @@ def estimate(scenario: Scenario, base_seed: int, stream_base: int = 0) -> Simula
     """Average replication histograms over independent streams and attach CIs.
 
     stream_base offsets the stream ids so several scenarios can share one
-    seed without sharing randomness.
+    seed without sharing randomness.  When any time after warmup falls
+    outside the histogram box, a RuntimeWarning names the overflow share,
+    because L1 and L2 then miss that part of the path.
     """
     hists = []
     l1s = []
@@ -263,6 +266,15 @@ def estimate(scenario: Scenario, base_seed: int, stream_base: int = 0) -> Simula
     states = np.arange(-scenario.histogram_bound, scenario.histogram_bound + 1)
     l1 = float(np.dot(states, pmf))
     l2 = float(np.dot(states.astype(float) ** 2, pmf))
+    overflow = float(np.mean(overflows))
+    if overflow > 0.0:
+        warnings.warn(
+            f"overflow share {overflow:.3g}: that share of the time after warmup lies outside "
+            f"the histogram box [-{scenario.histogram_bound}, {scenario.histogram_bound}] "
+            "and is left out of L1 and L2",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     n = scenario.replications
     if n > 1:
         ci1 = _CI_Z90 * float(np.std(l1s, ddof=1)) / math.sqrt(n)
@@ -272,7 +284,7 @@ def estimate(scenario: Scenario, base_seed: int, stream_base: int = 0) -> Simula
     return SimulationEstimate(
         bound=scenario.histogram_bound,
         pmf=pmf,
-        overflow=float(np.mean(overflows)),
+        overflow=overflow,
         L1=l1,
         L2=l2,
         ci_halfwidth_L1=ci1,

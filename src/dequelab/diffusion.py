@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import log_ndtr
 
 from .errors import DomainError, UnsupportedCaseError
 from .fluid import FluidPath, fluid_closed_form, fluid_limit, zero_hitting_time
@@ -100,23 +101,14 @@ class PsiDensity:
     def cdf(self, x):
         x_arr = np.asarray(x, dtype=float)
         out = np.empty_like(x_arr)
-        m2, v2 = self._branch(positive=False)
-        m1, v1 = self._branch(positive=True)
         neg = x_arr < 0.0
-        if np.any(neg):
-            log_ref = normal_logcdf(0.0, m2, v2)
-            vals = [
-                self.d2 * math.exp(normal_logcdf(float(xx), m2, v2) - log_ref)
-                for xx in x_arr[neg]
-            ]
-            out[neg] = vals
-        if np.any(~neg):
-            log_ref = normal_logsf(0.0, m1, v1)
-            vals = [
-                1.0 - self.d1 * math.exp(normal_logsf(float(xx), m1, v1) - log_ref)
-                for xx in x_arr[~neg]
-            ]
-            out[~neg] = vals
+        # each side is its Gaussian's lower (upper) tail renormalized to the half line
+        m2, v2 = self._branch(positive=False)
+        sd2 = math.sqrt(v2)
+        out[neg] = self.d2 * np.exp(log_ndtr((x_arr[neg] - m2) / sd2) - log_ndtr(-m2 / sd2))
+        m1, v1 = self._branch(positive=True)
+        sd1 = math.sqrt(v1)
+        out[~neg] = 1.0 - self.d1 * np.exp(log_ndtr((m1 - x_arr[~neg]) / sd1) - log_ndtr(m1 / sd1))
         return float(out) if np.ndim(x) == 0 else out
 
     def mean(self) -> float:

@@ -4,7 +4,8 @@ With Poisson arrivals the signed queue length is a birth-death chain on the
 integers: birth rate alpha + i^- gamma, death rate beta + i^+ theta.  This
 module computes its stationary distribution (in log space, with controlled
 truncation), the closed-form limiting moments built from incomplete gamma
-functions, transient moments through the truncated master equation, and the
+functions, transient moments of the truncated master equation by
+uniformization (with an a-priori bound on the dropped Poisson tail), and the
 closed-form second-moment lower bound available when theta == gamma.
 """
 
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
+from scipy.special import gammaln, pdtrc
 
 from .errors import (
     DomainError,
@@ -41,9 +43,14 @@ __all__ = [
 ]
 
 _HARD_SUPPORT_CAP = 10**6
-# Transient integration grows its box when boundary mass exceeds the leak
-# tolerance; past this size the dense master equation is impractical.
+# The transient solver grows its box when boundary mass exceeds the leak
+# tolerance.  Each uniformization step costs O(box) and the number of steps
+# grows with the largest out-rate, which is proportional to the box, so the
+# work grows quadratically with the box; past this size it is impractical.
 _TRANSIENT_SUPPORT_CAP = 2**16
+# Poisson upper-tail mass at which the uniformization series is cut, per
+# interval of the time grid.
+_SERIES_TAIL_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -194,7 +201,14 @@ def poisson_moment_estimates(params: QueueParams) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class TransientMoments:
-    """Moment curves of the chain on a time grid, from the truncated master equation."""
+    """Moment curves of the chain on a time grid, from the truncated master equation.
+
+    max_boundary_mass bounds the probability of either edge state of the box
+    at every time in [0, t[-1]], not only on the grid, up to
+    series_tail_mass.  series_tail_mass is the summed Poisson tail dropped
+    by the uniformization series, an l1 bound on the error that cutting the
+    series adds to the pmf at any grid point.
+    """
 
     t: np.ndarray
     m: np.ndarray
@@ -205,6 +219,7 @@ class TransientMoments:
     s_minus: np.ndarray
     support_bound: int
     max_boundary_mass: float
+    series_tail_mass: float
 
 
 def _initial_vector(initial_pmf, bound: int) -> np.ndarray:
@@ -234,24 +249,50 @@ def _initial_extent(initial_pmf) -> int:
     return max((abs(int(s)) for s, m in initial_pmf.items() if m > 0.0), default=0)
 
 
+def _poisson_weights(lam: float) -> tuple[list[float], float]:
+    """Poisson(lam) pmf at 0..K and the mass above K.
+
+    K is the smallest cut whose upper tail is at most _SERIES_TAIL_TOL.  The
+    pmf is built in log space because e^-lam underflows past lam ~ 745, then
+    rescaled to sum to exactly 1 - tail, which removes the rounding that the
+    large, nearly cancelling log terms leave in its total.
+    """
+    first = math.floor(lam)
+    width = int(10.0 * math.sqrt(lam)) + 40
+    while True:
+        ks = np.arange(first, first + width)
+        hit = np.flatnonzero(pdtrc(ks, lam) <= _SERIES_TAIL_TOL)
+        if hit.size:
+            break
+        first += width
+    n_terms = int(ks[hit[0]])
+    tail = float(pdtrc(n_terms, lam))
+    k = np.arange(n_terms + 1, dtype=float)
+    log_w = k * math.log(lam) - lam - gammaln(k + 1.0)
+    w = np.exp(log_w - log_w.max())
+    w *= (1.0 - tail) / w.sum()
+    return w.tolist(), tail
+
+
 def _master_moments(params: QueueParams, initial_pmf, t_grid: np.ndarray, bound: int):
-    """RK4 on the forward equations over [-bound, bound]; returns curves + leak."""
+    """Uniformization of the forward equations over [-bound, bound].
+
+    With rate the largest out-rate in the box, P = I + Q/rate is a
+    nonnegative tridiagonal stochastic step, and across an interval of
+    length d, p <- sum_k Pois(rate*d; k) p P^k.  Only the running iterate
+    and the running sum are held.  Returns the moment records, the largest
+    edge mass over every iterate and the summed dropped Poisson tails.
+    """
     states = np.arange(-bound, bound + 1, dtype=float)
     birth = params.alpha + np.maximum(-states, 0.0) * params.gamma
     death = params.beta + np.maximum(states, 0.0) * params.theta
     birth[-1] = 0.0  # transitions leaving the box are dropped
     death[0] = 0.0
     loss = birth + death
-
-    def deriv(p: np.ndarray) -> np.ndarray:
-        dp = -loss * p
-        dp[1:] += birth[:-1] * p[:-1]
-        dp[:-1] += death[1:] * p[1:]
-        return dp
-
-    h_max = 0.01 / max(
-        params.alpha, params.beta, params.theta * bound, params.gamma * bound
-    )
+    rate = float(loss.max())
+    stay = 1.0 - loss / rate
+    up = birth[:-1] / rate
+    down = death[1:] / rate
 
     p = _initial_vector(initial_pmf, bound)
     pos = states > 0
@@ -260,21 +301,23 @@ def _master_moments(params: QueueParams, initial_pmf, t_grid: np.ndarray, bound:
 
     records = []
     max_edge = max(p[0], p[-1])
+    series_tail = 0.0
     t_now = 0.0
     for t_target in t_grid:
-        span = t_target - t_now
-        if span > 0.0:
-            n_steps = max(1, math.ceil(span / h_max))
-            h = span / n_steps
-            for _ in range(n_steps):
-                k1 = deriv(p)
-                k2 = deriv(p + 0.5 * h * k1)
-                k3 = deriv(p + 0.5 * h * k2)
-                k4 = deriv(p + h * k3)
-                p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                edge = max(p[0], p[-1])
-                if edge > max_edge:
-                    max_edge = edge
+        lam = rate * (t_target - t_now)
+        if lam > 0.0:
+            weights, tail = _poisson_weights(lam)
+            series_tail += tail
+            v = p
+            p = weights[0] * v
+            for w in weights[1:]:
+                nxt = stay * v
+                nxt[1:] += up * v[:-1]
+                nxt[:-1] += down * v[1:]
+                v = nxt
+                max_edge = max(max_edge, v[0], v[-1])
+                if w > 0.0:
+                    p += w * v
             t_now = t_target
         records.append(
             (
@@ -286,7 +329,7 @@ def _master_moments(params: QueueParams, initial_pmf, t_grid: np.ndarray, bound:
                 float(sq[neg] @ p[neg]),
             )
         )
-    return records, max_edge
+    return records, float(max_edge), series_tail
 
 
 def transient_moments(
@@ -298,10 +341,14 @@ def transient_moments(
 ) -> TransientMoments:
     """Transient moment curves m, s, m+, m-, s+, s- on t_grid.
 
-    Integrates the truncated forward equations with fixed-step RK4.  With an
-    explicit support_bound, boundary mass above leak_tol raises
-    TruncationError; in automatic mode the box is grown and the integration
-    retried instead.
+    Solves the forward equations on the reflecting box [-support_bound,
+    support_bound] by uniformization, cutting each interval's Poisson series
+    where its tail mass falls below 1e-14 and reporting the summed tails as
+    series_tail_mass.  max_boundary_mass is the largest edge-state mass over
+    every term of the series, which bounds the edge mass over continuous
+    time.  With an explicit support_bound, boundary mass above leak_tol
+    raises TruncationError; in automatic mode the box is grown and the
+    solution retried instead.
     """
     t_grid = np.asarray(list(t_grid), dtype=float)
     if t_grid.size == 0:
@@ -322,7 +369,7 @@ def transient_moments(
 
     last_edge = math.nan
     for bound in bounds:
-        records, max_edge = _master_moments(params, initial_pmf, t_grid, bound)
+        records, max_edge, series_tail = _master_moments(params, initial_pmf, t_grid, bound)
         last_edge = max_edge
         if max_edge <= leak_tol:
             arr = np.array(records)
@@ -336,6 +383,7 @@ def transient_moments(
                 s_minus=arr[:, 5],
                 support_bound=bound,
                 max_boundary_mass=max_edge,
+                series_tail_mass=series_tail,
             )
     raise TruncationError(
         f"boundary mass {last_edge:.3e} exceeds {leak_tol:.1e}; "

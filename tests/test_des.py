@@ -115,6 +115,14 @@ class TestEstimate:
         b = estimate(sc, base_seed=5, stream_base=1 << 32)
         assert not np.array_equal(a.pmf, b.pmf)
 
+    def test_overflow_warns(self):
+        # the queue drifts to about -500, far outside a histogram bound of 100
+        sc = desk_scenario("exponential", 1.0, 2.0, 0.001, 0.002, reps=2, bound=100)
+        with pytest.warns(RuntimeWarning, match=r"outside the histogram box \[-100, 100\]"):
+            est = estimate(sc, base_seed=7)
+        assert est.overflow == 1.0
+        assert est.L1 == 0.0 and est.L2 == 0.0
+
     def test_matches_chain_at_desk_scale(self):
         params = QueueParams(1.0, 1.5, 0.1, 0.15)
         sc = desk_scenario("exponential", 1.0, 1.5, 0.1, 0.15)

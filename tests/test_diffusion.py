@@ -18,7 +18,7 @@ from dequelab.diffusion import (
 )
 from dequelab.errors import DomainError, UnsupportedCaseError
 from dequelab.fluid import fluid_closed_form_path, fluid_limit
-from dequelab.numerics import RandomStream, normal_pdf
+from dequelab.numerics import RandomStream, normal_logcdf, normal_logsf, normal_pdf
 from dequelab.params import QueueParams
 
 PARAM_GRID = [
@@ -78,6 +78,23 @@ class TestPsiDensity:
         assert np.all(np.diff(cdf) >= -1e-12)
         assert cdf[0] == pytest.approx(0.0, abs=1e-6)
         assert cdf[-1] == pytest.approx(1.0, abs=1e-6)
+
+    def test_cdf_matches_pointwise_reference(self):
+        xs = np.linspace(-15.0, 15.0, 61)
+        for mu, sigma, theta, gamma in PARAM_GRID + [(900.0, 1.0, 0.01, 0.01)]:
+            d = psi_density(mu * mu / sigma**2, mu, sigma, theta, gamma)
+            m1, v1 = mu / theta, sigma**2 / (2.0 * theta)
+            m2, v2 = mu / gamma, sigma**2 / (2.0 * gamma)
+            expected = [
+                d.d2 * math.exp(normal_logcdf(x, m2, v2) - normal_logcdf(0.0, m2, v2))
+                if x < 0.0
+                else 1.0 - d.d1 * math.exp(normal_logsf(x, m1, v1) - normal_logsf(0.0, m1, v1))
+                for x in xs.tolist()
+            ]
+            assert np.allclose(d.cdf(xs), expected, rtol=1e-13, atol=1e-15)
+            scalar = d.cdf(float(xs[7]))
+            assert isinstance(scalar, float)
+            assert scalar == pytest.approx(expected[7], rel=1e-13, abs=1e-15)
 
     def test_validation(self):
         with pytest.raises(DomainError):

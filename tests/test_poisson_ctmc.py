@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from dequelab.errors import (
     DomainError,
@@ -237,6 +238,67 @@ class TestTransientMoments:
             transient_moments(params, {0: 1.0}, [])
         with pytest.raises(DomainError):
             transient_moments(params, {0: 1.0}, [2.0, 1.0])
+
+
+def reflecting_box_pmfs(params, start, bound, times):
+    """Dense reference: p(t) = p(0) expm(Q t) for the chain kept on [-bound, bound]."""
+    states = np.arange(-bound, bound + 1)
+    birth = params.alpha + np.maximum(-states, 0) * params.gamma
+    death = params.beta + np.maximum(states, 0) * params.theta
+    birth[-1] = 0.0
+    death[0] = 0.0
+    q = np.diag(birth[:-1], 1) + np.diag(death[1:], -1)
+    q -= np.diag(q.sum(axis=1))
+    p0 = np.zeros(2 * bound + 1)
+    p0[start + bound] = 1.0
+    return states, np.array([p0 @ expm(q * t) for t in times])
+
+
+class TestUniformization:
+    def test_matches_dense_expm_on_small_box(self):
+        # a box small enough that reflection at its edges shapes the moments
+        params = QueueParams(1.0, 1.3, 0.6, 0.4)
+        bound, grid = 6, [0.0, 0.3, 1.0, 4.0, 12.0]
+        tm = transient_moments(params, {2: 1.0}, grid, support_bound=bound, leak_tol=1.0)
+        states, pmfs = reflecting_box_pmfs(params, 2, bound, grid)
+        pos, neg = states > 0, states < 0
+        expected = {
+            "m": pmfs @ states,
+            "s": pmfs @ states**2,
+            "m_plus": pmfs[:, pos] @ states[pos],
+            "m_minus": -pmfs[:, neg] @ states[neg],
+            "s_plus": pmfs[:, pos] @ states[pos] ** 2,
+            "s_minus": pmfs[:, neg] @ states[neg] ** 2,
+        }
+        for name, ref in expected.items():
+            assert np.allclose(getattr(tm, name), ref, rtol=1e-12, atol=1e-12), name
+
+    def test_boundary_mass_bounds_reference_between_grid_points(self):
+        # the top edge mass peaks near t = 0.25, well before the first grid point
+        params = QueueParams(1.0, 2.0, 0.5, 0.5)
+        bound = 5
+        tm = transient_moments(params, {4: 1.0}, [3.0, 6.0], support_bound=bound, leak_tol=1.0)
+        _, pmfs = reflecting_box_pmfs(params, 4, bound, np.linspace(0.0, 6.0, 241))
+        edges = np.maximum(pmfs[:, 0], pmfs[:, -1])
+        assert tm.max_boundary_mass >= edges.max() - tm.series_tail_mass - 1e-15
+
+    def test_stationary_start_stays_put(self):
+        params = QueueParams(1.0, 1.5, 0.1, 0.15)
+        start = stationary_distribution(params)
+        tm = transient_moments(params, start, [0.5, 5.0, 50.0])
+        assert np.allclose(tm.m, start.mean(), rtol=1e-10, atol=0.0)
+        assert np.allclose(tm.s, start.second_moment(), rtol=1e-10, atol=0.0)
+
+    def test_long_interval_past_exp_underflow(self):
+        # rate * t far beyond 745, where e^(-rate t) underflows to zero
+        params = QueueParams(1.0, 1.5, 0.5, 0.75)
+        t_end = 100.0
+        tm = transient_moments(params, {0: 1.0}, [t_end])
+        assert (params.beta + tm.support_bound * params.theta) * t_end > 745.0
+        assert np.all(np.isfinite([tm.m, tm.s, tm.m_plus, tm.m_minus, tm.s_plus, tm.s_minus]))
+        assert 0.0 < tm.series_tail_mass <= 1e-12
+        summary = gamma_moment_summary(params)
+        assert tm.m[-1] == pytest.approx(summary.first_moment, rel=1e-6)
 
 
 class TestSecondMomentLowerBound:
