@@ -20,7 +20,7 @@ from . import des, diffusion, fluid, harness, poisson_ctmc
 from .errors import ConfigError, DequeLabError
 from .params import QueueParams
 
-_DIST_CHOICES = ("exp", "uniform", "erlang2", "hyperexp")
+_DIST_CHOICES = sorted(harness.FAMILY_ALIASES)
 
 
 def _add_rates(parser: argparse.ArgumentParser) -> None:

@@ -1,19 +1,20 @@
 """Exact discrete-event simulation of the double-ended queue.
 
 Sellers and buyers arrive by independent renewal processes; an arrival on one
-side instantly matches the longest-waiting customer of the other side (FCFS),
-so the signed state never holds both.  Every waiting customer owns an
-exponential patience deadline kept in a priority heap; matched customers'
-deadlines are cancelled lazily.  Replications are reproducible: replication k
+side instantly matches a waiting customer of the other side, so the signed
+state never holds both.  Patience is exponential, so given X = x the total
+abandonment hazard is |x| theta (or |x| gamma) whichever customers wait, and
+the law of X does not depend on who they are.  The simulator therefore tracks
+the count alone: one abandonment clock Exp(|x| rate), redrawn after every
+event, competes with the two arrival clocks (the competing-exponentials step
+of Gillespie's direct method).  Replications are reproducible: replication k
 of a run with base seed s consumes only the streams (s, 4k..4k+3).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,6 +131,9 @@ def run_replication(scenario: Scenario, stream: RandomStream) -> ReplicationResu
 
     The stream is split into four fixed substreams (seller/buyer arrivals,
     seller/buyer patience) so the result is independent of draw interleaving.
+    The patience substreams feed the abandonment clock: a draw E ~ Exp(theta)
+    while sellers wait (Exp(gamma) while buyers wait) puts the next
+    abandonment at now + E/|x|.
     """
     streams = [stream.substream(k) for k in range(4)]
     seller_arrivals = _DrawBuffer(lambda n: sample_interarrival(scenario.seller_model, streams[0], n))
@@ -143,32 +147,19 @@ def run_replication(scenario: Scenario, stream: RandomStream) -> ReplicationResu
     overflow = 0.0
 
     x = int(scenario.initial_state)
-    waiting: OrderedDict[int, None] = OrderedDict()
-    deadlines: list[tuple[float, int]] = []
-    serial = 0
-
-    def enqueue(now: float) -> None:
-        # the waiting side is implied by the sign of x at call time
-        nonlocal serial
-        patience = seller_patience if x > 0 else buyer_patience
-        waiting[serial] = None
-        heapq.heappush(deadlines, (now + patience.next(), serial))
-        serial += 1
-
-    # initial customers wait from time zero with fresh patience clocks
-    for _ in range(abs(x)):
-        enqueue(0.0)
     # residual arrival clocks start fresh at time zero
     next_seller = seller_arrivals.next()
     next_buyer = buyer_arrivals.next()
 
     now = 0.0
     while now < horizon:
-        next_expiry = math.inf
-        while deadlines and deadlines[0][1] not in waiting:
-            heapq.heappop(deadlines)  # cancelled by an earlier match
-        if deadlines:
-            next_expiry = deadlines[0][0]
+        # memoryless patience: a fresh clock after every event has the same law
+        if x > 0:
+            next_expiry = now + seller_patience.next() / x
+        elif x < 0:
+            next_expiry = now + buyer_patience.next() / -x
+        else:
+            next_expiry = math.inf
 
         # arrivals win ties against expiries; sellers win ties against buyers
         if next_seller <= next_buyer and next_seller <= next_expiry:
@@ -191,28 +182,13 @@ def run_replication(scenario: Scenario, stream: RandomStream) -> ReplicationResu
         now = event_time
 
         if kind == 0:
-            if x < 0:
-                waiting.popitem(last=False)  # oldest buyer matches and leaves
-                x += 1
-            else:
-                x += 1
-                enqueue(now)
+            x += 1
             next_seller = now + seller_arrivals.next()
         elif kind == 1:
-            if x > 0:
-                waiting.popitem(last=False)
-                x -= 1
-            else:
-                x -= 1
-                enqueue(now)
+            x -= 1
             next_buyer = now + buyer_arrivals.next()
         else:
-            _, victim = heapq.heappop(deadlines)
-            del waiting[victim]
             x = x - 1 if x > 0 else x + 1
-
-        # one side waits at a time; the waiting set tracks |x| exactly
-        assert len(waiting) == abs(x)
 
     total = horizon - tau
     return ReplicationResult(bound=bound, probs=hist / total, overflow=overflow / total)

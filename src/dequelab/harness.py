@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import des, diffusion, poisson_ctmc
 from .errors import ConfigError
+from .numerics import FAMILY_ALIASES
 from .params import QueueParams
 
 __all__ = [
@@ -35,33 +36,17 @@ __all__ = [
     "run_compare_command",
 ]
 
-FAMILY_ALIASES = {
-    "exp": "exponential",
-    "exponential": "exponential",
-    "uniform": "uniform",
-    "erlang": "erlang",
-    "erlang2": "erlang",
-    "hyperexp": "hyperexponential",
-    "hyperexponential": "hyperexponential",
-}
-
 BUDGETS = {
     "desk": {"replications": 50, "warmup": 250.0, "horizon": 1000.0},
     "paper": {"replications": 400, "warmup": 1000.0, "horizon": 4000.0},
 }
-
-_CSV_HEADER = (
-    "dist,alpha,beta,theta,gamma,"
-    "L1_s,L1_s_ci,L1_p,L1_p_err,L1_d1,L1_d1_err,L1_d2,L1_d2_err,"
-    "L2_s,L2_s_ci,L2_p,L2_p_err,L2_d1,L2_d1_err,L2_d2,L2_d2_err"
-)
 
 
 def canonical_family(name: str) -> str:
     try:
         return FAMILY_ALIASES[name.lower()]
     except KeyError:
-        valid = sorted(set(FAMILY_ALIASES))
+        valid = sorted(FAMILY_ALIASES)
         raise ConfigError(f"unknown distribution {name!r}; valid names: {valid}") from None
 
 
@@ -134,8 +119,9 @@ class ComparisonRow:
     """One scenario cell: simulation estimates, the three analytic estimates,
     and percentage errors of each analytic column against the simulation.
 
-    An error is None (rendered NA) when the simulated value's confidence
-    interval covers zero, where the relative error is meaningless.
+    Fields are declared in table column order.  An error is None (rendered
+    NA) when the simulated value's confidence interval covers zero, where the
+    relative error is meaningless.
     """
 
     family: str
@@ -146,28 +132,32 @@ class ComparisonRow:
     L1_s: float
     L1_s_ci: float | None
     L1_p: float
+    L1_p_err: float | None = field(init=False)
     L1_d1: float
+    L1_d1_err: float | None = field(init=False)
     L1_d2: float
+    L1_d2_err: float | None = field(init=False)
     L2_s: float
     L2_s_ci: float | None
     L2_p: float
-    L2_d1: float
-    L2_d2: float
-    L1_p_err: float | None = field(init=False)
-    L1_d1_err: float | None = field(init=False)
-    L1_d2_err: float | None = field(init=False)
     L2_p_err: float | None = field(init=False)
+    L2_d1: float
     L2_d1_err: float | None = field(init=False)
+    L2_d2: float
     L2_d2_err: float | None = field(init=False)
 
     def __post_init__(self):
-        for target, sim, ci in (
-            (("L1_p_err", "L1_d1_err", "L1_d2_err"), self.L1_s, self.L1_s_ci),
-            (("L2_p_err", "L2_d1_err", "L2_d2_err"), self.L2_s, self.L2_s_ci),
-        ):
-            for name in target:
-                analytic = getattr(self, name[:-4])
-                object.__setattr__(self, name, relative_error_pct(analytic, sim, ci))
+        # each *_err column measures the column before it against the latest
+        # simulated column and its CI
+        for prev, name in zip(_COLUMNS, _COLUMNS[1:]):
+            if name.endswith("_s_ci"):
+                sim, ci = getattr(self, prev), getattr(self, name)
+            elif name.endswith("_err"):
+                object.__setattr__(self, name, relative_error_pct(getattr(self, prev), sim, ci))
+
+
+_COLUMNS = tuple(f.name for f in fields(ComparisonRow))
+_CSV_HEADER = ",".join("dist" if name == "family" else name for name in _COLUMNS)
 
 
 def relative_error_pct(analytic: float, simulated: float, ci_halfwidth: float | None) -> float | None:
@@ -248,45 +238,12 @@ def _fmt(value: float | None) -> str:
 def comparison_to_csv(rows: list[ComparisonRow]) -> str:
     lines = [_CSV_HEADER]
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r.family,
-                    _fmt(r.alpha),
-                    _fmt(r.beta),
-                    _fmt(r.theta),
-                    _fmt(r.gamma),
-                    _fmt(r.L1_s),
-                    _fmt(r.L1_s_ci),
-                    _fmt(r.L1_p),
-                    _fmt(r.L1_p_err),
-                    _fmt(r.L1_d1),
-                    _fmt(r.L1_d1_err),
-                    _fmt(r.L1_d2),
-                    _fmt(r.L1_d2_err),
-                    _fmt(r.L2_s),
-                    _fmt(r.L2_s_ci),
-                    _fmt(r.L2_p),
-                    _fmt(r.L2_p_err),
-                    _fmt(r.L2_d1),
-                    _fmt(r.L2_d1_err),
-                    _fmt(r.L2_d2),
-                    _fmt(r.L2_d2_err),
-                ]
-            )
-        )
+        lines.append(",".join([r.family] + [_fmt(getattr(r, name)) for name in _COLUMNS[1:]]))
     return "\n".join(lines) + "\n"
 
 
 def comparison_to_json(rows: list[ComparisonRow]) -> str:
-    payload = []
-    for r in rows:
-        entry = {name: getattr(r, name) for name in (
-            "family", "alpha", "beta", "theta", "gamma",
-            "L1_s", "L1_s_ci", "L1_p", "L1_p_err", "L1_d1", "L1_d1_err", "L1_d2", "L1_d2_err",
-            "L2_s", "L2_s_ci", "L2_p", "L2_p_err", "L2_d1", "L2_d1_err", "L2_d2", "L2_d2_err",
-        )}
-        payload.append(entry)
+    payload = [{name: getattr(r, name) for name in _COLUMNS} for r in rows]
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 

@@ -1,9 +1,10 @@
 """Special functions, probability kernels, and reproducible random sampling.
 
 Everything downstream (chain analysis, diffusion moments, simulators) is built
-on the primitives collected here: gamma and incomplete-gamma evaluation,
-Gaussian pdf/cdf/hazard, truncated-normal moments, interarrival-time models,
-and counter-based random streams.
+on the primitives collected here: the log regularized incomplete gamma
+function, Gaussian pdf/tails/hazard, truncated-normal moments, the registry of
+interarrival families, interarrival-time models, and counter-based random
+streams.
 """
 
 from __future__ import annotations
@@ -17,19 +18,15 @@ from scipy.special import erfcx
 from .errors import DomainError
 
 __all__ = [
-    "gamma_fn",
-    "log_gamma",
-    "lower_incomplete_gamma",
-    "regularized_lower_gamma",
     "log_regularized_lower_gamma",
     "normal_pdf",
-    "normal_cdf",
     "normal_sf",
     "normal_logcdf",
     "normal_logsf",
     "normal_hazard",
     "truncated_normal_moments",
     "tv_distance",
+    "FAMILY_ALIASES",
     "InterarrivalModel",
     "RandomStream",
     "sample_interarrival",
@@ -45,24 +42,8 @@ _MAX_ITER = 10_000
 _EPS = 1e-15
 
 
-def gamma_fn(t: float) -> float:
-    """Gamma function for t > 0."""
-    if not t > 0.0:
-        raise DomainError(f"gamma_fn requires t > 0, got {t}")
-    return math.gamma(t)
-
-
-def log_gamma(t: float) -> float:
-    """Natural log of the Gamma function for t > 0."""
-    if not t > 0.0:
-        raise DomainError(f"log_gamma requires t > 0, got {t}")
-    return math.lgamma(t)
-
-
 def _lower_series(t: float, y: float) -> float:
-    """log of the regularized lower tail via the ascending series (y < t + 1)."""
-    if y == 0.0:
-        return -math.inf
+    """log of the regularized lower tail via the ascending series (0 < y < t + 1)."""
     ap = t
     term = 1.0 / t
     total = term
@@ -99,23 +80,6 @@ def _upper_cf(t: float, y: float) -> float:
     raise DomainError(f"incomplete gamma continued fraction failed to converge for t={t}, y={y}")
 
 
-def regularized_lower_gamma(t: float, y: float) -> float:
-    """Regularized lower incomplete gamma P(t, y) in [0, 1].
-
-    Ascending power series for y < t + 1, continued fraction for the upper
-    tail otherwise; both converge to ~1e-15 relative accuracy.
-    """
-    if not t > 0.0:
-        raise DomainError(f"regularized_lower_gamma requires t > 0, got {t}")
-    if y < 0.0:
-        raise DomainError(f"regularized_lower_gamma requires y >= 0, got {y}")
-    if y == 0.0:
-        return 0.0
-    if y < t + 1.0:
-        return math.exp(_lower_series(t, y))
-    return -math.expm1(_upper_cf(t, y))
-
-
 def log_regularized_lower_gamma(t: float, y: float) -> float:
     """log P(t, y), accurate even where P underflows (deep lower tail)."""
     if not t > 0.0:
@@ -129,12 +93,6 @@ def log_regularized_lower_gamma(t: float, y: float) -> float:
     return math.log1p(-math.exp(_upper_cf(t, y)))
 
 
-def lower_incomplete_gamma(t: float, y: float) -> float:
-    """Non-regularized lower incomplete gamma: the integral of x^(t-1) e^(-x) over [0, y]."""
-    p = regularized_lower_gamma(t, y)
-    return p * math.gamma(t)
-
-
 def _check_variance(variance: float) -> float:
     if not variance > 0.0:
         raise DomainError(f"variance must be positive, got {variance}")
@@ -145,12 +103,6 @@ def normal_pdf(x: float, mean: float = 0.0, variance: float = 1.0) -> float:
     sd = _check_variance(variance)
     z = (x - mean) / sd
     return math.exp(-0.5 * z * z - _LOG_SQRT_2PI) / sd
-
-
-def normal_cdf(x: float, mean: float = 0.0, variance: float = 1.0) -> float:
-    sd = _check_variance(variance)
-    z = (x - mean) / sd
-    return 0.5 * math.erfc(-z / _SQRT2)
 
 
 def normal_sf(x: float, mean: float = 0.0, variance: float = 1.0) -> float:
@@ -211,7 +163,17 @@ def tv_distance(p, q) -> float:
     return 0.5 * float(np.abs(p - q).sum())
 
 
-_FAMILIES = ("exponential", "uniform", "erlang", "hyperexponential")
+# Interarrival family names accepted on input, each mapped to its canonical name.
+FAMILY_ALIASES = {
+    "exp": "exponential",
+    "exponential": "exponential",
+    "uniform": "uniform",
+    "erlang": "erlang",
+    "erlang2": "erlang",
+    "hyperexp": "hyperexponential",
+    "hyperexponential": "hyperexponential",
+}
+_FAMILIES = tuple(dict.fromkeys(FAMILY_ALIASES.values()))
 
 
 @dataclass(frozen=True)

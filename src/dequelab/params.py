@@ -20,8 +20,10 @@ class QueueParams:
     theta / gamma the per-customer reneging rates.  Positive reneging rates
     are required: the chain is positive recurrent only then.
 
-    sigma and varsigma default to the exponential values 1/alpha, 1/beta so
-    Poisson-only analyses can omit them.
+    sigma and varsigma are needed only by the diffusion coefficients and stay
+    None when omitted, which suits the Poisson chain and the fluid limit.
+    Build diffusion inputs with QueueParams.for_family, which sets them to the
+    family's nominal sds, or pass them explicitly.
     """
 
     alpha: float
@@ -35,11 +37,7 @@ class QueueParams:
         for name in ("alpha", "beta", "theta", "gamma"):
             if not getattr(self, name) > 0.0:
                 raise DomainError(f"{name} must be strictly positive, got {getattr(self, name)}")
-        if self.sigma is None:
-            object.__setattr__(self, "sigma", 1.0 / self.alpha)
-        if self.varsigma is None:
-            object.__setattr__(self, "varsigma", 1.0 / self.beta)
-        if self.sigma < 0.0 or self.varsigma < 0.0:
+        if any(sd is not None and sd < 0.0 for sd in (self.sigma, self.varsigma)):
             raise DomainError("sigma and varsigma must be non-negative")
 
     @classmethod
@@ -67,6 +65,11 @@ class QueueParams:
     @property
     def diffusion_coeff_sq(self) -> float:
         """a^2 = alpha^3 sigma^2 + beta^3 varsigma^2."""
+        if self.sigma is None or self.varsigma is None:
+            raise DomainError(
+                "the diffusion coefficient needs sigma and varsigma; build the parameters "
+                "with QueueParams.for_family or pass both explicitly"
+            )
         return self.alpha**3 * self.sigma**2 + self.beta**3 * self.varsigma**2
 
     @property

@@ -64,6 +64,13 @@ class TestDiffusion:
         data = json.loads(out)
         assert data["L2_d1"] == pytest.approx(2625.0, abs=5e-4)
 
+    def test_long_family_names_accepted(self, capsys):
+        args = ["diffusion", "model1", "--alpha", "1", "--beta", "2", "--theta", "0.01", "--gamma", "0.02"]
+        _, short, _ = run_cli(capsys, *args, "--dist", "hyperexp")
+        code, long, _ = run_cli(capsys, *args, "--dist", "hyperexponential")
+        assert code == 0
+        assert long == short
+
     def test_model2(self, capsys):
         code, out, _ = run_cli(
             capsys, "diffusion", "model2", "--alpha", "1", "--beta", "1.5",

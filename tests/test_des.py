@@ -13,7 +13,7 @@ from dequelab.des import (
 from dequelab.errors import DomainError
 from dequelab.numerics import RandomStream, tv_distance
 from dequelab.params import QueueParams
-from dequelab.poisson_ctmc import poisson_moment_estimates, stationary_distribution
+from dequelab.poisson_ctmc import poisson_moment_estimates, stationary_distribution, transient_moments
 
 
 def desk_scenario(family, alpha, beta, theta, gamma, reps=50, bound=1000):
@@ -70,6 +70,20 @@ class TestRunReplication:
         rep = run_replication(sc, RandomStream(3, 0))
         assert rep.probs[5 + rep.bound] > 0.0
 
+    def test_initial_customers_abandon(self):
+        # six sellers waiting at time zero leave at total rate 6 theta; the
+        # window average of X must match the exact chain's transient mean
+        sc = Scenario.for_family(
+            "exponential", 1.0, 1.5, 0.5, 0.25,
+            horizon=2.0, warmup=1.95, replications=400, initial_state=6, histogram_bound=50,
+        )
+        est = estimate(sc, base_seed=17)
+        grid = np.linspace(1.95, 2.0, 11)
+        m = transient_moments(QueueParams(1.0, 1.5, 0.5, 0.25), {6: 1.0}, grid).m
+        exact = float(np.sum(m[1:] + m[:-1]) / 2.0 / (len(grid) - 1))
+        se = est.per_replication_L1.std(ddof=1) / math.sqrt(sc.replications)
+        assert abs(est.per_replication_L1.mean() - exact) <= 4.0 * se
+
     def test_overflow_bucket(self):
         sc = Scenario.for_family(
             "exponential", 1.0, 2.0, 0.01, 0.02,
@@ -114,6 +128,15 @@ class TestEstimate:
         a = estimate(sc, base_seed=5, stream_base=0)
         b = estimate(sc, base_seed=5, stream_base=1 << 32)
         assert not np.array_equal(a.pmf, b.pmf)
+
+    def test_replication_streams(self):
+        # replication k of a run with stream base b reads the streams (seed, b + 4k ..)
+        sc = desk_scenario("erlang", 1.0, 1.5, 0.1, 0.15, reps=3)
+        base = 5 << 32
+        est = estimate(sc, base_seed=21, stream_base=base)
+        for k in range(sc.replications):
+            rep = run_replication(sc, RandomStream(21, base + 4 * k))
+            assert est.per_replication_L1[k] == rep.first_moment()
 
     def test_overflow_warns(self):
         # the queue drifts to about -500, far outside a histogram bound of 100

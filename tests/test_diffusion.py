@@ -131,6 +131,14 @@ class TestPsiMoments:
 
 
 class TestModelOne:
+    def test_bare_params_have_no_diffusion_coefficient(self):
+        # no sigma default: the coefficient comes only from a family or explicit sds
+        with pytest.raises(DomainError, match="for_family"):
+            model_one(QueueParams(2, 1, 0.2, 0.1))
+        assert model_one(QueueParams.for_family("exponential", 2, 1, 0.2, 0.1)).L2 == pytest.approx(
+            37.37, abs=5e-3
+        )
+
     def test_symmetric_zero_mean(self):
         params = QueueParams.for_family("exponential", 1, 1, 1, 1)
         result = model_one(params)
