@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_df = sub.add_parser("diffusion", help="diffusion-model estimates or density grid")
     p_df.add_argument("mode", choices=("model1", "model2", "density"))
     _add_rates(p_df)
-    p_df.add_argument("--dist", choices=_DIST_CHOICES, default="exp",
+    p_df.add_argument("--dist", type=str.lower, choices=_DIST_CHOICES, default="exp",
                       help="interarrival family supplying nominal sds (default exp)")
     p_df.add_argument("--sigma", type=float, default=None, help="override seller interarrival sd")
     p_df.add_argument("--varsigma", type=float, default=None, help="override buyer interarrival sd")
@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="density grid (defaults to mean +- 6 sd with 1024 points)")
 
     p_sim = sub.add_parser("simulate", help="discrete-event simulation estimate")
-    p_sim.add_argument("--dist", choices=_DIST_CHOICES, required=True)
+    p_sim.add_argument("--dist", type=str.lower, choices=_DIST_CHOICES, required=True)
     _add_rates(p_sim)
     p_sim.add_argument("--reps", type=int, required=True)
     p_sim.add_argument("--horizon", type=float, required=True)

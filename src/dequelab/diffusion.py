@@ -6,7 +6,8 @@ constant or a fluid-modulated diffusion coefficient.  Their stationary
 density glues two Gaussians at zero; this module evaluates that density and
 its moments, builds the two finite-system approximation models, provides the
 theta == gamma transient closed forms, and simulates paths by Euler-Maruyama
-for empirical validation.
+for empirical validation.  The transient forms are elementary, with no
+quadrature: fluid.discounted_source_integral gives the variance source term.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import log_ndtr
 
 from .errors import DomainError, UnsupportedCaseError
-from .fluid import FluidPath, fluid_closed_form, fluid_limit, zero_hitting_time
+from .fluid import FluidPath, discounted_source_integral, fluid_limit
 from .numerics import RandomStream, normal_logcdf, normal_logsf, truncated_normal_moments
 from .params import QueueParams
 
@@ -283,38 +283,18 @@ def ou_closed_form_moments(
     drift offset c.  Limits: Z -> N(0, (a^2 + |alpha-beta|)/2 theta) and
     X-hat -> N(c/theta, a^2/2 theta).
     """
+    # checked before a_sq is read, which raises DomainError when sigma is unset
     if params.theta != params.gamma:
         raise UnsupportedCaseError(
             f"closed-form moments require theta == gamma, got {params.theta} != {params.gamma}"
         )
     theta = params.theta
     a_sq = params.diffusion_coeff_sq
-    t_hit = zero_hitting_time(params, x0)
-
-    def modulation(u: float) -> float:
-        x = fluid_closed_form(params, x0, u)
-        return a_sq + theta * max(x, 0.0) + params.gamma * max(-x, 0.0)
-
-    def z_second_at(tt: float) -> float:
-        if tt == 0.0:
-            return z0_second
-        pts = [t_hit] if t_hit is not None and 0.0 < t_hit < tt else None
-        integral, _ = quad(
-            lambda u: math.exp(-2.0 * theta * (tt - u)) * modulation(u),
-            0.0,
-            tt,
-            points=pts,
-            limit=200,
-            epsabs=1e-12,
-            epsrel=1e-11,
-        )
-        return z0_second * math.exp(-2.0 * theta * tt) + integral
-
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    t_arr = np.asarray(t, dtype=float)
     decay = np.exp(-theta * t_arr)
     decay2 = np.exp(-2.0 * theta * t_arr)
     z_mean = z0_mean * decay
-    z_second = np.array([z_second_at(float(tt)) for tt in t_arr])
+    z_second = z0_second * decay2 + discounted_source_integral(params, x0, t_arr, a_sq, 0.0)
 
     level = c / theta
     xhat_mean = (z0_mean - level) * decay + level
@@ -322,14 +302,10 @@ def ou_closed_form_moments(
     cross = 2.0 * level * (z0_mean - level)
     xhat_second = (z0_second - cross - stat_second) * decay2 + cross * decay + stat_second
 
+    fields = (z_mean, z_second, xhat_mean, xhat_second)
     if np.ndim(t) == 0:
-        return OUTransientMoments(
-            z_mean=float(z_mean[0]),
-            z_second=float(z_second[0]),
-            xhat_mean=float(xhat_mean[0]),
-            xhat_second=float(xhat_second[0]),
-        )
-    return OUTransientMoments(z_mean=z_mean, z_second=z_second, xhat_mean=xhat_mean, xhat_second=xhat_second)
+        fields = tuple(float(f) for f in fields)
+    return OUTransientMoments(*fields)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, UnsupportedCaseError
 from .params import QueueParams
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "zero_hitting_time",
     "fluid_closed_form",
     "fluid_closed_form_path",
+    "discounted_source_integral",
     "fluid_integrate",
 ]
 
@@ -97,6 +98,44 @@ def fluid_closed_form_path(params: QueueParams, x0: float, step: float, horizon:
         raise DomainError("step and horizon must be positive")
     t = np.arange(0.0, horizon + 0.5 * step, step)
     return FluidPath(t=t, x=np.asarray(fluid_closed_form(params, x0, t)), hitting_time=zero_hitting_time(params, x0))
+
+
+def discounted_source_integral(
+    params: QueueParams, x0: float, t, const: float, slope: float
+) -> float | np.ndarray:
+    """Integral over u in [0, t] of e^(-2 theta (t-u)) (const + slope x(u) + theta |x(u)|).
+
+    x is the fluid path from x0, which for theta == gamma is L + (x0 - L)
+    e^(-theta u) with L = (alpha - beta)/theta.  It keeps one sign up to its
+    zero hitting time and the other after it, so on each of the two pieces
+    the integrand is a sum of two exponentials in u; expm1 keeps a piece
+    accurate when theta times its length is small.
+    """
+    if params.theta != params.gamma:
+        raise UnsupportedCaseError(
+            f"closed form requires theta == gamma, got theta={params.theta}, gamma={params.gamma}"
+        )
+    theta = params.theta
+    limit = (params.alpha - params.beta) / theta
+    amp = x0 - limit
+    t_arr = np.asarray(t, dtype=float)
+    if np.any(t_arr < 0.0):
+        raise DomainError("fluid trajectory is defined for t >= 0 only")
+    t_hit = zero_hitting_time(params, x0)
+    split = t_arr if t_hit is None else np.minimum(t_arr, t_hit)
+
+    out = np.zeros_like(t_arr)
+    for start, end, sign in (
+        (0.0, split, np.sign(x0 if x0 != 0.0 else limit)),
+        (split, t_arr, np.sign(limit)),
+    ):
+        # on [start, end]: (const + rate L) e^(-2 theta (t-u)) + rate (x0 - L) e^(-theta (2t-u))
+        rate = slope + sign * theta
+        width = end - start
+        steady = np.exp(-2.0 * theta * (t_arr - end)) * -np.expm1(-2.0 * theta * width) / (2.0 * theta)
+        transient = np.exp(-theta * (2.0 * t_arr - end)) * -np.expm1(-theta * width) / theta
+        out += (const + rate * limit) * steady + rate * amp * transient
+    return float(out) if np.ndim(t) == 0 else out
 
 
 def _drift(params: QueueParams, x: float) -> float:

@@ -6,7 +6,8 @@ module computes its stationary distribution (in log space, with controlled
 truncation), the closed-form limiting moments built from incomplete gamma
 functions, transient moments of the truncated master equation by
 uniformization (with an a-priori bound on the dropped Poisson tail), and the
-closed-form second-moment lower bound available when theta == gamma.
+closed-form second-moment lower bound available when theta == gamma, an
+elementary integral along the fluid path (fluid.discounted_source_integral).
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .errors import (
     NumericalOverflowError,
     ResourceLimitError,
     TruncationError,
-    UnsupportedCaseError,
 )
+from .fluid import discounted_source_integral
 from .numerics import log_regularized_lower_gamma
 from .params import QueueParams
 
@@ -391,53 +392,20 @@ def transient_moments(
     )
 
 
-def _sign(x: float) -> float:
-    return math.copysign(1.0, x) if x != 0.0 else 0.0
-
-
 def second_moment_lower_bound(params: QueueParams, m0: float, s0: float, t) -> float | np.ndarray:
     """Closed-form lower bound on the second moment at time t (theta == gamma only).
 
     Solves the surrogate ODE obtained by replacing m+(t) + m-(t) with |m(t)|
     in the second-moment equation; the replacement only lowers the source
     term, so the solution bounds s(t) from below and converges to
-    ((alpha-beta)/theta)^2 + max(alpha, beta)/theta.
+    ((alpha-beta)/theta)^2 + max(alpha, beta)/theta.  m(t) is the fluid path
+    from m0, and the source is alpha + beta + 2 (alpha-beta) m + theta |m|.
     """
-    if params.theta != params.gamma:
-        raise UnsupportedCaseError(
-            f"closed form requires theta == gamma, got theta={params.theta}, gamma={params.gamma}"
-        )
-    theta = params.theta
-    delta = params.alpha - params.beta
-    limit = delta / theta
-    amp = m0 - limit
-
-    # sign of m on [0, crossing) and after; crossing exists iff m0, limit oppose
-    sigma0 = _sign(m0) if m0 != 0.0 else _sign(limit)
-    sigma1 = _sign(limit) if limit != 0.0 else sigma0
-    t_cross = math.inf
-    if m0 * limit < 0.0:
-        t_cross = math.log(-amp / limit) / theta
-
-    def segment(a: float, b: float, tt: float, sigma: float) -> float:
-        c2 = (2.0 * delta + sigma * theta) * amp
-        c1 = (2.0 * delta + sigma * theta) * limit + params.alpha + params.beta
-        part1 = c2 * (math.exp(-theta * (2.0 * tt - b)) - math.exp(-theta * (2.0 * tt - a))) / theta
-        part2 = c1 * (math.exp(-2.0 * theta * (tt - b)) - math.exp(-2.0 * theta * (tt - a))) / (2.0 * theta)
-        return part1 + part2
-
-    def at(tt: float) -> float:
-        value = s0 * math.exp(-2.0 * theta * tt)
-        if tt <= t_cross:
-            value += segment(0.0, tt, tt, sigma0)
-        else:
-            value += segment(0.0, t_cross, tt, sigma0)
-            value += segment(t_cross, tt, tt, sigma1)
-        return value
-
-    if np.ndim(t) == 0:
-        return at(float(t))
-    return np.array([at(float(tt)) for tt in np.asarray(t, dtype=float)])
+    source = discounted_source_integral(
+        params, m0, t, params.alpha + params.beta, 2.0 * (params.alpha - params.beta)
+    )
+    out = s0 * np.exp(-2.0 * params.theta * np.asarray(t, dtype=float)) + source
+    return float(out) if np.ndim(t) == 0 else out
 
 
 def limiting_expectation(f: Callable[[int], float], pmf: StationaryPmf) -> tuple[float, float]:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dequelab
 from dequelab.cli import main
 
 
@@ -9,6 +14,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_leaves_out_scipy_integrate():
+    # a fresh interpreter: this test process may have imported scipy.integrate itself
+    src = str(Path(dequelab.__file__).resolve().parents[1])
+    code = "import sys, dequelab.cli; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 class TestAnalytic:
@@ -71,6 +88,13 @@ class TestDiffusion:
         assert code == 0
         assert long == short
 
+    def test_family_name_case_insensitive(self, capsys):
+        args = ["diffusion", "model1", "--alpha", "1", "--beta", "2", "--theta", "0.01", "--gamma", "0.02"]
+        _, lower, _ = run_cli(capsys, *args, "--dist", "exp")
+        code, upper, _ = run_cli(capsys, *args, "--dist", "EXP")
+        assert code == 0
+        assert upper == lower
+
     def test_model2(self, capsys):
         code, out, _ = run_cli(
             capsys, "diffusion", "model2", "--alpha", "1", "--beta", "1.5",
@@ -124,6 +148,14 @@ class TestSimulate:
         total = sum(data["pmf"].values())
         assert total == pytest.approx(1.0, abs=1e-9)
         assert abs(data["L1_s"]) < 1.0
+
+    def test_family_name_case_insensitive(self, capsys):
+        args = ["--alpha", "1", "--beta", "1", "--theta", "1", "--gamma", "1", "--reps", "2",
+                "--horizon", "40", "--warmup", "10", "--seed", "5"]
+        _, lower, _ = run_cli(capsys, "simulate", "--dist", "exp", *args)
+        code, upper, _ = run_cli(capsys, "simulate", "--dist", "Exp", *args)
+        assert code == 0
+        assert upper == lower
 
     def test_deterministic(self, capsys):
         args = ["simulate", "--dist", "uniform", "--alpha", "1", "--beta", "1.5",

@@ -17,7 +17,7 @@ from dequelab.diffusion import (
     stationary_samples,
 )
 from dequelab.errors import DomainError, UnsupportedCaseError
-from dequelab.fluid import fluid_closed_form_path, fluid_limit
+from dequelab.fluid import fluid_closed_form_path, fluid_limit, zero_hitting_time
 from dequelab.numerics import RandomStream, normal_logcdf, normal_logsf, normal_pdf
 from dequelab.params import QueueParams
 
@@ -201,6 +201,7 @@ class TestOUClosedFormMoments:
         params = self._unit_params()
         mom = ou_closed_form_moments(params, 0.0, 0.0, c=0.4, t=40.0)
         assert mom.xhat_mean == pytest.approx(0.4, rel=1e-12)
+        assert all(type(v) is float for v in (mom.z_mean, mom.z_second, mom.xhat_mean, mom.xhat_second))
 
     def test_explicit_integral_at_fixed_point(self):
         # fluid frozen at its fixed point makes the modulation constant = a^2 + |alpha-beta| = 2
@@ -218,6 +219,34 @@ class TestOUClosedFormMoments:
         params = QueueParams(1, 1, 0.3, 0.4)
         with pytest.raises(UnsupportedCaseError):
             ou_closed_form_moments(params, 0.0, 0.0, 0.0, 1.0)
+
+    # (alpha, beta, theta) with theta == gamma, x0, four times t: no crossing,
+    # a crossing before and after t, x0 = 0, alpha = beta, small theta t
+    @pytest.mark.parametrize("rates, x0, times", [
+        ((2.0, 1.0, 1.0), 3.0, [0.1, 0.5, 1.0, 5.0]),
+        ((2.0, 1.0, 1.0), -2.0, [1.5, 2.0, 3.0, 8.0]),
+        ((2.0, 1.0, 1.0), -2.0, [0.05, 0.3, 0.7, 1.0]),
+        ((1.0, 1.5, 0.5), 0.0, [0.1, 0.5, 2.0, 6.0]),
+        ((1.0, 1.0, 0.5), 2.0, [0.1, 0.5, 2.0, 6.0]),
+        ((3.0, 1.0, 1e-3), 0.0, [2e-3, 5e-3, 1e-2, 2e-2]),
+    ])
+    def test_z_second_matches_quadrature(self, rates, x0, times):
+        alpha, beta, theta = rates
+        params = QueueParams.for_family("exponential", alpha, beta, theta, theta)
+        a_sq = params.diffusion_coeff_sq
+        limit = (alpha - beta) / theta
+        t_hit = zero_hitting_time(params, x0)
+        t = np.reshape(times, (2, 2))
+        mom = ou_closed_form_moments(params, 0.0, 0.3, c=0.0, t=t, x0=x0)
+        assert mom.z_second.shape == t.shape
+        for tt, value in zip(times, mom.z_second.ravel()):
+            def source(u):
+                x = limit + (x0 - limit) * math.exp(-theta * u)
+                return math.exp(-2.0 * theta * (tt - u)) * (a_sq + theta * abs(x))
+
+            integral, _ = quad(source, 0.0, tt, points=[t_hit] if t_hit is not None and t_hit < tt else None,
+                               limit=200, epsabs=0.0, epsrel=1e-13)
+            assert value == pytest.approx(0.3 * math.exp(-2.0 * theta * tt) + integral, rel=1e-12)
 
 
 class TestSDESimulation:

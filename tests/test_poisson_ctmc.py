@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg import expm
 
 from dequelab.errors import (
@@ -11,6 +12,7 @@ from dequelab.errors import (
     TruncationError,
     UnsupportedCaseError,
 )
+from dequelab.fluid import zero_hitting_time
 from dequelab.params import QueueParams
 from dequelab.poisson_ctmc import (
     asymptotic_moment_approximations,
@@ -305,10 +307,12 @@ class TestSecondMomentLowerBound:
     def test_balanced_limit(self):
         value = second_moment_lower_bound(QueueParams(1.5, 1.5, 0.5, 0.5), 0.0, 0.0, 1e9)
         assert value == pytest.approx(1.5 / 0.5, rel=1e-12)
+        assert type(value) is float
 
     def test_imbalanced_limit(self):
         value = second_moment_lower_bound(QueueParams(2.0, 1.0, 1.0, 1.0), 0.0, 0.0, 1e9)
         assert value == pytest.approx(3.0, rel=1e-12)
+        assert type(value) is float
 
     def test_is_lower_bound_of_master_equation(self):
         params = QueueParams(1.0, 1.5, 0.5, 0.5)
@@ -328,6 +332,34 @@ class TestSecondMomentLowerBound:
     def test_requires_equal_rates(self):
         with pytest.raises(UnsupportedCaseError):
             second_moment_lower_bound(QueueParams(1, 1, 0.2, 0.3), 0.0, 0.0, 1.0)
+
+    # (alpha, beta, theta) with theta == gamma, m0, four times t: no crossing,
+    # a crossing before and after t, m0 = 0, alpha = beta, small theta t
+    @pytest.mark.parametrize("rates, m0, times", [
+        ((2.0, 1.0, 1.0), 3.0, [0.1, 0.5, 1.0, 5.0]),
+        ((2.0, 1.0, 1.0), -2.0, [1.5, 2.0, 3.0, 8.0]),
+        ((2.0, 1.0, 1.0), -2.0, [0.05, 0.3, 0.7, 1.0]),
+        ((1.0, 1.5, 0.5), 0.0, [0.1, 0.5, 2.0, 6.0]),
+        ((1.0, 1.0, 0.5), 2.0, [0.1, 0.5, 2.0, 6.0]),
+        ((3.0, 1.0, 1e-3), 0.0, [2e-3, 5e-3, 1e-2, 2e-2]),
+    ])
+    def test_matches_quadrature_of_surrogate_source(self, rates, m0, times):
+        alpha, beta, theta = rates
+        params = QueueParams(alpha, beta, theta, theta)
+        limit = (alpha - beta) / theta
+        t_hit = zero_hitting_time(params, m0)
+        s0 = m0 * m0 + 0.5
+        t = np.reshape(times, (2, 2))
+        bound = second_moment_lower_bound(params, m0, s0, t)
+        assert bound.shape == t.shape
+        for tt, value in zip(times, bound.ravel()):
+            def source(u):
+                m = limit + (m0 - limit) * math.exp(-theta * u)
+                return math.exp(-2.0 * theta * (tt - u)) * (2.0 * (alpha - beta) * m + theta * abs(m) + alpha + beta)
+
+            integral, _ = quad(source, 0.0, tt, points=[t_hit] if t_hit is not None and t_hit < tt else None,
+                               limit=200, epsabs=0.0, epsrel=1e-13)
+            assert value == pytest.approx(s0 * math.exp(-2.0 * theta * tt) + integral, rel=1e-12)
 
 
 class TestLimitingExpectation:
