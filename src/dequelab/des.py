@@ -109,21 +109,16 @@ class ReplicationResult:
         return float(np.dot(self.states.astype(float) ** 2, self.probs))
 
 
-class _DrawBuffer:
-    """Block-buffered scalar draws from a vectorized sampler, fixed block size."""
+def _draws(sample):
+    """Python floats from sample(size) calls, in blocks doubling from 64 to _BLOCK.
 
-    def __init__(self, draw_block):
-        self._draw_block = draw_block
-        self._buf = None
-        self._pos = 0
-
-    def next(self) -> float:
-        if self._buf is None or self._pos >= len(self._buf):
-            self._buf = self._draw_block(_BLOCK)
-            self._pos = 0
-        value = self._buf[self._pos]
-        self._pos += 1
-        return value
+    Small first blocks keep short replications from drawing variates they
+    never read; Python floats keep numpy scalars out of the event loop.
+    """
+    size = 64
+    while True:
+        yield from sample(size).tolist()
+        size = min(2 * size, _BLOCK)
 
 
 def run_replication(scenario: Scenario, stream: RandomStream) -> ReplicationResult:
@@ -136,28 +131,28 @@ def run_replication(scenario: Scenario, stream: RandomStream) -> ReplicationResu
     abandonment at now + E/|x|.
     """
     streams = [stream.substream(k) for k in range(4)]
-    seller_arrivals = _DrawBuffer(lambda n: sample_interarrival(scenario.seller_model, streams[0], n))
-    buyer_arrivals = _DrawBuffer(lambda n: sample_interarrival(scenario.buyer_model, streams[1], n))
-    seller_patience = _DrawBuffer(lambda n: sample_exponential(scenario.theta, streams[2], n))
-    buyer_patience = _DrawBuffer(lambda n: sample_exponential(scenario.gamma, streams[3], n))
+    seller_arrivals = _draws(lambda n: sample_interarrival(scenario.seller_model, streams[0], n))
+    buyer_arrivals = _draws(lambda n: sample_interarrival(scenario.buyer_model, streams[1], n))
+    seller_patience = _draws(lambda n: sample_exponential(scenario.theta, streams[2], n))
+    buyer_patience = _draws(lambda n: sample_exponential(scenario.gamma, streams[3], n))
 
     tau, horizon = scenario.warmup, scenario.horizon
     bound = scenario.histogram_bound
-    hist = np.zeros(2 * bound + 1)
+    hist = [0.0] * (2 * bound + 1)
     overflow = 0.0
 
     x = int(scenario.initial_state)
     # residual arrival clocks start fresh at time zero
-    next_seller = seller_arrivals.next()
-    next_buyer = buyer_arrivals.next()
+    next_seller = next(seller_arrivals)
+    next_buyer = next(buyer_arrivals)
 
     now = 0.0
     while now < horizon:
         # memoryless patience: a fresh clock after every event has the same law
         if x > 0:
-            next_expiry = now + seller_patience.next() / x
+            next_expiry = now + next(seller_patience) / x
         elif x < 0:
-            next_expiry = now + buyer_patience.next() / -x
+            next_expiry = now + next(buyer_patience) / -x
         else:
             next_expiry = math.inf
 
@@ -183,15 +178,15 @@ def run_replication(scenario: Scenario, stream: RandomStream) -> ReplicationResu
 
         if kind == 0:
             x += 1
-            next_seller = now + seller_arrivals.next()
+            next_seller = now + next(seller_arrivals)
         elif kind == 1:
             x -= 1
-            next_buyer = now + buyer_arrivals.next()
+            next_buyer = now + next(buyer_arrivals)
         else:
             x = x - 1 if x > 0 else x + 1
 
     total = horizon - tau
-    return ReplicationResult(bound=bound, probs=hist / total, overflow=overflow / total)
+    return ReplicationResult(bound=bound, probs=np.array(hist) / total, overflow=overflow / total)
 
 
 @dataclass(frozen=True)

@@ -159,18 +159,11 @@ def psi_moments(mu: float, sigma: float, theta: float, gamma: float) -> PsiMomen
     """First two moments of the stationary law in the kappa = mu^2/sigma^2 family.
 
     This is the family both limiting distributions live in; when theta equals
-    gamma the law is a single Gaussian and the moments are returned exactly.
+    gamma the law is a single Gaussian and the two truncated halves add up to
+    its moments.
     """
     if not sigma > 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
-    if theta == gamma:
-        density = psi_density(mu**2 / sigma**2, mu, sigma, theta, gamma)
-        return PsiMoments(
-            ev=mu / theta,
-            ev2=(mu / theta) ** 2 + sigma**2 / (2.0 * theta),
-            d1=density.d1,
-            d2=density.d2,
-        )
     density = psi_density(mu**2 / sigma**2, mu, sigma, theta, gamma)
     return PsiMoments(ev=density.mean(), ev2=density.second_moment(), d1=density.d1, d2=density.d2)
 
@@ -188,9 +181,11 @@ class TimeVaryingDiffusion:
     gamma: float
     fluid_path: FluidPath
 
-    def value(self, t: float) -> float:
+    def value(self, t):
+        """a(t) at a scalar or an array of times; a scalar gives a float."""
         x = self.fluid_path.value_at(t)
-        return math.sqrt(self.base_sq + self.theta * max(x, 0.0) + self.gamma * max(-x, 0.0))
+        a = np.sqrt(self.base_sq + self.theta * np.maximum(x, 0.0) + self.gamma * np.maximum(-x, 0.0))
+        return float(a) if np.ndim(t) == 0 else a
 
 
 @dataclass(frozen=True)
@@ -209,10 +204,11 @@ class PiecewiseOUParams:
         if isinstance(self.diffusion, (int, float)) and self.diffusion < 0.0:
             raise DomainError(f"constant diffusion coefficient must be non-negative, got {self.diffusion}")
 
-    def diffusion_at(self, t: float) -> float:
+    def diffusion_at(self, t):
+        """Diffusion coefficient at a scalar or an array of times; a scalar gives a float."""
         if isinstance(self.diffusion, TimeVaryingDiffusion):
             return self.diffusion.value(t)
-        return float(self.diffusion)
+        return float(self.diffusion) if np.ndim(t) == 0 else np.full(np.shape(t), float(self.diffusion))
 
 
 @dataclass(frozen=True)
@@ -321,13 +317,6 @@ def _check_step(ou: PiecewiseOUParams, step: float) -> None:
         raise DomainError("step too coarse; require step <= 0.01/max(theta, gamma)")
 
 
-def _coefficients(ou: PiecewiseOUParams, t_grid: np.ndarray) -> np.ndarray:
-    """Diffusion coefficient frozen at the left endpoint of every step."""
-    if isinstance(ou.diffusion, TimeVaryingDiffusion):
-        return np.array([ou.diffusion.value(float(tt)) for tt in t_grid[:-1]])
-    return np.full(len(t_grid) - 1, float(ou.diffusion))
-
-
 def simulate_sde_path(
     ou: PiecewiseOUParams,
     x0: float,
@@ -339,7 +328,8 @@ def simulate_sde_path(
     _check_step(ou, step)
     n_steps = int(round(horizon / step))
     t_grid = step * np.arange(n_steps + 1)
-    coeff = _coefficients(ou, t_grid)
+    # frozen at the left endpoint of every step
+    coeff = ou.diffusion_at(t_grid[:-1])
     noise = stream.rng.standard_normal(n_steps) * math.sqrt(step)
     xs = np.empty(n_steps + 1)
     xs[0] = x0
@@ -376,7 +366,8 @@ def stationary_samples(
         raise DomainError("n_paths and thin must be >= 1")
     n_steps = int(round(horizon / step))
     t_grid = step * np.arange(n_steps + 1)
-    coeff = _coefficients(ou, t_grid)
+    # frozen at the left endpoint of every step
+    coeff = ou.diffusion_at(t_grid[:-1])
     rng = stream.rng
     sqrt_step = math.sqrt(step)
     x = np.full(n_paths, float(x0))

@@ -36,11 +36,13 @@ class FluidPath:
     x: np.ndarray
     hitting_time: float | None
 
-    def value_at(self, t: float) -> float:
-        """Piecewise-constant lookup at the left grid point (clamped to the grid)."""
-        idx = int(np.searchsorted(self.t, t, side="right")) - 1
-        idx = min(max(idx, 0), len(self.x) - 1)
-        return float(self.x[idx])
+    def value_at(self, t):
+        """Piecewise-constant lookup at the left grid point (clamped to the grid).
+
+        Accepts a scalar or an array of times; a scalar gives a float.
+        """
+        idx = np.clip(np.searchsorted(self.t, t, side="right") - 1, 0, len(self.x) - 1)
+        return float(self.x[idx]) if np.ndim(t) == 0 else self.x[idx]
 
 
 def fluid_limit(params: QueueParams) -> float:

@@ -45,7 +45,7 @@ BUDGETS = {
 def canonical_family(name: str) -> str:
     try:
         return FAMILY_ALIASES[name.lower()]
-    except KeyError:
+    except (AttributeError, KeyError):
         valid = sorted(FAMILY_ALIASES)
         raise ConfigError(f"unknown distribution {name!r}; valid names: {valid}") from None
 
@@ -74,9 +74,13 @@ class ComparisonConfig:
             raise ConfigError("need 0 <= warmup < horizon")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
+        if self.histogram_bound < 1:
+            raise ConfigError("histogram_bound must be >= 1")
 
     @classmethod
     def from_dict(cls, raw: dict, budget_override: str | None = None) -> "ComparisonConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
         raw = dict(raw)
         budget = raw.pop("budget", "desk")
         if budget_override is not None:
@@ -85,21 +89,28 @@ class ComparisonConfig:
             if budget not in BUDGETS:
                 raise ConfigError(f"unknown budget {budget!r}; valid: {sorted(BUDGETS)} or an object")
             budget = BUDGETS[budget]
-        kwargs = {
-            "replications": int(budget["replications"]),
-            "warmup": float(budget["warmup"]),
-            "horizon": float(budget["horizon"]),
-        }
-        for key in ("families", "rate_pairs", "reneging_multipliers", "histogram_bound"):
-            if key in raw:
-                value = raw.pop(key)
-                if key == "rate_pairs":
-                    value = tuple(tuple(float(v) for v in pair) for pair in value)
-                elif key == "families":
-                    value = tuple(value)
-                elif key == "reneging_multipliers":
-                    value = tuple(float(v) for v in value)
-                kwargs[key] = value
+        if not isinstance(budget, dict) or not {"replications", "warmup", "horizon"} <= budget.keys():
+            raise ConfigError(f"budget object needs replications, warmup and horizon, got {budget!r}")
+        try:
+            kwargs = {
+                "replications": int(budget["replications"]),
+                "warmup": float(budget["warmup"]),
+                "horizon": float(budget["horizon"]),
+            }
+            for key in ("families", "rate_pairs", "reneging_multipliers", "histogram_bound"):
+                if key in raw:
+                    value = raw.pop(key)
+                    if key == "rate_pairs":
+                        value = tuple(tuple(float(v) for v in pair) for pair in value)
+                    elif key == "families":
+                        value = tuple(value)
+                    elif key == "reneging_multipliers":
+                        value = tuple(float(v) for v in value)
+                    else:
+                        value = int(value)
+                    kwargs[key] = value
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed config value: {exc}") from exc
         if raw:
             raise ConfigError(f"unknown config keys: {sorted(raw)}")
         return cls(**kwargs)

@@ -195,6 +195,28 @@ class TestCompare:
         assert code == 2
         assert "valid names" in err
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"budget": {"replications": 2}},
+            {"budget": {"replications": "ten", "warmup": 10.0, "horizon": 50.0}},
+            {"rate_pairs": [[1, "x"]]},
+            [1, 2],
+            {"histogram_bound": 0},
+            {"families": [5]},
+        ],
+        ids=["budget-missing-keys", "replications-not-a-number", "rate-not-a-number", "not-an-object",
+             "histogram-bound-zero", "family-not-a-string"],
+    )
+    def test_malformed_config_exit_code(self, capsys, tmp_path, config):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code, _, err = run_cli(
+            capsys, "compare", "--config", str(cfg_path), "--seed", "1", "--out", str(tmp_path / "o")
+        )
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "compare", "--config", str(tmp_path / "nope.json"), "--seed", "1",

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from dequelab import des
 from dequelab.des import (
     ScaledTemplate,
     Scenario,
@@ -11,7 +13,13 @@ from dequelab.des import (
     scaled_stationary_histogram,
 )
 from dequelab.errors import DomainError
-from dequelab.numerics import RandomStream, tv_distance
+from dequelab.numerics import (
+    InterarrivalModel,
+    RandomStream,
+    sample_exponential,
+    sample_interarrival,
+    tv_distance,
+)
 from dequelab.params import QueueParams
 from dequelab.poisson_ctmc import poisson_moment_estimates, stationary_distribution, transient_moments
 
@@ -93,6 +101,40 @@ class TestRunReplication:
         # the state drifts to about -50, far outside a bound of 20
         assert rep.overflow > 0.5
         assert rep.probs.sum() + rep.overflow == pytest.approx(1.0, abs=1e-9)
+
+
+class TestDraws:
+    SAMPLERS = {
+        "exponential": lambda stream, n: sample_interarrival(InterarrivalModel("exponential", 1.5), stream, n),
+        "uniform": lambda stream, n: sample_interarrival(InterarrivalModel("uniform", 1.5), stream, n),
+        "erlang": lambda stream, n: sample_interarrival(InterarrivalModel("erlang", 1.5), stream, n),
+        "patience": lambda stream, n: sample_exponential(0.3, stream, n),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SAMPLERS))
+    def test_values_do_not_depend_on_block_sizes(self, name):
+        # 10 000 values span the blocks of 64 .. 4096 and part of the next one
+        sample = self.SAMPLERS[name]
+        stream = RandomStream(4, 1)
+        values = list(itertools.islice(des._draws(lambda n: sample(stream, n)), 10_000))
+        assert all(type(v) is float for v in values)
+        assert values == sample(RandomStream(4, 1), 10_000).tolist()
+
+    def test_short_replication_draws_few_variates(self, monkeypatch):
+        requested = []
+
+        def counting(sampler):
+            def wrapped(law, stream, size=None):
+                requested.append(size)
+                return sampler(law, stream, size)
+
+            return wrapped
+
+        monkeypatch.setattr(des, "sample_interarrival", counting(sample_interarrival))
+        monkeypatch.setattr(des, "sample_exponential", counting(sample_exponential))
+        sc = Scenario.for_family("exponential", 1.0, 1.0, 1.0, 1.0, horizon=10.0, warmup=0.0, replications=1)
+        run_replication(sc, RandomStream(2, 0))
+        assert 0 < sum(requested) <= 4 * 64
 
 
 class TestEstimate:
