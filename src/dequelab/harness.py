@@ -50,6 +50,16 @@ def canonical_family(name: str) -> str:
         raise ConfigError(f"unknown distribution {name!r}; valid names: {valid}") from None
 
 
+def _whole_number(value, key: str) -> int:
+    """A count from a config: an int, or a float with no fractional part such as 10.0."""
+    if isinstance(value, int):
+        return value
+    number = float(value)
+    if not number.is_integer():
+        raise ConfigError(f"{key} must be a whole number, got {value!r}")
+    return int(number)
+
+
 @dataclass(frozen=True)
 class ComparisonConfig:
     """Axes of the comparison grid plus the simulation budget."""
@@ -93,7 +103,7 @@ class ComparisonConfig:
             raise ConfigError(f"budget object needs replications, warmup and horizon, got {budget!r}")
         try:
             kwargs = {
-                "replications": int(budget["replications"]),
+                "replications": _whole_number(budget["replications"], "replications"),
                 "warmup": float(budget["warmup"]),
                 "horizon": float(budget["horizon"]),
             }
@@ -107,7 +117,7 @@ class ComparisonConfig:
                     elif key == "reneging_multipliers":
                         value = tuple(float(v) for v in value)
                     else:
-                        value = int(value)
+                        value = _whole_number(value, key)
                     kwargs[key] = value
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config value: {exc}") from exc
@@ -198,46 +208,57 @@ def _cells(config: ComparisonConfig):
                 cell += 1
 
 
-def _run_cell(config: ComparisonConfig, base_seed: int, cell: int, family: str,
-              alpha: float, beta: float, theta: float, gamma: float):
-    l1_p, l2_p, m1, m2 = _analytic_columns(family, alpha, beta, theta, gamma)
-    scenario = des.Scenario.for_family(
-        family,
-        alpha,
-        beta,
-        theta,
-        gamma,
-        horizon=config.horizon,
-        warmup=config.warmup,
-        replications=config.replications,
-        histogram_bound=config.histogram_bound,
-    )
-    sim = des.estimate(scenario, base_seed, stream_base=cell << 32)
-    row = ComparisonRow(
-        family=family,
-        alpha=alpha,
-        beta=beta,
-        theta=theta,
-        gamma=gamma,
-        L1_s=sim.L1,
-        L1_s_ci=sim.ci_halfwidth_L1,
-        L1_p=l1_p,
-        L1_d1=m1.L1,
-        L1_d2=m2.L1,
-        L2_s=sim.L2,
-        L2_s_ci=sim.ci_halfwidth_L2,
-        L2_p=l2_p,
-        L2_d1=m1.L2,
-        L2_d2=m2.L2,
-    )
-    return row, scenario, sim
+def _simulate_grid(config: ComparisonConfig, base_seed: int):
+    """(rows, scenarios, estimates) of every cell, in config order.
+
+    The analytic columns come first, so a cell they cannot answer fails
+    before any simulation.  All cells' replications are then simulated in one
+    batch; cell c reads the streams from c << 32 on, so cells stay
+    independent and each estimate equals a des.estimate call of its own.
+    """
+    cells = list(_cells(config))
+    analytic = [_analytic_columns(*cell[1:]) for cell in cells]
+    scenarios = [
+        des.Scenario.for_family(
+            family,
+            alpha,
+            beta,
+            theta,
+            gamma,
+            horizon=config.horizon,
+            warmup=config.warmup,
+            replications=config.replications,
+            histogram_bound=config.histogram_bound,
+        )
+        for _, family, alpha, beta, theta, gamma in cells
+    ]
+    sims = des.estimate_many(scenarios, base_seed, [cell << 32 for cell, *_ in cells])
+    rows = [
+        ComparisonRow(
+            family=family,
+            alpha=alpha,
+            beta=beta,
+            theta=theta,
+            gamma=gamma,
+            L1_s=sim.L1,
+            L1_s_ci=sim.ci_halfwidth_L1,
+            L1_p=l1_p,
+            L1_d1=m1.L1,
+            L1_d2=m2.L1,
+            L2_s=sim.L2,
+            L2_s_ci=sim.ci_halfwidth_L2,
+            L2_p=l2_p,
+            L2_d1=m1.L2,
+            L2_d2=m2.L2,
+        )
+        for (_, family, alpha, beta, theta, gamma), (l1_p, l2_p, m1, m2), sim in zip(cells, analytic, sims)
+    ]
+    return rows, scenarios, sims
 
 
 def run_comparison(config: ComparisonConfig, base_seed: int = 0) -> list[ComparisonRow]:
     """All grid cells, in config order; cell randomness is independent by construction."""
-    return [
-        _run_cell(config, base_seed, *cell)[0] for cell in _cells(config)
-    ]
+    return _simulate_grid(config, base_seed)[0]
 
 
 def _fmt(value: float | None) -> str:
@@ -366,11 +387,9 @@ def run_compare_command(config: ComparisonConfig, base_seed: int, out_dir: str |
     density_dir = out / "density"
     density_dir.mkdir(exist_ok=True)
 
-    rows = []
+    rows, scenarios, sims = _simulate_grid(config, base_seed)
     written = []
-    for cell in _cells(config):
-        row, scenario, sim = _run_cell(config, base_seed, *cell)
-        rows.append(row)
+    for row, scenario, sim in zip(rows, scenarios, sims):
         comparison = export_density_comparison(scenario, base_seed, simulated=sim)
         mult = row.theta / row.alpha
         name = f"{row.family}_a{row.alpha:g}_b{row.beta:g}_m{mult:g}.csv"

@@ -36,6 +36,7 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_3_OVER_2 = math.log(1.5)
 
 # Iteration budget for the incomplete-gamma series / continued fraction.
 _MAX_ITER = 10_000
@@ -232,14 +233,14 @@ class InterarrivalModel:
             return rng.uniform(0.0, 2.0 / self.rate, size)
         if self.family == "erlang":
             return rng.gamma(self.stages, 1.0 / (self.stages * self.rate), size)
-        # hyperexponential: branch per draw
+        # hyperexponential: value i reads the consecutive variates (2i, 2i+1)
+        # of one array call, so sample(m) then sample(n) equals sample(m + n).
+        # The branch is slow when its Exp(1) variate is below log(3/2),
+        # which has probability 1/3.
         n = 1 if size is None else size
-        slow = rng.random(n) < (1.0 / 3.0)
-        out = np.where(
-            slow,
-            rng.exponential(2.0 / self.rate, n),
-            rng.exponential(0.5 / self.rate, n),
-        )
+        pairs = rng.standard_exponential((n, 2))
+        scale = np.where(pairs[:, 0] < _LOG_3_OVER_2, 2.0 / self.rate, 0.5 / self.rate)
+        out = pairs[:, 1] * scale
         return float(out[0]) if size is None else out
 
 

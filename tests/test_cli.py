@@ -204,9 +204,11 @@ class TestCompare:
             [1, 2],
             {"histogram_bound": 0},
             {"families": [5]},
+            {"budget": {"replications": 2.7, "warmup": 10.0, "horizon": 50.0}},
+            {"histogram_bound": 10.9},
         ],
         ids=["budget-missing-keys", "replications-not-a-number", "rate-not-a-number", "not-an-object",
-             "histogram-bound-zero", "family-not-a-string"],
+             "histogram-bound-zero", "family-not-a-string", "replications-not-whole", "histogram-bound-not-whole"],
     )
     def test_malformed_config_exit_code(self, capsys, tmp_path, config):
         cfg_path = tmp_path / "cfg.json"

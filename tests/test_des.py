@@ -9,6 +9,7 @@ from dequelab.des import (
     ScaledTemplate,
     Scenario,
     estimate,
+    estimate_many,
     run_replication,
     scaled_stationary_histogram,
 )
@@ -108,6 +109,7 @@ class TestDraws:
         "exponential": lambda stream, n: sample_interarrival(InterarrivalModel("exponential", 1.5), stream, n),
         "uniform": lambda stream, n: sample_interarrival(InterarrivalModel("uniform", 1.5), stream, n),
         "erlang": lambda stream, n: sample_interarrival(InterarrivalModel("erlang", 1.5), stream, n),
+        "hyperexponential": lambda stream, n: sample_interarrival(InterarrivalModel("hyperexponential", 1.5), stream, n),
         "patience": lambda stream, n: sample_exponential(0.3, stream, n),
     }
 
@@ -195,6 +197,142 @@ class TestEstimate:
         assert chain_tv(est, params) < 0.05
         l1_p, _ = poisson_moment_estimates(params)
         assert abs(est.L1 - l1_p) <= 3.0 * est.ci_halfwidth_L1
+
+
+def lockstep_batch():
+    """Single-replication jobs, so each estimate's pmf is one lane's probs.
+
+    All four families at two rate pairs, several horizons, warmups and
+    initial states; the erlang lanes have a bound of 4, which they leave.
+    """
+    jobs = []
+    for i in range(72):
+        family = ("exponential", "uniform", "erlang", "hyperexponential")[i % 4]
+        alpha, beta = ((1.0, 1.0), (1.0, 2.0))[i // 4 % 2]
+        mult = (1.0, 0.1, 0.02)[i % 3]
+        jobs.append(Scenario.for_family(
+            family, alpha, beta, mult * alpha, mult * beta,
+            horizon=40.0 + 7.0 * (i % 5), warmup=(0.0, 3.0, 12.5)[i % 3], replications=1,
+            initial_state=(0, 12, -5)[i % 3], histogram_bound=4 if family == "erlang" else 1000,
+        ))
+    return jobs, [i << 32 for i in range(len(jobs))]
+
+
+class TestLockstep:
+    def assert_lanes_match_scalar_loop(self, jobs, bases, seed=13):
+        results = estimate_many(jobs, seed, bases)
+        for sc, base, est in zip(jobs, bases, results):
+            rep = run_replication(sc, RandomStream(seed, base))
+            assert np.array_equal(est.pmf, rep.probs)
+            assert est.overflow == rep.overflow
+            assert est.per_replication_L1[0] == rep.first_moment()
+            assert est.per_replication_L2[0] == rep.second_moment()
+        return results
+
+    @pytest.mark.filterwarnings("ignore:overflow share")
+    def test_lanes_equal_the_scalar_loop(self):
+        jobs, bases = lockstep_batch()
+        assert len(jobs) >= des._LOCKSTEP_MIN_LANES
+        results = self.assert_lanes_match_scalar_loop(jobs, bases)
+        # the batch covers overflow, and states beyond the first histogram width of 8
+        assert any(est.overflow > 0.0 for est in results)
+        assert max(int(np.abs(est.states[est.pmf > 0.0]).max(initial=0)) for est in results) > 8
+
+    @pytest.mark.filterwarnings("ignore:overflow share")
+    def test_finished_lanes_hand_their_slots_on(self, monkeypatch):
+        # fewer slots than lanes, and blocks that reach their cap
+        monkeypatch.setattr(des, "_LIVE_LANES", 10)
+        monkeypatch.setattr(des, "_LANE_BLOCK", 128)
+        jobs, bases = lockstep_batch()
+        self.assert_lanes_match_scalar_loop(jobs, bases)
+
+    @pytest.mark.filterwarnings("ignore:overflow share")
+    def test_batch_above_crossover_skips_the_scalar_loop(self, monkeypatch):
+        def scalar_loop(scenario, stream):
+            raise AssertionError("the lockstep batch ran the scalar loop")
+
+        jobs, bases = lockstep_batch()
+        expected = estimate_many(jobs, 13, bases)
+        monkeypatch.setattr(des, "run_replication", scalar_loop)
+        for a, b in zip(estimate_many(jobs, 13, bases), expected):
+            assert np.array_equal(a.pmf, b.pmf)
+
+    def test_batch_below_crossover_runs_the_scalar_loop(self, monkeypatch):
+        calls = []
+
+        def counting(scenario, stream):
+            calls.append(stream.stream_id)
+            return run_replication(scenario, stream)
+
+        monkeypatch.setattr(des, "run_replication", counting)
+        sc = desk_scenario("uniform", 1.0, 1.5, 0.1, 0.15, reps=3)
+        estimate_many([sc, sc], 4, [0, 1 << 32])
+        assert calls == [0, 4, 8, 1 << 32, (1 << 32) + 4, (1 << 32) + 8]
+
+    def test_multi_replication_jobs_equal_estimate(self):
+        jobs = [
+            Scenario.for_family("erlang", 1.0, 1.5, 0.1, 0.15, horizon=60.0, warmup=10.0, replications=30),
+            Scenario.for_family("hyperexponential", 1.0, 1.0, 1.0, 1.0, horizon=45.0, warmup=0.0,
+                                replications=25, initial_state=3),
+            Scenario.for_family("exponential", 1.0, 2.0, 0.5, 1.0, horizon=30.0, warmup=5.0, replications=20),
+        ]
+        bases = [0, 1 << 32, 2 << 32]
+        for batched, sc, base in zip(estimate_many(jobs, 8, bases), jobs, bases):
+            single = estimate(sc, 8, base)  # fewer lanes than the crossover: the scalar loop
+            rows = [run_replication(sc, RandomStream(8, base + 4 * k)).probs for k in range(sc.replications)]
+            assert np.array_equal(single.pmf, np.mean(rows, axis=0))
+            assert np.array_equal(batched.pmf, single.pmf)
+            assert (batched.L1, batched.L2, batched.overflow) == (single.L1, single.L2, single.overflow)
+            assert (batched.ci_halfwidth_L1, batched.ci_halfwidth_L2) == (single.ci_halfwidth_L1,
+                                                                          single.ci_halfwidth_L2)
+            assert np.array_equal(batched.per_replication_L1, single.per_replication_L1)
+            assert np.array_equal(batched.per_replication_L2, single.per_replication_L2)
+
+    def test_overflow_warning_matches_estimate(self):
+        overflowing = desk_scenario("exponential", 1.0, 2.0, 0.001, 0.002, reps=2, bound=100)
+        filler = Scenario.for_family("exponential", 1.0, 1.0, 1.0, 1.0, horizon=20.0, warmup=0.0,
+                                     replications=des._LOCKSTEP_MIN_LANES)
+        with pytest.warns(RuntimeWarning) as single:
+            estimate(overflowing, base_seed=7)
+        with pytest.warns(RuntimeWarning) as batched:
+            estimate_many([filler, overflowing], 7, [1 << 32, 0])
+        assert [str(w.message) for w in batched] == [str(w.message) for w in single]
+        assert [w.filename for w in [*batched, *single]] == [__file__] * 2
+
+    def test_short_lanes_draw_few_variates(self, monkeypatch):
+        requested = []
+
+        def counting(sampler):
+            def wrapped(law, stream, size=None):
+                requested.append(size)
+                return sampler(law, stream, size)
+
+            return wrapped
+
+        monkeypatch.setattr(des, "sample_interarrival", counting(sample_interarrival))
+        monkeypatch.setattr(des, "sample_exponential", counting(sample_exponential))
+        lanes = des._LOCKSTEP_MIN_LANES
+        sc = Scenario.for_family("exponential", 1.0, 1.0, 1.0, 1.0, horizon=10.0, warmup=0.0, replications=lanes)
+        estimate_many([sc], 2, [0])
+        assert 0 < sum(requested) <= 4 * 64 * lanes
+
+    @pytest.mark.filterwarnings("ignore:overflow share")
+    def test_one_estimate_call_per_scenario(self, monkeypatch):
+        called = []
+
+        def recording(scenario, base_seed, stream_base=0, **kwargs):
+            called.append(stream_base)
+            return estimate(scenario, base_seed, stream_base, **kwargs)
+
+        monkeypatch.setattr(des, "estimate", recording)
+        jobs, bases = lockstep_batch()
+        estimate_many(jobs, 13, bases)
+        assert called == bases
+
+    def test_one_stream_base_per_scenario(self):
+        sc = desk_scenario("exponential", 1.0, 1.0, 1.0, 1.0, reps=1)
+        with pytest.raises(DomainError):
+            estimate_many([sc, sc], 1, [0])
 
 
 class TestScaledHistogram:

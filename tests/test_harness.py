@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from dequelab import des
 from dequelab.des import Scenario, estimate
 from dequelab.diffusion import model_one, model_two, psi_density
 from dequelab.errors import ConfigError
@@ -116,6 +118,29 @@ class TestRunComparison:
         # the analytic mean is exactly zero and the simulated CI covers zero
         assert row.L1_p == 0.0
         assert row.L1_p_err is None
+
+    def test_rows_equal_per_cell_estimates(self):
+        # 8 cells of 10 replications: one lockstep batch, against one scalar estimate per cell
+        config = ComparisonConfig.from_dict(
+            {
+                "families": ["uniform", "hyperexp"],
+                "rate_pairs": [[1.0, 1.0], [1.0, 2.0]],
+                "reneging_multipliers": [1.0, 0.1],
+                "budget": {"replications": 10, "warmup": 5.0, "horizon": 40.0},
+            }
+        )
+        assert 8 * config.replications >= des._LOCKSTEP_MIN_LANES > config.replications
+        rows = run_comparison(config, base_seed=6)
+        for cell, row in enumerate(rows):
+            sc = Scenario.for_family(
+                row.family, row.alpha, row.beta, row.theta, row.gamma, horizon=config.horizon,
+                warmup=config.warmup, replications=config.replications, histogram_bound=config.histogram_bound,
+            )
+            sim = estimate(sc, 6, stream_base=cell << 32)
+            # replace recomputes the error columns from the per-cell estimate
+            assert row == dataclasses.replace(
+                row, L1_s=sim.L1, L1_s_ci=sim.ci_halfwidth_L1, L2_s=sim.L2, L2_s_ci=sim.ci_halfwidth_L2
+            )
 
     def test_table_anchor_rows(self):
         cfg = ComparisonConfig.from_dict(
