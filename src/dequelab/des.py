@@ -38,20 +38,23 @@ __all__ = [
     "scaled_stationary_histogram",
 ]
 
-_BLOCK = 4096
+# Draws come in blocks of 64 doubling to this size, in run_replication's loop
+# and in each lockstep lane's four buffers.  Small blocks keep short
+# replications from drawing variates they never read.  On a 2-vCPU x86 box the
+# heavy benchmark's 20 scaled_stationary_histogram calls took a median 2.97 s
+# with this cap and 3.11 s with a cap of 4096 (four interleaved rounds).
+_BLOCK = 256
 # Batches of fewer replications than this run each one on run_replication's
 # loop.  On a 2-vCPU x86 box, 48 lockstep lanes of one cell (horizon 700)
 # ran at 0.93-0.98x the speed of the scalar loop, 64 lanes at 1.2x and 128
 # lanes at 1.8-2x.
 _LOCKSTEP_MIN_LANES = 64
 # At most this many lanes advance together; the rest wait for a free slot.
-# A slot holds 4 * _LANE_BLOCK draws (8 KB) and a histogram row as wide as
-# the states visited, so the kernel's memory does not grow with the number
-# of lanes.  On the benchmark's grid workload (2-vCPU x86), 128 live
-# lanes ran 15-20% slower.
+# A slot holds 4 * _BLOCK draws (8 KB) and a histogram row of 2 B + 2
+# columns, B the batch's largest bound (16 KB at the default bound of 1000),
+# so the kernel's memory does not grow with the number of lanes.  On the
+# benchmark's grid workload (2-vCPU x86), 128 live lanes ran 15-20% slower.
 _LIVE_LANES = 256
-# Each lane's draw buffers take blocks of 64 doubling to this size.
-_LANE_BLOCK = 256
 _CI_Z90 = 1.6448536269514722  # two-sided 90% normal quantile
 
 
@@ -70,10 +73,10 @@ class Scenario:
     histogram_bound: int = 1000
 
     def __post_init__(self):
-        if not (self.theta > 0.0 and self.gamma > 0.0):
-            raise DomainError("patience rates theta and gamma must be positive")
-        if not (0.0 <= self.warmup < self.horizon):
-            raise DomainError(f"need 0 <= warmup < horizon, got {self.warmup}, {self.horizon}")
+        if not (0.0 < self.theta < math.inf and 0.0 < self.gamma < math.inf):
+            raise DomainError("patience rates theta and gamma must be positive and finite")
+        if not (0.0 <= self.warmup < self.horizon < math.inf):
+            raise DomainError(f"need 0 <= warmup < horizon < inf, got {self.warmup}, {self.horizon}")
         if self.replications < 1:
             raise DomainError("replications must be >= 1")
         if self.histogram_bound < 1:
@@ -130,8 +133,7 @@ class ReplicationResult:
 def _draws(sample):
     """Python floats from sample(size) calls, in blocks doubling from 64 to _BLOCK.
 
-    Small first blocks keep short replications from drawing variates they
-    never read; Python floats keep numpy scalars out of the event loop.
+    Python floats keep numpy scalars out of the event loop.
     """
     size = 64
     while True:
@@ -341,16 +343,16 @@ def _lockstep(
     start in order of expected arrivals, most first, at most _LIVE_LANES at
     once; a finished lane hands its slot to the next one.  Each slot owns
 
-    - four draw buffers, one per substream, of _LANE_BLOCK values each in one
-      flat array, filled in blocks of 64 doubling to _LANE_BLOCK;
-    - a histogram row over the states -width..width, whose last column
-      collects the lane's overflow.  The width is shared by all slots and
-      doubles when a lane visits a state beyond it inside its own bound, so
-      rows stay as narrow as the paths (|x| <= 94 on the benchmark's grid,
-      against a bound of 1000).
+    - four draw buffers, one per substream, of _BLOCK values each in one
+      flat array, filled in blocks of 64 doubling to _BLOCK;
+    - a histogram row over the states -B..B, B the largest bound in the
+      batch, whose last column collects the overflow of a lane beyond its
+      own bound.
 
-    A scenario is reduced to its estimate as soon as its last lane
-    finishes; the generator yields the estimates in scenario order.
+    A finished lane's row is cropped to the states it visited (|x| <= 94 on
+    the benchmark's grid, against a bound of 1000) until its scenario's last
+    lane finishes; the scenario is then reduced to its estimate.  The
+    generator yields the estimates in scenario order.
     """
     # longest first: the lanes admitted last are short ones, so the batch does
     # not end with a few long lanes running on their own
@@ -360,15 +362,13 @@ def _lockstep(
         key=lambda lane: -expected_arrivals[lane[0]],
     )
     slots = min(_LIVE_LANES, len(lanes))
-    block = _LANE_BLOCK
-    buf = np.empty(4 * slots * block)
+    buf = np.empty(4 * slots * _BLOCK)
     # read position and end of the current block of each buffer, as indices into buf
     pos = np.zeros(4 * slots, dtype=np.int64)
     end = np.full(4 * slots, -1, dtype=np.int64)  # -1: no lane, never refilled
     next_size = [64] * (4 * slots)
     samplers = [None] * (4 * slots)
-    width = 8
-    max_width = max(sc.histogram_bound for sc in scenarios)
+    width = max(sc.histogram_bound for sc in scenarios)
     hist = np.zeros((slots, 2 * width + 2))
     flat_hist = hist.reshape(-1)
     reps = [[None] * sc.replications for sc in scenarios]
@@ -377,11 +377,11 @@ def _lockstep(
 
     def refill(flat: int) -> None:
         size = next_size[flat]
-        start = flat * block
+        start = flat * _BLOCK
         buf[start : start + size] = samplers[flat](size)
         pos[flat] = start
         end[flat] = start + size
-        next_size[flat] = min(2 * size, block)
+        next_size[flat] = min(2 * size, _BLOCK)
 
     def admit(slot: int, lane: int) -> tuple:
         """Give lane the slot and fill its buffers; returns the lane's state."""
@@ -410,8 +410,8 @@ def _lockstep(
         sc = scenarios[j]
         bound = sc.histogram_bound
         total = sc.horizon - sc.warmup
-        # kept cropped to the width until the scenario's last lane finishes
-        c = min(width, bound)
+        # held cropped to the states visited until the scenario's last lane finishes
+        c = int(np.abs(np.flatnonzero(hist[slot, :-1]) - width).max(initial=0))
         reps[j][k] = (hist[slot, width - c : width + c + 1] / total, float(hist[slot, -1] / total))
         hist[slot] = 0.0
         end[4 * slot : 4 * slot + 4] = -1
@@ -437,17 +437,6 @@ def _lockstep(
         with np.errstate(divide="ignore", invalid="ignore"):
             while remaining[j]:
                 ax = np.abs(x)
-                if ax.max() > width:
-                    top = int(np.minimum(ax, bound).max())
-                    if top > width:
-                        wider = min(max(2 * width, top), max_width)
-                        grown = np.zeros((slots, 2 * wider + 2))
-                        grown[:, wider - width : wider + width + 1] = hist[:, :-1]
-                        grown[:, -1] = hist[:, -1]
-                        hist, width = grown, wider
-                        flat_hist = hist.reshape(-1)
-                        row = slot * hist.shape[1] + width
-
                 # memoryless patience: a fresh clock after every event has the
                 # same law.  A lane at x = 0 reads a draw it does not consume
                 # and divides it by zero: its clock is inf, or nan, which the

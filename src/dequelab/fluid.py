@@ -96,8 +96,8 @@ def fluid_closed_form(params: QueueParams, x0: float, t) -> float | np.ndarray:
 
 def fluid_closed_form_path(params: QueueParams, x0: float, step: float, horizon: float) -> FluidPath:
     """Closed form sampled on the uniform grid 0, step, ..., horizon."""
-    if step <= 0.0 or horizon <= 0.0:
-        raise DomainError("step and horizon must be positive")
+    if not (0.0 < step < math.inf and 0.0 < horizon < math.inf):
+        raise DomainError(f"step and horizon must be positive and finite, got {step}, {horizon}")
     t = np.arange(0.0, horizon + 0.5 * step, step)
     return FluidPath(t=t, x=np.asarray(fluid_closed_form(params, x0, t)), hitting_time=zero_hitting_time(params, x0))
 
@@ -159,8 +159,8 @@ def fluid_integrate(params: QueueParams, x0: float, step: float, horizon: float)
     crossing is located by bisection on the step size and the integration
     restarts exactly at zero, which keeps the fourth-order accuracy.
     """
-    if step <= 0.0 or horizon <= 0.0:
-        raise DomainError("step and horizon must be positive")
+    if not (0.0 < step < math.inf and 0.0 < horizon < math.inf):
+        raise DomainError(f"step and horizon must be positive and finite, got {step}, {horizon}")
     if step > 0.01 / max(params.theta, params.gamma) + 1e-15:
         raise DomainError(
             f"step {step} too coarse; require step <= 0.01/max(theta, gamma)"

@@ -75,13 +75,13 @@ class ComparisonConfig:
     def __post_init__(self):
         object.__setattr__(self, "families", tuple(canonical_family(f) for f in self.families))
         for pair in self.rate_pairs:
-            if len(pair) != 2 or pair[0] <= 0 or pair[1] <= 0:
-                raise ConfigError(f"rate pair must be two positive numbers, got {pair}")
+            if len(pair) != 2 or not all(0 < rate < math.inf for rate in pair):
+                raise ConfigError(f"rate pair must be two positive finite numbers, got {pair}")
         for mult in self.reneging_multipliers:
-            if mult <= 0:
-                raise ConfigError(f"reneging multiplier must be positive, got {mult}")
-        if not (0 <= self.warmup < self.horizon):
-            raise ConfigError("need 0 <= warmup < horizon")
+            if not 0 < mult < math.inf:
+                raise ConfigError(f"reneging multiplier must be positive and finite, got {mult}")
+        if not (0 <= self.warmup < self.horizon < math.inf):
+            raise ConfigError(f"need 0 <= warmup < horizon < inf, got {self.warmup}, {self.horizon}")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if self.histogram_bound < 1:

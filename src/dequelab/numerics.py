@@ -200,8 +200,8 @@ class InterarrivalModel:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise DomainError(f"unknown interarrival family {self.family!r}; choose from {_FAMILIES}")
-        if not self.rate > 0.0:
-            raise DomainError(f"rate must be positive, got {self.rate}")
+        if not 0.0 < self.rate < math.inf:
+            raise DomainError(f"rate must be positive and finite, got {self.rate}")
         if self.family == "erlang" and self.stages < 1:
             raise DomainError(f"erlang stages must be >= 1, got {self.stages}")
 

@@ -17,8 +17,9 @@ class QueueParams:
 
     alpha / beta are seller / buyer arrival rates, sigma / varsigma the
     interarrival standard deviations entering the diffusion coefficients,
-    theta / gamma the per-customer reneging rates.  Positive reneging rates
-    are required: the chain is positive recurrent only then.
+    theta / gamma the per-customer reneging rates.  Every value given must be
+    finite.  Positive reneging rates are required: the chain is positive
+    recurrent only then.
 
     sigma and varsigma are needed only by the diffusion coefficients and stay
     None when omitted, which suits the Poisson chain and the fluid limit.
@@ -35,10 +36,13 @@ class QueueParams:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "theta", "gamma"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"{name} must be strictly positive, got {getattr(self, name)}")
-        if any(sd is not None and sd < 0.0 for sd in (self.sigma, self.varsigma)):
-            raise DomainError("sigma and varsigma must be non-negative")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise DomainError(f"{name} must be strictly positive and finite, got {value}")
+        for name in ("sigma", "varsigma"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value < math.inf:
+                raise DomainError(f"{name} must be non-negative and finite, got {value}")
 
     @classmethod
     def for_family(

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,10 +11,31 @@ import dequelab
 from dequelab.cli import main
 
 
+RATES = ["--alpha", "1", "--beta", "1", "--theta", "1", "--gamma", "1"]
+TINY_BUDGET = {"replications": 1, "warmup": 0.0, "horizon": 5.0}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analytic", "--alpha", "1", "--beta", "1", "--theta", "inf", "--gamma", "1"],
+        ["fluid", *RATES, "--horizon", "inf", "--step", "0.1"],
+        ["fluid", *RATES, "--horizon", "1", "--step", "nan", "--integrate"],
+        ["diffusion", "model1", *RATES, "--sigma", "inf"],
+    ],
+    ids=["analytic-theta-inf", "fluid-horizon-inf", "fluid-step-nan", "model1-sigma-inf"],
+)
+def test_non_finite_argument_is_a_domain_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_import_leaves_out_scipy_integrate():
@@ -206,9 +228,12 @@ class TestCompare:
             {"families": [5]},
             {"budget": {"replications": 2.7, "warmup": 10.0, "horizon": 50.0}},
             {"histogram_bound": 10.9},
+            {"families": ["exp"], "reneging_multipliers": [math.inf], "budget": TINY_BUDGET},
+            {"families": ["exp"], "rate_pairs": [[math.inf, 1.0]], "budget": TINY_BUDGET},
         ],
         ids=["budget-missing-keys", "replications-not-a-number", "rate-not-a-number", "not-an-object",
-             "histogram-bound-zero", "family-not-a-string", "replications-not-whole", "histogram-bound-not-whole"],
+             "histogram-bound-zero", "family-not-a-string", "replications-not-whole", "histogram-bound-not-whole",
+             "multiplier-infinite", "rate-infinite"],
     )
     def test_malformed_config_exit_code(self, capsys, tmp_path, config):
         cfg_path = tmp_path / "cfg.json"

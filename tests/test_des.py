@@ -52,6 +52,17 @@ class TestScenario:
         with pytest.raises(DomainError):
             Scenario.for_family("exponential", 1, 1, 1, 1, horizon=10, warmup=1, replications=0)
 
+    @pytest.mark.parametrize(
+        "changes",
+        [{"horizon": math.inf}, {"theta": math.inf}, {"gamma": math.inf}],
+        ids=["horizon-inf", "theta-inf", "gamma-inf"],
+    )
+    def test_non_finite_values_are_rejected(self, changes):
+        # an infinite horizon would never end the event loop
+        kwargs = {"theta": 1.0, "gamma": 1.0, "horizon": 10.0, "warmup": 0.0, **changes}
+        with pytest.raises(DomainError):
+            Scenario.for_family("exponential", 1.0, 1.0, replications=1, **kwargs)
+
 
 class TestRunReplication:
     def test_histogram_is_probability(self):
@@ -234,7 +245,7 @@ class TestLockstep:
         jobs, bases = lockstep_batch()
         assert len(jobs) >= des._LOCKSTEP_MIN_LANES
         results = self.assert_lanes_match_scalar_loop(jobs, bases)
-        # the batch covers overflow, and states beyond the first histogram width of 8
+        # the batch covers overflow, and states more than 8 away from zero
         assert any(est.overflow > 0.0 for est in results)
         assert max(int(np.abs(est.states[est.pmf > 0.0]).max(initial=0)) for est in results) > 8
 
@@ -242,7 +253,7 @@ class TestLockstep:
     def test_finished_lanes_hand_their_slots_on(self, monkeypatch):
         # fewer slots than lanes, and blocks that reach their cap
         monkeypatch.setattr(des, "_LIVE_LANES", 10)
-        monkeypatch.setattr(des, "_LANE_BLOCK", 128)
+        monkeypatch.setattr(des, "_BLOCK", 128)
         jobs, bases = lockstep_batch()
         self.assert_lanes_match_scalar_loop(jobs, bases)
 

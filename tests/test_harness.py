@@ -58,6 +58,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ComparisonConfig.from_dict({"reneging_multipliers": [0.0]})
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"budget": {"replications": 1, "warmup": 0, "horizon": Infinity}}',
+            '{"rate_pairs": [[Infinity, 1]]}',
+            '{"rate_pairs": [[1, NaN]]}',
+            '{"reneging_multipliers": [Infinity]}',
+            '{"reneging_multipliers": [NaN]}',
+        ],
+        ids=["horizon-inf", "rate-inf", "rate-nan", "multiplier-inf", "multiplier-nan"],
+    )
+    def test_non_finite_values(self, text):
+        # json.loads accepts these tokens; an infinite horizon would never end the simulation
+        with pytest.raises(ConfigError):
+            ComparisonConfig.from_dict(json.loads(text))
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"families": ["uniform"], "budget": TINY_BUDGET}))

@@ -201,6 +201,11 @@ class TestInterarrivalModels:
         with pytest.raises(DomainError):
             InterarrivalModel("erlang", 1.0, stages=0)
 
+    def test_rate_must_be_finite(self):
+        # an infinite rate draws zero interarrival times, so a path never leaves time zero
+        with pytest.raises(DomainError):
+            InterarrivalModel("exponential", math.inf)
+
     def test_exponential_sampler_mean(self):
         samples = sample_exponential(2.0, RandomStream(17, 3), size=1_000_000)
         se = samples.std(ddof=1) / 1000.0
