@@ -6,8 +6,10 @@ constant or a fluid-modulated diffusion coefficient.  Their stationary
 density glues two Gaussians at zero; this module evaluates that density and
 its moments, builds the two finite-system approximation models, provides the
 theta == gamma transient closed forms, and simulates paths by Euler-Maruyama
-for empirical validation.  The transient forms are elementary, with no
-quadrature: fluid.discounted_source_integral gives the variance source term.
+for empirical validation.  stationary_samples holds the one Euler-Maruyama
+loop; simulate_sde_path is its one-path, no-warmup, unthinned case.  The
+transient forms are elementary, with no quadrature:
+fluid.discounted_source_integral gives the variance source term.
 """
 
 from __future__ import annotations
@@ -198,11 +200,15 @@ class PiecewiseOUParams:
     diffusion: float | TimeVaryingDiffusion
 
     def __post_init__(self):
-        if not (self.theta > 0.0 and self.gamma > 0.0):
-            raise DomainError("drift slopes theta and gamma must be positive")
+        if not (0.0 < self.theta < math.inf and 0.0 < self.gamma < math.inf):
+            raise DomainError("drift slopes theta and gamma must be positive and finite")
+        if not math.isfinite(self.drift_offset):
+            raise DomainError(f"drift offset must be finite, got {self.drift_offset}")
         # zero is allowed so the degenerate ODE limit can be exercised
-        if isinstance(self.diffusion, (int, float)) and self.diffusion < 0.0:
-            raise DomainError(f"constant diffusion coefficient must be non-negative, got {self.diffusion}")
+        if isinstance(self.diffusion, (int, float)) and not 0.0 <= self.diffusion < math.inf:
+            raise DomainError(
+                f"constant diffusion coefficient must be non-negative and finite, got {self.diffusion}"
+            )
 
     def diffusion_at(self, t):
         """Diffusion coefficient at a scalar or an array of times; a scalar gives a float."""
@@ -310,13 +316,6 @@ class SDEPath:
     x: np.ndarray
 
 
-def _check_step(ou: PiecewiseOUParams, step: float) -> None:
-    if step <= 0.0:
-        raise DomainError("step must be positive")
-    if step > 0.01 / max(ou.theta, ou.gamma) + 1e-15:
-        raise DomainError("step too coarse; require step <= 0.01/max(theta, gamma)")
-
-
 def simulate_sde_path(
     ou: PiecewiseOUParams,
     x0: float,
@@ -324,23 +323,13 @@ def simulate_sde_path(
     horizon: float,
     stream: RandomStream,
 ) -> SDEPath:
-    """Euler-Maruyama discretization with drift and diffusion frozen per step."""
-    _check_step(ou, step)
-    n_steps = int(round(horizon / step))
-    t_grid = step * np.arange(n_steps + 1)
-    # frozen at the left endpoint of every step
-    coeff = ou.diffusion_at(t_grid[:-1])
-    noise = stream.rng.standard_normal(n_steps) * math.sqrt(step)
-    xs = np.empty(n_steps + 1)
-    xs[0] = x0
-    x = x0
-    offset = ou.drift_offset
-    theta, gamma = ou.theta, ou.gamma
-    for k in range(n_steps):
-        drift = offset - theta * max(x, 0.0) + gamma * max(-x, 0.0)
-        x = x + drift * step + coeff[k] * noise[k]
-        xs[k + 1] = x
-    return SDEPath(t=t_grid, x=xs)
+    """One Euler-Maruyama path from x0 on the grid 0, step, 2 step, ....
+
+    This is the one-path, no-warmup, unthinned case of stationary_samples,
+    which holds the module's only Euler-Maruyama loop and its input checks.
+    """
+    xs = stationary_samples(ou, x0, step, horizon, 0.0, stream)
+    return SDEPath(t=step * np.arange(len(xs) + 1), x=np.concatenate(([x0], xs)))
 
 
 def stationary_samples(
@@ -355,16 +344,27 @@ def stationary_samples(
 ) -> np.ndarray:
     """Pooled post-warmup states from n_paths independent Euler-Maruyama paths.
 
-    Paths are advanced together (vectorized across paths); every thin-th
-    state after the warmup is kept.  Memory stays bounded by the number of
-    retained samples.
+    Drift and diffusion are frozen at the left endpoint of every step, and
+    the paths are advanced together (vectorized across paths).  Every
+    thin-th state from step ceil(warmup/step) on is kept, so memory stays
+    bounded by the number of retained samples.  A run that would keep no
+    state raises DomainError.
     """
-    _check_step(ou, step)
-    if warmup >= horizon:
-        raise DomainError("warmup must be smaller than horizon")
+    if not (math.isfinite(step) and step > 0.0):
+        raise DomainError(f"step must be positive and finite, got {step}")
+    if step > 0.01 / max(ou.theta, ou.gamma) + 1e-15:
+        raise DomainError("step too coarse; require step <= 0.01/max(theta, gamma)")
+    if not 0.0 <= warmup < horizon < math.inf:
+        raise DomainError(f"need 0 <= warmup < horizon < inf, got warmup={warmup}, horizon={horizon}")
+    if not math.isfinite(x0):
+        raise DomainError(f"x0 must be finite, got {x0}")
     if n_paths < 1 or thin < 1:
         raise DomainError("n_paths and thin must be >= 1")
     n_steps = int(round(horizon / step))
+    first_kept = int(math.ceil(warmup / step))
+    # with no warmup the first kept state is the thin-th, since state 0 is x0
+    if (first_kept or thin) > n_steps:
+        raise DomainError(f"no state kept: {n_steps} steps of {step} end before step {first_kept or thin}")
     t_grid = step * np.arange(n_steps + 1)
     # frozen at the left endpoint of every step
     coeff = ou.diffusion_at(t_grid[:-1])
@@ -372,7 +372,6 @@ def stationary_samples(
     sqrt_step = math.sqrt(step)
     x = np.full(n_paths, float(x0))
     kept = []
-    first_kept = int(math.ceil(warmup / step))
     offset = ou.drift_offset
     for k in range(n_steps):
         drift = offset - ou.theta * np.maximum(x, 0.0) + ou.gamma * np.maximum(-x, 0.0)

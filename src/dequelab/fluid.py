@@ -66,8 +66,14 @@ def zero_hitting_time(params: QueueParams, x0: float) -> float | None:
     return None
 
 
+def _check_start(x0: float) -> None:
+    if not math.isfinite(x0):
+        raise DomainError(f"x0 must be finite, got {x0}")
+
+
 def fluid_closed_form(params: QueueParams, x0: float, t) -> float | np.ndarray:
     """Evaluate the piecewise-exponential solution at time(s) t >= 0."""
+    _check_start(x0)
     delta = params.alpha - params.beta
     t_hit = zero_hitting_time(params, x0)
 
@@ -161,6 +167,7 @@ def fluid_integrate(params: QueueParams, x0: float, step: float, horizon: float)
     """
     if not (0.0 < step < math.inf and 0.0 < horizon < math.inf):
         raise DomainError(f"step and horizon must be positive and finite, got {step}, {horizon}")
+    _check_start(x0)
     if step > 0.01 / max(params.theta, params.gamma) + 1e-15:
         raise DomainError(
             f"step {step} too coarse; require step <= 0.01/max(theta, gamma)"

@@ -372,6 +372,8 @@ def psi_density_grid(
         sd = math.sqrt(max(density.second_moment() - mean**2, 1e-300))
         lo = mean - 6.0 * sd if lo is None else lo
         hi = mean + 6.0 * sd if hi is None else hi
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"grid ends must be finite, got [{lo}, {hi}]")
     if not hi > lo:
         raise ConfigError(f"need hi > lo, got [{lo}, {hi}]")
     if count < 2:

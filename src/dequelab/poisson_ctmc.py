@@ -223,24 +223,31 @@ class TransientMoments:
     series_tail_mass: float
 
 
-def _initial_vector(initial_pmf, bound: int) -> np.ndarray:
+def _initial_items(initial_pmf) -> list[tuple[int, float]]:
+    """(state, mass) pairs of the start law, with finite non-negative masses summing to 1."""
     if isinstance(initial_pmf, StationaryPmf):
         items = zip(initial_pmf.states.tolist(), initial_pmf.probs.tolist())
     elif isinstance(initial_pmf, Mapping):
         items = initial_pmf.items()
     else:
         raise DomainError("initial_pmf must be a StationaryPmf or a mapping state -> probability")
-    p = np.zeros(2 * bound + 1)
+    items = [(int(state), mass) for state, mass in items]
     total = 0.0
     for state, mass in items:
-        if mass < 0.0:
-            raise DomainError(f"negative probability {mass} at state {state}")
-        if abs(int(state)) > bound:
-            raise DomainError(f"initial state {state} lies outside the box [-{bound}, {bound}]")
-        p[int(state) + bound] += mass
+        if not 0.0 <= mass < math.inf:
+            raise DomainError(f"probability {mass} at state {state} must be finite and non-negative")
         total += mass
     if abs(total - 1.0) > 1e-9:
         raise DomainError(f"initial pmf must sum to 1, got {total}")
+    return items
+
+
+def _initial_vector(items: list[tuple[int, float]], bound: int) -> np.ndarray:
+    p = np.zeros(2 * bound + 1)
+    for state, mass in items:
+        if abs(state) > bound:
+            raise DomainError(f"initial state {state} lies outside the box [-{bound}, {bound}]")
+        p[state + bound] += mass
     return p
 
 
@@ -275,7 +282,7 @@ def _poisson_weights(lam: float) -> tuple[list[float], float]:
     return w.tolist(), tail
 
 
-def _master_moments(params: QueueParams, initial_pmf, t_grid: np.ndarray, bound: int):
+def _master_moments(params: QueueParams, items: list[tuple[int, float]], t_grid: np.ndarray, bound: int):
     """Uniformization of the forward equations over [-bound, bound].
 
     With rate the largest out-rate in the box, P = I + Q/rate is a
@@ -295,7 +302,7 @@ def _master_moments(params: QueueParams, initial_pmf, t_grid: np.ndarray, bound:
     up = birth[:-1] / rate
     down = death[1:] / rate
 
-    p = _initial_vector(initial_pmf, bound)
+    p = _initial_vector(items, bound)
     pos = states > 0
     neg = states < 0
     sq = states**2
@@ -354,8 +361,11 @@ def transient_moments(
     t_grid = np.asarray(list(t_grid), dtype=float)
     if t_grid.size == 0:
         raise DomainError("t_grid must be non-empty")
+    if not np.all(np.isfinite(t_grid)):
+        raise DomainError("t_grid must be finite")
     if np.any(np.diff(t_grid) <= 0.0) or t_grid[0] < 0.0:
         raise DomainError("t_grid must be non-negative and strictly increasing")
+    items = _initial_items(initial_pmf)
 
     if support_bound is not None:
         bounds = [support_bound]
@@ -370,7 +380,7 @@ def transient_moments(
 
     last_edge = math.nan
     for bound in bounds:
-        records, max_edge, series_tail = _master_moments(params, initial_pmf, t_grid, bound)
+        records, max_edge, series_tail = _master_moments(params, items, t_grid, bound)
         last_edge = max_edge
         if max_edge <= leak_tol:
             arr = np.array(records)

@@ -28,12 +28,24 @@ def run_cli(capsys, *argv):
         ["fluid", *RATES, "--horizon", "inf", "--step", "0.1"],
         ["fluid", *RATES, "--horizon", "1", "--step", "nan", "--integrate"],
         ["diffusion", "model1", *RATES, "--sigma", "inf"],
+        ["fluid", *RATES, "--x0", "inf", "--horizon", "0.2", "--step", "0.1"],
+        ["fluid", *RATES, "--x0", "nan", "--horizon", "0.2", "--step", "0.1"],
+        ["fluid", *RATES, "--x0", "nan", "--horizon", "0.2", "--step", "0.01", "--integrate"],
     ],
-    ids=["analytic-theta-inf", "fluid-horizon-inf", "fluid-step-nan", "model1-sigma-inf"],
+    ids=["analytic-theta-inf", "fluid-horizon-inf", "fluid-step-nan", "model1-sigma-inf",
+         "fluid-x0-inf", "fluid-x0-nan", "fluid-integrate-x0-nan"],
 )
 def test_non_finite_argument_is_a_domain_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("grid", ["0:inf:3", "-inf:0:3", "-inf:inf:3"])
+def test_non_finite_grid_end_is_a_config_error(capsys, grid):
+    code, out, err = run_cli(capsys, "diffusion", "density", *RATES, f"--grid={grid}")
+    assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 

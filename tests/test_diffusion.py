@@ -304,3 +304,59 @@ class TestSDESimulation:
         a = simulate_sde_path(ou, 0.0, 0.005, 2.0, RandomStream(9, 4))
         b = simulate_sde_path(ou, 0.0, 0.005, 2.0, RandomStream(9, 4))
         assert np.array_equal(a.x, b.x)
+
+    @pytest.mark.parametrize("kind", ["constant", "time-varying"])
+    def test_path_is_the_one_path_case_of_stationary_samples(self, kind):
+        if kind == "constant":
+            diffusion = 0.7
+        else:
+            fluid = fluid_closed_form_path(QueueParams(2.0, 1.0, 0.5, 0.5), -1.0, 0.01, 30.0)
+            diffusion = TimeVaryingDiffusion(base_sq=1.0, theta=0.5, gamma=0.5, fluid_path=fluid)
+        ou = PiecewiseOUParams(theta=0.5, gamma=1.0, drift_offset=0.3, diffusion=diffusion)
+        path = simulate_sde_path(ou, -0.4, 0.005, 10.0, RandomStream(13, 2))
+        samples = stationary_samples(ou, -0.4, 0.005, 10.0, 0.0, RandomStream(13, 2), n_paths=1)
+        assert np.array_equal(path.x, np.concatenate(([-0.4], samples)))
+        assert np.array_equal(path.t, 0.005 * np.arange(2001))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"drift_offset": math.nan},
+            {"drift_offset": math.inf},
+            {"diffusion": math.nan},
+            {"diffusion": math.inf},
+            {"theta": math.inf},
+            {"gamma": math.inf},
+        ],
+        ids=["offset-nan", "offset-inf", "diffusion-nan", "diffusion-inf", "theta-inf", "gamma-inf"],
+    )
+    def test_non_finite_params_rejected(self, fields):
+        with pytest.raises(DomainError):
+            PiecewiseOUParams(**{"theta": 1.0, "gamma": 1.0, "drift_offset": 0.0, "diffusion": 1.0, **fields})
+
+    @pytest.mark.parametrize(
+        "x0, step, horizon, warmup, thin",
+        [
+            (0.0, math.nan, 1.0, 0.0, 1),
+            (0.0, 0.01, math.inf, 0.0, 1),
+            (0.0, 0.01, math.nan, 0.0, 1),
+            (0.0, 0.01, 1.0, math.nan, 1),
+            (0.0, 0.01, 1.0, -0.5, 1),
+            (math.nan, 0.01, 1.0, 0.0, 1),
+            (math.inf, 0.01, 1.0, 0.0, 1),
+            (0.0, 0.01, 1.004, 1.003, 1),
+            (0.0, 0.01, 0.05, 0.0, 10),
+        ],
+        ids=["step-nan", "horizon-inf", "horizon-nan", "warmup-nan", "warmup-negative",
+             "x0-nan", "x0-inf", "no-state-after-warmup", "no-state-after-thinning"],
+    )
+    def test_bad_sampling_inputs_rejected(self, x0, step, horizon, warmup, thin):
+        ou = PiecewiseOUParams(theta=1.0, gamma=1.0, drift_offset=0.0, diffusion=1.0)
+        with pytest.raises(DomainError):
+            stationary_samples(ou, x0, step, horizon, warmup, RandomStream(0, 0), n_paths=2, thin=thin)
+
+    @pytest.mark.parametrize("x0, horizon", [(math.nan, 1.0), (0.0, math.inf), (0.0, 0.004)])
+    def test_bad_path_inputs_rejected(self, x0, horizon):
+        ou = PiecewiseOUParams(theta=1.0, gamma=1.0, drift_offset=0.0, diffusion=1.0)
+        with pytest.raises(DomainError):
+            simulate_sde_path(ou, x0, 0.01, horizon, RandomStream(0, 0))

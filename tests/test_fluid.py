@@ -86,6 +86,16 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             fluid_closed_form(QueueParams(1, 1, 1, 1), 0.0, -1.0)
 
+    @pytest.mark.parametrize("x0", [math.inf, -math.inf, math.nan])
+    def test_non_finite_start_rejected(self, x0):
+        params = QueueParams(2, 1, 1, 1)
+        with pytest.raises(DomainError):
+            fluid_closed_form(params, x0, 0.1)
+        with pytest.raises(DomainError):
+            fluid_closed_form_path(params, x0, 0.1, 0.2)
+        with pytest.raises(DomainError):
+            fluid_integrate(params, x0, 0.01, 0.2)
+
 
 class TestIntegratorOracle:
     def test_all_cases_match_closed_form(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -210,6 +211,12 @@ class TestOutputs:
         assert any(p.parent.name == "density" for p in written)
         for p in written:
             assert p.exists() and p.stat().st_size > 0
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf)])
+def test_density_grid_needs_finite_ends(lo, hi):
+    with pytest.raises(ConfigError):
+        psi_density_grid(psi_density(0.0, 0.0, 1.0, 1.0, 1.0), lo, hi, 3)
 
 
 class TestDensityComparison:

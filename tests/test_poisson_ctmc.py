@@ -241,6 +241,20 @@ class TestTransientMoments:
         with pytest.raises(DomainError):
             transient_moments(params, {0: 1.0}, [2.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "start, t_grid",
+        [
+            ({3: 1.0}, [1.0, math.nan, 2.0]),
+            ({3: 1.0}, [1.0, math.inf]),
+            ({3: math.nan}, [1.0]),
+            ({3: 1.0, 4: math.nan}, [1.0]),
+        ],
+        ids=["nan-time", "inf-time", "nan-mass", "nan-second-mass"],
+    )
+    def test_non_finite_input_is_a_domain_error(self, start, t_grid):
+        with pytest.raises(DomainError):
+            transient_moments(QueueParams(2, 1, 1, 1), start, t_grid)
+
 
 def reflecting_box_pmfs(params, start, bound, times):
     """Dense reference: p(t) = p(0) expm(Q t) for the chain kept on [-bound, bound]."""
