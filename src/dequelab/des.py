@@ -20,6 +20,7 @@ import warnings
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain, count, repeat, takewhile
 
 import numpy as np
 
@@ -41,13 +42,16 @@ __all__ = [
 # Draws come in blocks of 64 doubling to this size, in run_replication's loop
 # and in each lockstep lane's four buffers.  Small blocks keep short
 # replications from drawing variates they never read.  On a 2-vCPU x86 box the
-# heavy benchmark's 20 scaled_stationary_histogram calls took a median 2.97 s
-# with this cap and 3.11 s with a cap of 4096 (four interleaved rounds).
+# heavy benchmark's 18 scaled_stationary_histogram calls took a median 1.15 s
+# with this cap and 1.14 s with a cap of 4096 (six interleaved rounds).
 _BLOCK = 256
 # Batches of fewer replications than this run each one on run_replication's
-# loop.  On a 2-vCPU x86 box, 48 lockstep lanes of one cell (horizon 700)
-# ran at 0.93-0.98x the speed of the scalar loop, 64 lanes at 1.2x and 128
-# lanes at 1.8-2x.
+# loop.  On a 2-vCPU x86 box, lockstep lanes of one cell (horizon 700) ran at
+# 0.50-0.62x the speed of the scalar loop with 48 lanes, 0.53-0.72x with 64,
+# 0.81-0.91x with 128 and 1.17-1.33x with 256 or 512; the grid benchmark's
+# 360-lane batch ran at 0.92-1.06x.  So the crossover lies between 128 and
+# 256 lanes; no benchmark workload runs a batch in that range, which a move
+# of this value would need to show its effect.
 _LOCKSTEP_MIN_LANES = 64
 # At most this many lanes advance together; the rest wait for a free slot.
 # A slot holds 4 * _BLOCK draws (8 KB) and a histogram row of 2 B + 2
@@ -133,12 +137,12 @@ class ReplicationResult:
 def _draws(sample):
     """Python floats from sample(size) calls, in blocks doubling from 64 to _BLOCK.
 
-    Python floats keep numpy scalars out of the event loop.
+    The iterator is built from itertools, so its bound __next__, which the
+    event loop calls once per draw, runs in C and resumes no Python
+    generator.  Python floats keep numpy scalars out of the loop.
     """
-    size = 64
-    while True:
-        yield from sample(size).tolist()
-        size = min(2 * size, _BLOCK)
+    sizes = chain(takewhile(lambda size: size < _BLOCK, (64 << k for k in count())), repeat(_BLOCK))
+    return chain.from_iterable(map(lambda size: sample(size).tolist(), sizes))
 
 
 def run_replication(scenario: Scenario, stream: RandomStream) -> ReplicationResult:
@@ -151,10 +155,10 @@ def run_replication(scenario: Scenario, stream: RandomStream) -> ReplicationResu
     abandonment at now + E/|x|.
     """
     streams = [stream.substream(k) for k in range(4)]
-    seller_arrivals = _draws(lambda n: sample_interarrival(scenario.seller_model, streams[0], n))
-    buyer_arrivals = _draws(lambda n: sample_interarrival(scenario.buyer_model, streams[1], n))
-    seller_patience = _draws(lambda n: sample_exponential(scenario.theta, streams[2], n))
-    buyer_patience = _draws(lambda n: sample_exponential(scenario.gamma, streams[3], n))
+    seller_arrival = _draws(lambda n: sample_interarrival(scenario.seller_model, streams[0], n)).__next__
+    buyer_arrival = _draws(lambda n: sample_interarrival(scenario.buyer_model, streams[1], n)).__next__
+    seller_patience = _draws(lambda n: sample_exponential(scenario.theta, streams[2], n)).__next__
+    buyer_patience = _draws(lambda n: sample_exponential(scenario.gamma, streams[3], n)).__next__
 
     tau, horizon = scenario.warmup, scenario.horizon
     bound = scenario.histogram_bound
@@ -163,47 +167,75 @@ def run_replication(scenario: Scenario, stream: RandomStream) -> ReplicationResu
 
     x = int(scenario.initial_state)
     # residual arrival clocks start fresh at time zero
-    next_seller = next(seller_arrivals)
-    next_buyer = next(buyer_arrivals)
+    next_seller = seller_arrival()
+    next_buyer = buyer_arrival()
 
+    # warmup: apply the events up to tau.  The loop stops at the first event
+    # past tau without applying it; every clock, the abandonment clock
+    # included, is then set as the measuring loop expects.
     now = 0.0
-    while now < horizon:
+    while True:
         # memoryless patience: a fresh clock after every event has the same law
         if x > 0:
-            next_expiry = now + next(seller_patience) / x
+            next_expiry = now + seller_patience() / x
         elif x < 0:
-            next_expiry = now + next(buyer_patience) / -x
+            next_expiry = now + buyer_patience() / -x
         else:
             next_expiry = math.inf
-
         # arrivals win ties against expiries; sellers win ties against buyers
         if next_seller <= next_buyer and next_seller <= next_expiry:
-            event_time, kind = next_seller, 0
-        elif next_buyer <= next_expiry:
-            event_time, kind = next_buyer, 1
-        else:
-            event_time, kind = next_expiry, 2
-
-        segment_end = min(event_time, horizon)
-        if segment_end > tau:
-            span = segment_end - max(now, tau)
-            if span > 0.0:
-                if -bound <= x <= bound:
-                    hist[x + bound] += span
-                else:
-                    overflow += span
-        if event_time >= horizon:
-            break
-        now = event_time
-
-        if kind == 0:
+            if next_seller > tau:
+                break
+            now = next_seller
             x += 1
-            next_seller = now + next(seller_arrivals)
-        elif kind == 1:
+            next_seller = now + seller_arrival()
+        elif next_buyer <= next_expiry:
+            if next_buyer > tau:
+                break
+            now = next_buyer
             x -= 1
-            next_buyer = now + next(buyer_arrivals)
+            next_buyer = now + buyer_arrival()
         else:
+            if next_expiry > tau:
+                break
+            now = next_expiry
             x = x - 1 if x > 0 else x + 1
+
+    # measurement from tau: the same rules, and each segment between events
+    # adds its length to its state; the one that crosses horizon is cut there
+    # and added after the loop
+    now = tau
+    while True:
+        if next_seller <= next_buyer and next_seller <= next_expiry:
+            if next_seller >= horizon:
+                break
+            event_time, step = next_seller, 1
+            next_seller += seller_arrival()
+        elif next_buyer <= next_expiry:
+            if next_buyer >= horizon:
+                break
+            event_time, step = next_buyer, -1
+            next_buyer += buyer_arrival()
+        else:
+            if next_expiry >= horizon:
+                break
+            event_time, step = next_expiry, -1 if x > 0 else 1
+        if -bound <= x <= bound:
+            hist[x + bound] += event_time - now
+        else:
+            overflow += event_time - now
+        now = event_time
+        x += step
+        if x > 0:
+            next_expiry = now + seller_patience() / x
+        elif x < 0:
+            next_expiry = now + buyer_patience() / -x
+        else:
+            next_expiry = math.inf
+    if -bound <= x <= bound:
+        hist[x + bound] += horizon - now
+    else:
+        overflow += horizon - now
 
     total = horizon - tau
     return ReplicationResult(bound=bound, probs=np.array(hist) / total, overflow=overflow / total)

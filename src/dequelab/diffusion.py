@@ -183,6 +183,13 @@ class TimeVaryingDiffusion:
     gamma: float
     fluid_path: FluidPath
 
+    def __post_init__(self):
+        if not all(0.0 <= v < math.inf for v in (self.base_sq, self.theta, self.gamma)):
+            raise DomainError(
+                "base_sq, theta and gamma must be non-negative and finite, "
+                f"got {self.base_sq}, {self.theta}, {self.gamma}"
+            )
+
     def value(self, t):
         """a(t) at a scalar or an array of times; a scalar gives a float."""
         x = self.fluid_path.value_at(t)
@@ -290,6 +297,8 @@ def ou_closed_form_moments(
         raise UnsupportedCaseError(
             f"closed-form moments require theta == gamma, got {params.theta} != {params.gamma}"
         )
+    if not all(math.isfinite(v) for v in (z0_mean, z0_second, c)):
+        raise DomainError(f"z0_mean, z0_second and c must be finite, got {z0_mean}, {z0_second}, {c}")
     theta = params.theta
     a_sq = params.diffusion_coeff_sq
     t_arr = np.asarray(t, dtype=float)

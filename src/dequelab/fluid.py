@@ -123,10 +123,15 @@ def discounted_source_integral(
         raise UnsupportedCaseError(
             f"closed form requires theta == gamma, got theta={params.theta}, gamma={params.gamma}"
         )
+    _check_start(x0)
+    if not (math.isfinite(const) and math.isfinite(slope)):
+        raise DomainError(f"const and slope must be finite, got {const}, {slope}")
     theta = params.theta
     limit = (params.alpha - params.beta) / theta
     amp = x0 - limit
     t_arr = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t_arr)):
+        raise DomainError("t must be finite")
     if np.any(t_arr < 0.0):
         raise DomainError("fluid trajectory is defined for t >= 0 only")
     t_hit = zero_hitting_time(params, x0)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -115,6 +116,81 @@ class TestRunReplication:
         assert rep.probs.sum() + rep.overflow == pytest.approx(1.0, abs=1e-9)
 
 
+FAMILIES = ("exponential", "uniform", "erlang", "hyperexponential")
+# the boundaries of run_replication's warmup and measuring loops
+EDGE_CASES = {
+    "warmup-zero": dict(horizon=40.0, warmup=0.0, initial_state=5),
+    "warmup-below-horizon": dict(horizon=40.0, warmup=0.999 * 40.0),
+    "horizon-before-first-event": dict(horizon=0.01, warmup=0.005, initial_state=3),
+    "start-outside-bound": dict(horizon=40.0, warmup=3.0, initial_state=12, histogram_bound=3),
+    "bound-one": dict(horizon=40.0, warmup=0.0, initial_state=-4, histogram_bound=1),
+}
+
+
+def edge_scenario(name, family):
+    return Scenario.for_family(family, 1.0, 2.0, 0.1, 0.2, replications=1, **EDGE_CASES[name])
+
+
+def pinned_scenarios():
+    """One grid-budget scenario per family, a heavy-traffic path and the edge cases, by name."""
+    cases = {
+        f"grid-{family}": Scenario.for_family(family, 1.0, 1.5, 0.1, 0.15, horizon=700.0, warmup=200.0,
+                                              replications=1)
+        for family in FAMILIES
+    }
+    # the index-64 system of the heavy-traffic scaling, 50 diffusion time units after warmup
+    n = 64
+    cases["heavy-n64"] = Scenario.for_family("exponential", 1.0, 1.0, 1.0 / n, 1.0 / n, horizon=60.0 * n,
+                                             warmup=10.0 * n, replications=1)
+    cases.update({f"{name}-{family}": edge_scenario(name, family) for name in EDGE_CASES for family in FAMILIES})
+    return cases
+
+
+# sha256 of probs.tobytes() + repr(overflow) from run_replication on RandomStream(29, 0),
+# recorded from the single-loop simulator that the two-phase loop replaced
+PINNED_DIGESTS = {
+    "grid-exponential": "ffa9974a752712104aa0397e92d6e1b9a08bc6e87a1e9635b9bc3aaca01bdd4a",
+    "grid-uniform": "03c9f25c6dc0e2069ff1c9dd66302ed0d0f77688461757eea62e55729010f503",
+    "grid-erlang": "59781d32dd265be65eb57d17954f5ce0b9938e8ba740d34c173311a4132802da",
+    "grid-hyperexponential": "73900ff596001a20b7c0066be69a023aeff0c44403e8dce011918c644cbb88e5",
+    "heavy-n64": "5025da70a88f98b55112adb5361ac4055f5e752bd728847227cb91006a2de948",
+    "warmup-zero-exponential": "c3a8327f908ae958ea6d87e092147df5ffbdc3c06b032963d0110e70ce9153e4",
+    "warmup-zero-uniform": "d5c0568e9023e85800314dcd1774026aa0f0e1d1d5644dfce1624b88cc1a7de2",
+    "warmup-zero-erlang": "db432ca67e6e29ad30bf0ab5cf518df7b4a14e70646afa6e124438dfcab8a38a",
+    "warmup-zero-hyperexponential": "a48bcb7bf7bbd90812d52928e8719fc6829e6ee5dae0ea5fdfdf08cf2ab6ae22",
+    "warmup-below-horizon-exponential": "34ea431ccf2abd0542b0b72b2c29e8a0d35e9a256f8a25e489a5065a0066e024",
+    "warmup-below-horizon-uniform": "4586c51296aa58025ecfaa221689e4b64d9bdedb30237a584efc3cfa6ddbb9f2",
+    "warmup-below-horizon-erlang": "be20ded2e19e92f9f7712cc267a735b7a7eaec84e919ac094e43fe3df9abee0f",
+    "warmup-below-horizon-hyperexponential": "f4aaa68ab2b8849c1bda58e0a19cd4f6f592702e8af550da0465a255c37d77a4",
+    "horizon-before-first-event-exponential": "93bbad3783d1934bae0ef663936acf5539c15aa381b8d6d8b93cace75fd05f6e",
+    "horizon-before-first-event-uniform": "93bbad3783d1934bae0ef663936acf5539c15aa381b8d6d8b93cace75fd05f6e",
+    "horizon-before-first-event-erlang": "93bbad3783d1934bae0ef663936acf5539c15aa381b8d6d8b93cace75fd05f6e",
+    "horizon-before-first-event-hyperexponential": "93bbad3783d1934bae0ef663936acf5539c15aa381b8d6d8b93cace75fd05f6e",
+    "start-outside-bound-exponential": "0cc646632962b2bd25f028b4a9ff2c582e5ca86f0eb4b1be367f57f3ead70d95",
+    "start-outside-bound-uniform": "51deba880d01347603371e4e37dc8224c6344ed6474e0cdf21589214f4bb75e7",
+    "start-outside-bound-erlang": "f16359dab5bdaab5582df713f91f972a41e48b4466e4b97a7001c8e309d3c01a",
+    "start-outside-bound-hyperexponential": "933a1940ffb853d644606818de655fe19b3a0d12fb40b535781dc9b6f342909e",
+    "bound-one-exponential": "81d85d144a677d9418e1cff9557c8ea31e4ffbd3a8de74f1f1a2d1bdf86b213f",
+    "bound-one-uniform": "c870ab6859a2973bebd463cd5d82ffab8c9292f27ad7a082fcc9b151ca36c685",
+    "bound-one-erlang": "371779e2cb272243829b764bab83f716caad15f8a47555ffe8f38fa43281a08a",
+    "bound-one-hyperexponential": "8556b4ba3126115a26f9754dc0a7d34d389fd99f33af67ce352296b32a88fa5f",
+}
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("name", list(PINNED_DIGESTS))
+    def test_run_replication_bits(self, name):
+        rep = run_replication(pinned_scenarios()[name], RandomStream(29, 0))
+        digest = hashlib.sha256(rep.probs.tobytes() + repr(rep.overflow).encode()).hexdigest()
+        assert digest == PINNED_DIGESTS[name]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_horizon_before_first_event_holds_the_start(self, family):
+        rep = run_replication(edge_scenario("horizon-before-first-event", family), RandomStream(29, 0))
+        assert rep.probs[rep.bound + 3] == 1.0
+        assert rep.overflow == 0.0
+
+
 class TestDraws:
     SAMPLERS = {
         "exponential": lambda stream, n: sample_interarrival(InterarrivalModel("exponential", 1.5), stream, n),
@@ -126,7 +202,7 @@ class TestDraws:
 
     @pytest.mark.parametrize("name", sorted(SAMPLERS))
     def test_values_do_not_depend_on_block_sizes(self, name):
-        # 10 000 values span the blocks of 64 .. 4096 and part of the next one
+        # 10 000 values span the blocks of 64 and 128, then 38 of _BLOCK (256) and part of the next
         sample = self.SAMPLERS[name]
         stream = RandomStream(4, 1)
         values = list(itertools.islice(des._draws(lambda n: sample(stream, n)), 10_000))
@@ -248,6 +324,13 @@ class TestLockstep:
         # the batch covers overflow, and states more than 8 away from zero
         assert any(est.overflow > 0.0 for est in results)
         assert max(int(np.abs(est.states[est.pmf > 0.0]).max(initial=0)) for est in results) > 8
+
+    @pytest.mark.filterwarnings("ignore:overflow share")
+    def test_lanes_equal_the_scalar_loop_at_its_boundaries(self):
+        # every edge case in every family, on enough streams to fill a lockstep batch
+        jobs = [edge_scenario(name, family) for name in EDGE_CASES for family in FAMILIES] * 4
+        assert len(jobs) >= des._LOCKSTEP_MIN_LANES
+        self.assert_lanes_match_scalar_loop(jobs, [i << 32 for i in range(len(jobs))])
 
     @pytest.mark.filterwarnings("ignore:overflow share")
     def test_finished_lanes_hand_their_slots_on(self, monkeypatch):

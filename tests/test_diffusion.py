@@ -220,6 +220,17 @@ class TestOUClosedFormMoments:
         with pytest.raises(UnsupportedCaseError):
             ou_closed_form_moments(params, 0.0, 0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "changes",
+        [{"x0": math.inf}, {"x0": math.nan}, {"t": math.inf}, {"t": [1.0, math.nan]},
+         {"z0_mean": math.nan}, {"z0_second": math.inf}, {"c": math.nan}],
+        ids=["x0-inf", "x0-nan", "t-inf", "t-nan", "z0-mean-nan", "z0-second-inf", "c-nan"],
+    )
+    def test_non_finite_input_rejected(self, changes):
+        params = QueueParams(1, 2, 1, 1, 1, 1)
+        with pytest.raises(DomainError):
+            ou_closed_form_moments(params, **{"z0_mean": 0.0, "z0_second": 0.3, "c": 0.0, "t": 1.0, **changes})
+
     # (alpha, beta, theta) with theta == gamma, x0, four times t: no crossing,
     # a crossing before and after t, x0 = 0, alpha = beta, small theta t
     @pytest.mark.parametrize("rates, x0, times", [
@@ -298,6 +309,17 @@ class TestSDESimulation:
         ou = PiecewiseOUParams(theta=0.5, gamma=0.5, drift_offset=0.0, diffusion=tvd)
         out = simulate_sde_path(ou, 0.0, 0.02, 1.0, RandomStream(5, 0))
         assert len(out.x) == 51
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"base_sq": math.nan}, {"base_sq": -4.0}, {"base_sq": math.inf}, {"theta": math.nan},
+         {"theta": -0.5}, {"gamma": math.inf}],
+        ids=["base-nan", "base-negative", "base-inf", "theta-nan", "theta-negative", "gamma-inf"],
+    )
+    def test_time_varying_coefficient_rejects_bad_values(self, changes):
+        path = fluid_closed_form_path(QueueParams(2.0, 1.0, 0.5, 0.5), -1.0, 0.01, 30.0)
+        with pytest.raises(DomainError):
+            TimeVaryingDiffusion(**{"base_sq": 1.0, "theta": 0.5, "gamma": 0.5, "fluid_path": path, **changes})
 
     def test_reproducible(self):
         ou = PiecewiseOUParams(theta=1.0, gamma=2.0, drift_offset=0.1, diffusion=1.0)

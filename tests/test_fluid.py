@@ -5,6 +5,7 @@ import pytest
 
 from dequelab.errors import DomainError
 from dequelab.fluid import (
+    discounted_source_integral,
     fluid_closed_form,
     fluid_closed_form_path,
     fluid_integrate,
@@ -95,6 +96,23 @@ class TestClosedForm:
             fluid_closed_form_path(params, x0, 0.1, 0.2)
         with pytest.raises(DomainError):
             fluid_integrate(params, x0, 0.01, 0.2)
+
+
+    @pytest.mark.parametrize(
+        "x0, t, const, slope",
+        [
+            (math.inf, 1.0, 1.0, 0.0),
+            (math.nan, 1.0, 1.0, 0.0),
+            (0.0, math.inf, 1.0, 0.0),
+            (0.0, [0.5, math.nan], 1.0, 0.0),
+            (0.0, 1.0, math.nan, 0.0),
+            (0.0, 1.0, 1.0, math.inf),
+        ],
+        ids=["x0-inf", "x0-nan", "t-inf", "t-nan", "const-nan", "slope-inf"],
+    )
+    def test_discounted_source_integral_rejects_non_finite_input(self, x0, t, const, slope):
+        with pytest.raises(DomainError):
+            discounted_source_integral(QueueParams(1, 2, 1, 1), x0, t, const, slope)
 
 
 class TestIntegratorOracle:
