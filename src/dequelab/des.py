@@ -7,8 +7,11 @@ abandonment hazard is |x| theta (or |x| gamma) whichever customers wait, and
 the law of X does not depend on who they are.  The simulator therefore tracks
 the count alone: one abandonment clock Exp(|x| rate), redrawn after every
 event, competes with the two arrival clocks (the competing-exponentials step
-of Gillespie's direct method).  Replications are reproducible: replication k
-of a run with base seed s consumes only the streams (s, 4k..4k+3).
+of Gillespie's direct method).  One loop runs the path in two phases, the
+warmup up to the warmup time and the measurement from it to the horizon; only
+the second keeps the occupancy it records.  Replications are reproducible:
+replication k of a run with base seed s consumes only the streams
+(s, 4k..4k+3).
 estimate_many advances the replications of many scenarios together in numpy
 lanes, one event per lane per step, with the numbers of the one-at-a-time loop.
 """
@@ -20,7 +23,7 @@ import warnings
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, count, repeat, takewhile
+from itertools import chain
 
 import numpy as np
 
@@ -39,11 +42,12 @@ __all__ = [
     "scaled_stationary_histogram",
 ]
 
-# Draws come in blocks of 64 doubling to this size, in run_replication's loop
-# and in each lockstep lane's four buffers.  Small blocks keep short
-# replications from drawing variates they never read.  On a 2-vCPU x86 box the
-# heavy benchmark's 18 scaled_stationary_histogram calls took a median 1.15 s
-# with this cap and 1.14 s with a cap of 4096 (six interleaved rounds).
+# Draws come in blocks of 64 doubling to this size (_blocks), in
+# run_replication's loop and in each lockstep lane's four buffers.  Small
+# blocks keep short replications from drawing variates they never read.  On a
+# 2-vCPU x86 box the heavy benchmark's 18 scaled_stationary_histogram calls
+# took a median 1.15 s with this cap and 1.14 s with a cap of 4096 (six
+# interleaved rounds).
 _BLOCK = 256
 # Batches of fewer replications than this run each one on run_replication's
 # loop.  On a 2-vCPU x86 box, lockstep lanes of one cell (horizon 700) ran at
@@ -51,7 +55,10 @@ _BLOCK = 256
 # 0.81-0.91x with 128 and 1.17-1.33x with 256 or 512; the grid benchmark's
 # 360-lane batch ran at 0.92-1.06x.  So the crossover lies between 128 and
 # 256 lanes; no benchmark workload runs a batch in that range, which a move
-# of this value would need to show its effect.
+# of this value would need to show its effect.  The lockstep kernel stays:
+# without it, configs/full-grid.json took 1.3-1.4x as long at the paper budget
+# and 1.15-1.3x at the desk budget, and the grid benchmark 8% longer in 11%
+# less peak memory (ROADMAP item 2).
 _LOCKSTEP_MIN_LANES = 64
 # At most this many lanes advance together; the rest wait for a free slot.
 # A slot holds 4 * _BLOCK draws (8 KB) and a histogram row of 2 B + 2
@@ -134,108 +141,109 @@ class ReplicationResult:
         return float(np.dot(self.states.astype(float) ** 2, self.probs))
 
 
+def _samplers(scenario: Scenario, stream: RandomStream) -> tuple:
+    """The sample(size) callables of substreams 0-3: seller and buyer arrivals, seller and buyer patience.
+
+    One substream per kind of draw keeps a result independent of how the draws interleave.
+    """
+    subs = [stream.substream(k) for k in range(4)]
+    return (
+        partial(sample_interarrival, scenario.seller_model, subs[0]),
+        partial(sample_interarrival, scenario.buyer_model, subs[1]),
+        partial(sample_exponential, scenario.theta, subs[2]),
+        partial(sample_exponential, scenario.gamma, subs[3]),
+    )
+
+
+def _blocks(sample):
+    """Arrays from sample(size) calls, in blocks doubling from 64 to _BLOCK."""
+    size = 64
+    while True:
+        yield sample(size)
+        size = min(2 * size, _BLOCK)
+
+
 def _draws(sample):
-    """Python floats from sample(size) calls, in blocks doubling from 64 to _BLOCK.
+    """Python floats from the blocks of sample, one at a time.
 
     The iterator is built from itertools, so its bound __next__, which the
-    event loop calls once per draw, runs in C and resumes no Python
-    generator.  Python floats keep numpy scalars out of the loop.
+    event loop calls once per draw, runs in C; only the first draw of a block
+    resumes the generator _blocks.  Python floats keep numpy scalars out of
+    the loop.
     """
-    sizes = chain(takewhile(lambda size: size < _BLOCK, (64 << k for k in count())), repeat(_BLOCK))
-    return chain.from_iterable(map(lambda size: sample(size).tolist(), sizes))
+    return chain.from_iterable(map(np.ndarray.tolist, _blocks(sample)))
 
 
 def run_replication(scenario: Scenario, stream: RandomStream) -> ReplicationResult:
     """Simulate one path over [0, horizon] and return its occupancy histogram.
 
-    The stream is split into four fixed substreams (seller/buyer arrivals,
-    seller/buyer patience) so the result is independent of draw interleaving.
-    The patience substreams feed the abandonment clock: a draw E ~ Exp(theta)
-    while sellers wait (Exp(gamma) while buyers wait) puts the next
-    abandonment at now + E/|x|.
+    The four substreams of stream feed the two arrival clocks and the
+    abandonment clock (see _samplers): a patience draw E ~ Exp(theta) while
+    sellers wait (Exp(gamma) while buyers wait) puts the next abandonment at
+    now + E/|x|.
     """
-    streams = [stream.substream(k) for k in range(4)]
-    seller_arrival = _draws(lambda n: sample_interarrival(scenario.seller_model, streams[0], n)).__next__
-    buyer_arrival = _draws(lambda n: sample_interarrival(scenario.buyer_model, streams[1], n)).__next__
-    seller_patience = _draws(lambda n: sample_exponential(scenario.theta, streams[2], n)).__next__
-    buyer_patience = _draws(lambda n: sample_exponential(scenario.gamma, streams[3], n)).__next__
-
+    seller_arrival, buyer_arrival, seller_patience, buyer_patience = (
+        _draws(sample).__next__ for sample in _samplers(scenario, stream)
+    )
     tau, horizon = scenario.warmup, scenario.horizon
     bound = scenario.histogram_bound
     hist = [0.0] * (2 * bound + 1)
-    overflow = 0.0
 
     x = int(scenario.initial_state)
-    # residual arrival clocks start fresh at time zero
+    # residual arrival clocks start fresh at time zero; the abandonment clock
+    # is drawn here once and redrawn by the loop after every event
     next_seller = seller_arrival()
     next_buyer = buyer_arrival()
-
-    # warmup: apply the events up to tau.  The loop stops at the first event
-    # past tau without applying it; every clock, the abandonment clock
-    # included, is then set as the measuring loop expects.
-    now = 0.0
-    while True:
-        # memoryless patience: a fresh clock after every event has the same law
-        if x > 0:
-            next_expiry = now + seller_patience() / x
-        elif x < 0:
-            next_expiry = now + buyer_patience() / -x
-        else:
-            next_expiry = math.inf
-        # arrivals win ties against expiries; sellers win ties against buyers
-        if next_seller <= next_buyer and next_seller <= next_expiry:
-            if next_seller > tau:
-                break
-            now = next_seller
-            x += 1
-            next_seller = now + seller_arrival()
-        elif next_buyer <= next_expiry:
-            if next_buyer > tau:
-                break
-            now = next_buyer
-            x -= 1
-            next_buyer = now + buyer_arrival()
-        else:
-            if next_expiry > tau:
-                break
-            now = next_expiry
-            x = x - 1 if x > 0 else x + 1
-
-    # measurement from tau: the same rules, and each segment between events
-    # adds its length to its state; the one that crosses horizon is cut there
-    # and added after the loop
-    now = tau
-    while True:
-        if next_seller <= next_buyer and next_seller <= next_expiry:
-            if next_seller >= horizon:
-                break
-            event_time, step = next_seller, 1
-            next_seller += seller_arrival()
-        elif next_buyer <= next_expiry:
-            if next_buyer >= horizon:
-                break
-            event_time, step = next_buyer, -1
-            next_buyer += buyer_arrival()
-        else:
-            if next_expiry >= horizon:
-                break
-            event_time, step = next_expiry, -1 if x > 0 else 1
-        if -bound <= x <= bound:
-            hist[x + bound] += event_time - now
-        else:
-            overflow += event_time - now
-        now = event_time
-        x += step
-        if x > 0:
-            next_expiry = now + seller_patience() / x
-        elif x < 0:
-            next_expiry = now + buyer_patience() / -x
-        else:
-            next_expiry = math.inf
-    if -bound <= x <= bound:
-        hist[x + bound] += horizon - now
+    if x > 0:
+        next_expiry = seller_patience() / x
+    elif x < 0:
+        next_expiry = buyer_patience() / -x
     else:
-        overflow += horizon - now
+        next_expiry = math.inf
+
+    # Two phases of one loop: the warmup [0, tau), whose segments all fall
+    # outside the empty window 1 <= x <= -1 and so go to an overflow that the
+    # second phase resets, then the measurement [tau, horizon).  A phase stops
+    # at the first event at or past its end without applying it, so the
+    # clocks carry over, and its last segment is cut at the end; an event
+    # exactly at tau is applied in the second phase after a zero-length
+    # segment.  Each phase carries its window, so no event tests the warmup.
+    for now, end, reach in ((0.0, tau, -1), (tau, horizon, bound)):
+        overflow = 0.0
+        while True:
+            # arrivals win ties against expiries; sellers win ties against buyers
+            if next_seller <= next_buyer and next_seller <= next_expiry:
+                if next_seller >= end:
+                    break
+                event_time, step = next_seller, 1
+                next_seller += seller_arrival()
+            elif next_buyer <= next_expiry:
+                if next_buyer >= end:
+                    break
+                event_time, step = next_buyer, -1
+                next_buyer += buyer_arrival()
+            else:
+                if next_expiry >= end:
+                    break
+                event_time, step = next_expiry, -1 if x > 0 else 1
+            # each segment between events adds its length to its state
+            if -reach <= x <= reach:
+                hist[x + reach] += event_time - now
+            else:
+                overflow += event_time - now
+            now = event_time
+            x += step
+            # memoryless patience: a fresh clock after every event has the same law
+            if x > 0:
+                next_expiry = now + seller_patience() / x
+            elif x < 0:
+                next_expiry = now + buyer_patience() / -x
+            else:
+                next_expiry = math.inf
+        if -reach <= x <= reach:
+            hist[x + reach] += end - now
+        else:
+            overflow += end - now
 
     total = horizon - tau
     return ReplicationResult(bound=bound, probs=np.array(hist) / total, overflow=overflow / total)
@@ -376,7 +384,7 @@ def _lockstep(
     once; a finished lane hands its slot to the next one.  Each slot owns
 
     - four draw buffers, one per substream, of _BLOCK values each in one
-      flat array, filled in blocks of 64 doubling to _BLOCK;
+      flat array, each refilled with the next of its substream's _blocks;
     - a histogram row over the states -B..B, B the largest bound in the
       batch, whose last column collects the overflow of a lane beyond its
       own bound.
@@ -398,8 +406,7 @@ def _lockstep(
     # read position and end of the current block of each buffer, as indices into buf
     pos = np.zeros(4 * slots, dtype=np.int64)
     end = np.full(4 * slots, -1, dtype=np.int64)  # -1: no lane, never refilled
-    next_size = [64] * (4 * slots)
-    samplers = [None] * (4 * slots)
+    blocks = [None] * (4 * slots)
     width = max(sc.histogram_bound for sc in scenarios)
     hist = np.zeros((slots, 2 * width + 2))
     flat_hist = hist.reshape(-1)
@@ -408,28 +415,19 @@ def _lockstep(
     results = [None] * len(scenarios)
 
     def refill(flat: int) -> None:
-        size = next_size[flat]
+        block = next(blocks[flat])
         start = flat * _BLOCK
-        buf[start : start + size] = samplers[flat](size)
+        buf[start : start + len(block)] = block
         pos[flat] = start
-        end[flat] = start + size
-        next_size[flat] = min(2 * size, _BLOCK)
+        end[flat] = start + len(block)
 
     def admit(slot: int, lane: int) -> tuple:
         """Give lane the slot and fill its buffers; returns the lane's state."""
         j, k = lanes[lane]
         sc = scenarios[j]
-        stream = RandomStream(base_seed, stream_bases[j] + 4 * k)
-        subs = [stream.substream(i) for i in range(4)]
         flat = 4 * slot
-        samplers[flat : flat + 4] = [
-            partial(sample_interarrival, sc.seller_model, subs[0]),
-            partial(sample_interarrival, sc.buyer_model, subs[1]),
-            partial(sample_exponential, sc.theta, subs[2]),
-            partial(sample_exponential, sc.gamma, subs[3]),
-        ]
+        blocks[flat : flat + 4] = map(_blocks, _samplers(sc, RandomStream(base_seed, stream_bases[j] + 4 * k)))
         for i in range(4):
-            next_size[flat + i] = 64
             refill(flat + i)
         # residual arrival clocks start fresh at time zero
         first_seller, first_buyer = buf[pos[flat : flat + 2]]

@@ -322,12 +322,11 @@ def heavy_traffic_density(family: str, alpha: float, beta: float, theta: float, 
 def export_density_comparison(
     scenario: des.Scenario,
     base_seed: int = 0,
-    span: int | None = None,
     simulated: des.SimulationEstimate | None = None,
 ) -> DensityComparison:
     """Tabulate psi, the Poisson pmf, and the simulated pmf on the integer lattice.
 
-    span defaults to mean +- 6 sd of the Poisson chain; pass a precomputed
+    The lattice spans the Poisson chain's mean +- 6 sd; pass a precomputed
     SimulationEstimate to reuse existing replications.
     """
     alpha = scenario.seller_model.rate
@@ -335,9 +334,8 @@ def export_density_comparison(
     family = scenario.seller_model.family
     params = QueueParams(alpha, beta, scenario.theta, scenario.gamma)
     pmf = poisson_ctmc.stationary_distribution(params, 1e-10)
-    if span is None:
-        sd = math.sqrt(max(pmf.second_moment() - pmf.mean() ** 2, 1.0))
-        span = int(math.ceil(abs(pmf.mean()) + 6.0 * sd))
+    sd = math.sqrt(max(pmf.second_moment() - pmf.mean() ** 2, 1.0))
+    span = int(math.ceil(abs(pmf.mean()) + 6.0 * sd))
     states = np.arange(-span, span + 1)
 
     density = heavy_traffic_density(family, alpha, beta, scenario.theta, scenario.gamma)

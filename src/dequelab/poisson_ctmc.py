@@ -411,6 +411,8 @@ def second_moment_lower_bound(params: QueueParams, m0: float, s0: float, t) -> f
     ((alpha-beta)/theta)^2 + max(alpha, beta)/theta.  m(t) is the fluid path
     from m0, and the source is alpha + beta + 2 (alpha-beta) m + theta |m|.
     """
+    if not 0.0 <= s0 < math.inf:
+        raise DomainError(f"initial second moment s0 must be finite and >= 0, got {s0}")
     source = discounted_source_integral(
         params, m0, t, params.alpha + params.beta, 2.0 * (params.alpha - params.beta)
     )

@@ -117,7 +117,7 @@ class TestRunReplication:
 
 
 FAMILIES = ("exponential", "uniform", "erlang", "hyperexponential")
-# the boundaries of run_replication's warmup and measuring loops
+# the boundaries of run_replication's warmup and measuring phases
 EDGE_CASES = {
     "warmup-zero": dict(horizon=40.0, warmup=0.0, initial_state=5),
     "warmup-below-horizon": dict(horizon=40.0, warmup=0.999 * 40.0),
@@ -129,6 +129,12 @@ EDGE_CASES = {
 
 def edge_scenario(name, family):
     return Scenario.for_family(family, 1.0, 2.0, 0.1, 0.2, replications=1, **EDGE_CASES[name])
+
+
+def warmup_on_first_arrival(family, stream):
+    """The edge scenario whose warmup is the first seller arrival on stream: an event exactly at the warmup."""
+    first = sample_interarrival(InterarrivalModel(family, 1.0), stream.substream(0), 1)[0]
+    return Scenario.for_family(family, 1.0, 2.0, 0.1, 0.2, horizon=40.0, warmup=float(first), replications=1)
 
 
 def pinned_scenarios():
@@ -143,11 +149,15 @@ def pinned_scenarios():
     cases["heavy-n64"] = Scenario.for_family("exponential", 1.0, 1.0, 1.0 / n, 1.0 / n, horizon=60.0 * n,
                                              warmup=10.0 * n, replications=1)
     cases.update({f"{name}-{family}": edge_scenario(name, family) for name in EDGE_CASES for family in FAMILIES})
+    cases.update({f"warmup-on-first-arrival-{family}": warmup_on_first_arrival(family, RandomStream(29, 0))
+                  for family in FAMILIES})
     return cases
 
 
 # sha256 of probs.tobytes() + repr(overflow) from run_replication on RandomStream(29, 0),
-# recorded from the single-loop simulator that the two-phase loop replaced
+# recorded from the single-loop simulator that the two-phase loop replaced; the
+# warmup-on-first-arrival digests were recorded from the loop with a separate
+# warmup loop, which applied an event exactly at the warmup before measuring
 PINNED_DIGESTS = {
     "grid-exponential": "ffa9974a752712104aa0397e92d6e1b9a08bc6e87a1e9635b9bc3aaca01bdd4a",
     "grid-uniform": "03c9f25c6dc0e2069ff1c9dd66302ed0d0f77688461757eea62e55729010f503",
@@ -174,6 +184,10 @@ PINNED_DIGESTS = {
     "bound-one-uniform": "c870ab6859a2973bebd463cd5d82ffab8c9292f27ad7a082fcc9b151ca36c685",
     "bound-one-erlang": "371779e2cb272243829b764bab83f716caad15f8a47555ffe8f38fa43281a08a",
     "bound-one-hyperexponential": "8556b4ba3126115a26f9754dc0a7d34d389fd99f33af67ce352296b32a88fa5f",
+    "warmup-on-first-arrival-exponential": "b0dd335d7f255e253a79155e5fe78a0cc50e664d0365ebe47721889c7a6beb3c",
+    "warmup-on-first-arrival-uniform": "170e1e867ee0685de081a34aad2b3bedd169497fb4b2cef3ff16c69eac98a752",
+    "warmup-on-first-arrival-erlang": "01b14c11a60a756deea19e8e81d312f25eb558745d89b0136c2545605c962dbd",
+    "warmup-on-first-arrival-hyperexponential": "a10bbd98f1d8b8d15fde24ddd4e08257952978449edd97eeaac9bd8e69b96f32",
 }
 
 
@@ -327,10 +341,14 @@ class TestLockstep:
 
     @pytest.mark.filterwarnings("ignore:overflow share")
     def test_lanes_equal_the_scalar_loop_at_its_boundaries(self):
-        # every edge case in every family, on enough streams to fill a lockstep batch
+        # every edge case in every family, on enough streams to fill a lockstep batch,
+        # and in every family four lanes whose warmup is an event of their own stream
         jobs = [edge_scenario(name, family) for name in EDGE_CASES for family in FAMILIES] * 4
+        bases = [i << 32 for i in range(len(jobs) + 4 * len(FAMILIES))]
+        jobs += [warmup_on_first_arrival(family, RandomStream(13, base))
+                 for family, base in zip(FAMILIES * 4, bases[len(jobs):])]
         assert len(jobs) >= des._LOCKSTEP_MIN_LANES
-        self.assert_lanes_match_scalar_loop(jobs, [i << 32 for i in range(len(jobs))])
+        self.assert_lanes_match_scalar_loop(jobs, bases)
 
     @pytest.mark.filterwarnings("ignore:overflow share")
     def test_finished_lanes_hand_their_slots_on(self, monkeypatch):

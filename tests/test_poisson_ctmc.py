@@ -347,6 +347,11 @@ class TestSecondMomentLowerBound:
         with pytest.raises(UnsupportedCaseError):
             second_moment_lower_bound(QueueParams(1, 1, 0.2, 0.3), 0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("s0", [math.nan, math.inf, -math.inf, -5.0], ids=["nan", "inf", "-inf", "negative"])
+    def test_rejects_invalid_initial_second_moment(self, s0):
+        with pytest.raises(DomainError, match="s0"):
+            second_moment_lower_bound(QueueParams(1, 2, 1, 1), 0.0, s0, 1.0)
+
     # (alpha, beta, theta) with theta == gamma, m0, four times t: no crossing,
     # a crossing before and after t, m0 = 0, alpha = beta, small theta t
     @pytest.mark.parametrize("rates, m0, times", [
