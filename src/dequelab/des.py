@@ -50,16 +50,15 @@ __all__ = [
 # interleaved rounds).
 _BLOCK = 256
 # Batches of fewer replications than this run each one on run_replication's
-# loop.  On a 2-vCPU x86 box, lockstep lanes of one cell (horizon 700) ran at
-# 0.50-0.62x the speed of the scalar loop with 48 lanes, 0.53-0.72x with 64,
-# 0.81-0.91x with 128 and 1.17-1.33x with 256 or 512; the grid benchmark's
-# 360-lane batch ran at 0.92-1.06x.  So the crossover lies between 128 and
-# 256 lanes; no benchmark workload runs a batch in that range, which a move
-# of this value would need to show its effect.  The lockstep kernel stays:
-# without it, configs/full-grid.json took 1.3-1.4x as long at the paper budget
-# and 1.15-1.3x at the desk budget, and the grid benchmark 8% longer in 11%
-# less peak memory (ROADMAP item 2).
-_LOCKSTEP_MIN_LANES = 64
+# loop.  On a 2-vCPU x86 box, lockstep lanes of one exponential cell (1, 1.5,
+# 0.1, 0.15; horizon 700, warmup 200; four alternating rounds in one process)
+# ran at 0.45-0.67x the speed of the scalar loop with 64 lanes, 0.92-1.04x
+# with 128, 1.16-1.26x with 192 and 1.26-1.39x with 256; the grid
+# benchmark's 360-lane batch ran at 0.92-1.06x.  So the crossover lies near
+# 128 lanes.  The lockstep kernel stays: without it, configs/full-grid.json
+# took 1.3-1.4x as long at the paper budget and 1.15-1.3x at the desk budget,
+# and the grid benchmark 8% longer in 11% less peak memory (ROADMAP item 2).
+_LOCKSTEP_MIN_LANES = 128
 # At most this many lanes advance together; the rest wait for a free slot.
 # A slot holds 4 * _BLOCK draws (8 KB) and a histogram row of 2 B + 2
 # columns, B the batch's largest bound (16 KB at the default bound of 1000),

@@ -126,6 +126,10 @@ class PsiDensity:
 
 def psi_density(kappa: float, mu: float, sigma: float, theta: float, gamma: float) -> PsiDensity:
     """Construct the glued-Gaussian density with the given exponent tilt kappa."""
+    if not all(map(math.isfinite, (kappa, mu, sigma, theta, gamma))):
+        raise DomainError(
+            f"kappa, mu, sigma, theta and gamma must be finite, got {kappa}, {mu}, {sigma}, {theta}, {gamma}"
+        )
     if not sigma > 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     if not (theta > 0.0 and gamma > 0.0):

@@ -72,31 +72,26 @@ def _check_start(x0: float) -> None:
 
 
 def fluid_closed_form(params: QueueParams, x0: float, t) -> float | np.ndarray:
-    """Evaluate the piecewise-exponential solution at time(s) t >= 0."""
+    """Evaluate the piecewise-exponential solution at time(s) t >= 0.
+
+    The path relaxes toward the fixed point of the side of zero it starts on
+    (the side of alpha - beta when x0 == 0), at that side's rate; after
+    zero_hitting_time it relaxes from 0 at the other side's rate.
+    """
     _check_start(x0)
+    u = np.asarray(t, dtype=float)
+    if np.any(u < 0.0):
+        raise DomainError("fluid trajectory is defined for t >= 0 only")
     delta = params.alpha - params.beta
+    sides = [(params.theta, delta / params.theta), (params.gamma, delta / params.gamma)]
+    if (x0 if x0 != 0.0 else delta) < 0.0:
+        sides.reverse()
+    (rate, limit), (rate_after, limit_after) = sides
+    out = (x0 - limit) * np.exp(-rate * u) + limit
     t_hit = zero_hitting_time(params, x0)
-
-    def relax(u, start: float, rate: float, limit: float):
-        return (start - limit) * np.exp(-rate * u) + limit
-
-    def at(u):
-        u = np.asarray(u, dtype=float)
-        if np.any(u < 0.0):
-            raise DomainError("fluid trajectory is defined for t >= 0 only")
-        if x0 >= 0.0 and delta >= 0.0:
-            return relax(u, x0, params.theta, delta / params.theta)
-        if x0 <= 0.0 and delta <= 0.0:
-            return relax(u, x0, params.gamma, delta / params.gamma)
-        if x0 < 0.0:  # delta > 0: climb at rate gamma, then relax at rate theta
-            before = relax(u, x0, params.gamma, delta / params.gamma)
-            after = relax(np.maximum(u - t_hit, 0.0), 0.0, params.theta, delta / params.theta)
-            return np.where(u <= t_hit, before, after)
-        before = relax(u, x0, params.theta, delta / params.theta)
-        after = relax(np.maximum(u - t_hit, 0.0), 0.0, params.gamma, delta / params.gamma)
-        return np.where(u <= t_hit, before, after)
-
-    out = at(t)
+    if t_hit is not None:
+        after = -limit_after * np.exp(-rate_after * np.maximum(u - t_hit, 0.0)) + limit_after
+        out = np.where(u <= t_hit, out, after)
     return float(out) if np.ndim(t) == 0 else out
 
 

@@ -224,7 +224,7 @@ class TransientMoments:
 
 
 def _initial_items(initial_pmf) -> list[tuple[int, float]]:
-    """(state, mass) pairs of the start law, with finite non-negative masses summing to 1."""
+    """(state, mass) pairs of the start law, zero masses dropped; all finite, >= 0, summing to 1."""
     if isinstance(initial_pmf, StationaryPmf):
         items = zip(initial_pmf.states.tolist(), initial_pmf.probs.tolist())
     elif isinstance(initial_pmf, Mapping):
@@ -239,22 +239,7 @@ def _initial_items(initial_pmf) -> list[tuple[int, float]]:
         total += mass
     if abs(total - 1.0) > 1e-9:
         raise DomainError(f"initial pmf must sum to 1, got {total}")
-    return items
-
-
-def _initial_vector(items: list[tuple[int, float]], bound: int) -> np.ndarray:
-    p = np.zeros(2 * bound + 1)
-    for state, mass in items:
-        if abs(state) > bound:
-            raise DomainError(f"initial state {state} lies outside the box [-{bound}, {bound}]")
-        p[state + bound] += mass
-    return p
-
-
-def _initial_extent(initial_pmf) -> int:
-    if isinstance(initial_pmf, StationaryPmf):
-        return int(initial_pmf.support_bound)
-    return max((abs(int(s)) for s, m in initial_pmf.items() if m > 0.0), default=0)
+    return [(state, mass) for state, mass in items if mass > 0.0]
 
 
 def _poisson_weights(lam: float) -> tuple[list[float], float]:
@@ -302,7 +287,9 @@ def _master_moments(params: QueueParams, items: list[tuple[int, float]], t_grid:
     up = birth[:-1] / rate
     down = death[1:] / rate
 
-    p = _initial_vector(items, bound)
+    p = np.zeros(2 * bound + 1)
+    for state, mass in items:
+        p[state + bound] += mass
     pos = states > 0
     neg = states < 0
     sq = states**2
@@ -344,19 +331,20 @@ def transient_moments(
     params: QueueParams,
     initial_pmf,
     t_grid: Iterable[float],
-    support_bound: int | None = None,
     leak_tol: float = 1e-8,
 ) -> TransientMoments:
     """Transient moment curves m, s, m+, m-, s+, s- on t_grid.
 
-    Solves the forward equations on the reflecting box [-support_bound,
-    support_bound] by uniformization, cutting each interval's Poisson series
-    where its tail mass falls below 1e-14 and reporting the summed tails as
+    Solves the forward equations on a reflecting box [-b, b] by
+    uniformization, cutting each interval's Poisson series where its tail
+    mass falls below 1e-14 and reporting the summed tails as
     series_tail_mass.  max_boundary_mass is the largest edge-state mass over
     every term of the series, which bounds the edge mass over continuous
-    time.  With an explicit support_bound, boundary mass above leak_tol
-    raises TruncationError; in automatic mode the box is grown and the
-    solution retried instead.
+    time.  The first box covers the start law's positive-mass states plus
+    the stationary support plus 16; while the edge mass exceeds leak_tol the
+    box is doubled and the solution retried.  A box that would pass
+    _TRANSIENT_SUPPORT_CAP raises ResourceLimitError if it is the first one
+    and TruncationError otherwise.
     """
     t_grid = np.asarray(list(t_grid), dtype=float)
     if t_grid.size == 0:
@@ -366,39 +354,34 @@ def transient_moments(
     if np.any(np.diff(t_grid) <= 0.0) or t_grid[0] < 0.0:
         raise DomainError("t_grid must be non-negative and strictly increasing")
     items = _initial_items(initial_pmf)
-
-    if support_bound is not None:
-        bounds = [support_bound]
-    else:
-        stat = stationary_distribution(params, 1e-10)
-        start = _initial_extent(initial_pmf) + stat.support_bound + 16
-        bounds = []
-        b = start
-        while b <= _TRANSIENT_SUPPORT_CAP:
-            bounds.append(b)
-            b *= 2
-
-    last_edge = math.nan
-    for bound in bounds:
+    extent = max(abs(state) for state, _ in items)
+    bound = extent + stationary_distribution(params, 1e-10).support_bound + 16
+    if bound > _TRANSIENT_SUPPORT_CAP:
+        raise ResourceLimitError(
+            f"the first box [-{bound}, {bound}] exceeds the transient support cap {_TRANSIENT_SUPPORT_CAP}"
+        )
+    while True:
         records, max_edge, series_tail = _master_moments(params, items, t_grid, bound)
-        last_edge = max_edge
         if max_edge <= leak_tol:
-            arr = np.array(records)
-            return TransientMoments(
-                t=t_grid,
-                m=arr[:, 0],
-                s=arr[:, 1],
-                m_plus=arr[:, 2],
-                m_minus=arr[:, 3],
-                s_plus=arr[:, 4],
-                s_minus=arr[:, 5],
-                support_bound=bound,
-                max_boundary_mass=max_edge,
-                series_tail_mass=series_tail,
+            break
+        if 2 * bound > _TRANSIENT_SUPPORT_CAP:
+            raise TruncationError(
+                f"boundary mass {max_edge:.3e} exceeds {leak_tol:.1e} on the box [-{bound}, {bound}], "
+                f"and doubling it would pass the transient support cap {_TRANSIENT_SUPPORT_CAP}"
             )
-    raise TruncationError(
-        f"boundary mass {last_edge:.3e} exceeds {leak_tol:.1e}; "
-        f"enlarge support_bound beyond {bounds[-1]}"
+        bound *= 2
+    arr = np.array(records)
+    return TransientMoments(
+        t=t_grid,
+        m=arr[:, 0],
+        s=arr[:, 1],
+        m_plus=arr[:, 2],
+        m_minus=arr[:, 3],
+        s_plus=arr[:, 4],
+        s_minus=arr[:, 5],
+        support_bound=bound,
+        max_boundary_mass=max_edge,
+        series_tail_mass=series_tail,
     )
 
 
@@ -413,6 +396,9 @@ def second_moment_lower_bound(params: QueueParams, m0: float, s0: float, t) -> f
     """
     if not 0.0 <= s0 < math.inf:
         raise DomainError(f"initial second moment s0 must be finite and >= 0, got {s0}")
+    # no law has s0 < m0^2; the allowance covers roundoff when both come from a pmf
+    if s0 < m0 * m0 * (1.0 - 1e-9):
+        raise DomainError(f"initial second moment s0={s0} lies below m0**2 = {m0 * m0} (m0={m0})")
     source = discounted_source_integral(
         params, m0, t, params.alpha + params.beta, 2.0 * (params.alpha - params.beta)
     )

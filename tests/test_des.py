@@ -320,6 +320,11 @@ def lockstep_batch():
 
 
 class TestLockstep:
+    @pytest.fixture(autouse=True)
+    def lockstep_from_64_lanes(self, monkeypatch):
+        # the lockstep batches here hold 64-127 lanes, below the crossover
+        monkeypatch.setattr(des, "_LOCKSTEP_MIN_LANES", 64)
+
     def assert_lanes_match_scalar_loop(self, jobs, bases, seed=13):
         results = estimate_many(jobs, seed, bases)
         for sc, base, est in zip(jobs, bases, results):

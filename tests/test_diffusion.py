@@ -102,6 +102,14 @@ class TestPsiDensity:
         with pytest.raises(DomainError):
             psi_density(0.0, 0.0, 1.0, -1.0, 1.0)
 
+    @pytest.mark.parametrize("position", range(5), ids=["kappa", "mu", "sigma", "theta", "gamma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_argument_is_a_domain_error(self, position, value):
+        args = [0.0, 1.0, 1.0, 1.0, 1.0]
+        args[position] = value
+        with pytest.raises(DomainError, match="must be finite"):
+            psi_density(*args)
+
     def test_extreme_drift_ratio_stays_finite(self):
         # the negative branch carries no mass at all here; weights must not go NaN
         d = psi_density(0.0, 900.0, 1.0, 0.01, 0.01)

@@ -136,8 +136,9 @@ class TestRunComparison:
         assert row.L1_p == 0.0
         assert row.L1_p_err is None
 
-    def test_rows_equal_per_cell_estimates(self):
+    def test_rows_equal_per_cell_estimates(self, monkeypatch):
         # 8 cells of 10 replications: one lockstep batch, against one scalar estimate per cell
+        monkeypatch.setattr(des, "_LOCKSTEP_MIN_LANES", 64)
         config = ComparisonConfig.from_dict(
             {
                 "families": ["uniform", "hyperexp"],

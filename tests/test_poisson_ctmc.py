@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
+from dequelab import poisson_ctmc
 from dequelab.errors import (
     DomainError,
     NumericalOverflowError,
@@ -227,10 +228,28 @@ class TestTransientMoments:
         assert np.allclose(tm.m, tm.m_plus - tm.m_minus, atol=1e-12)
         assert np.allclose(tm.s, tm.s_plus + tm.s_minus, atol=1e-12)
 
-    def test_leak_raises_for_small_box(self):
+    def test_leak_raises_for_small_box(self, monkeypatch):
+        # the first box [-48, 48] leaks, and doubling it would pass the cap
+        monkeypatch.setattr(poisson_ctmc, "_TRANSIENT_SUPPORT_CAP", 64)
         params = QueueParams(2.0, 1.0, 0.2, 0.2)
-        with pytest.raises(TruncationError):
-            transient_moments(params, {0: 1.0}, [10.0], support_bound=3)
+        with pytest.raises(TruncationError, match=r"box \[-48, 48\].*cap 64"):
+            transient_moments(params, {0: 1.0}, [10.0], leak_tol=1e-300)
+
+    @pytest.mark.parametrize(
+        "params, start",
+        [(QueueParams(1, 1, 1e-5, 1e-5), {0: 1.0}), (QueueParams(1, 1, 1, 1), {70000: 1.0})],
+        ids=["stationary-support-above-cap", "start-above-cap"],
+    )
+    def test_first_box_above_cap_is_a_resource_limit(self, params, start):
+        with pytest.raises(ResourceLimitError, match=r"box \[-\d+, \d+\].*cap 65536"):
+            transient_moments(params, start, [1.0])
+
+    def test_zero_mass_states_are_ignored(self):
+        params = QueueParams(2.0, 1.0, 1.0, 0.5)
+        plain = transient_moments(params, {1: 1.0}, [0.5, 2.0])
+        padded = transient_moments(params, {-(10**6): 0.0, 1: 1.0, 10**6: 0.0}, [0.5, 2.0])
+        assert padded.support_bound == plain.support_bound
+        assert np.array_equal(padded.s, plain.s) and np.array_equal(padded.m, plain.m)
 
     def test_initial_pmf_validation(self):
         params = QueueParams(1, 1, 1, 1)
@@ -275,7 +294,7 @@ class TestUniformization:
         # a box small enough that reflection at its edges shapes the moments
         params = QueueParams(1.0, 1.3, 0.6, 0.4)
         bound, grid = 6, [0.0, 0.3, 1.0, 4.0, 12.0]
-        tm = transient_moments(params, {2: 1.0}, grid, support_bound=bound, leak_tol=1.0)
+        records, _, _ = poisson_ctmc._master_moments(params, [(2, 1.0)], np.array(grid), bound)
         states, pmfs = reflecting_box_pmfs(params, 2, bound, grid)
         pos, neg = states > 0, states < 0
         expected = {
@@ -286,17 +305,17 @@ class TestUniformization:
             "s_plus": pmfs[:, pos] @ states[pos] ** 2,
             "s_minus": pmfs[:, neg] @ states[neg] ** 2,
         }
-        for name, ref in expected.items():
-            assert np.allclose(getattr(tm, name), ref, rtol=1e-12, atol=1e-12), name
+        for column, (name, ref) in zip(np.array(records).T, expected.items()):
+            assert np.allclose(column, ref, rtol=1e-12, atol=1e-12), name
 
     def test_boundary_mass_bounds_reference_between_grid_points(self):
         # the top edge mass peaks near t = 0.25, well before the first grid point
         params = QueueParams(1.0, 2.0, 0.5, 0.5)
         bound = 5
-        tm = transient_moments(params, {4: 1.0}, [3.0, 6.0], support_bound=bound, leak_tol=1.0)
+        _, max_edge, series_tail = poisson_ctmc._master_moments(params, [(4, 1.0)], np.array([3.0, 6.0]), bound)
         _, pmfs = reflecting_box_pmfs(params, 4, bound, np.linspace(0.0, 6.0, 241))
         edges = np.maximum(pmfs[:, 0], pmfs[:, -1])
-        assert tm.max_boundary_mass >= edges.max() - tm.series_tail_mass - 1e-15
+        assert max_edge >= edges.max() - series_tail - 1e-15
 
     def test_stationary_start_stays_put(self):
         params = QueueParams(1.0, 1.5, 0.1, 0.15)
@@ -351,6 +370,17 @@ class TestSecondMomentLowerBound:
     def test_rejects_invalid_initial_second_moment(self, s0):
         with pytest.raises(DomainError, match="s0"):
             second_moment_lower_bound(QueueParams(1, 2, 1, 1), 0.0, s0, 1.0)
+
+    @pytest.mark.parametrize("m0, s0", [(3.0, 0.0), (3.0, 8.99), (-3.0, 9.0 * (1.0 - 1e-6)), (0.5, 0.0)],
+                             ids=["zero", "just-below", "negative-mean", "small-mean"])
+    def test_rejects_second_moment_below_squared_mean(self, m0, s0):
+        with pytest.raises(DomainError, match="below m0"):
+            second_moment_lower_bound(QueueParams(1, 2, 1, 1), m0, s0, 1.0)
+
+    def test_accepts_roundoff_below_squared_mean(self):
+        params = QueueParams(1, 2, 1, 1)
+        exact = second_moment_lower_bound(params, 3.0, 9.0, 1.0)
+        assert second_moment_lower_bound(params, 3.0, 9.0 * (1.0 - 1e-14), 1.0) == pytest.approx(exact)
 
     # (alpha, beta, theta) with theta == gamma, m0, four times t: no crossing,
     # a crossing before and after t, m0 = 0, alpha = beta, small theta t
