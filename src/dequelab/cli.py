@@ -144,9 +144,7 @@ def _cmd_diffusion(args) -> int:
         json.dump({"L1_d2": result.L1, "L2_d2": result.L2}, sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
-        a = params.diffusion_coeff
-        mu = params.drift_offset
-        density = diffusion.psi_density(mu**2 / a**2, mu, a, params.theta, params.gamma)
+        density = diffusion.tilted_psi_density(params.drift_offset, params.diffusion_coeff, params.theta, params.gamma)
         if args.grid is None:
             xs, ys = harness.psi_density_grid(density)
         else:

@@ -35,6 +35,7 @@ __all__ = [
     "OUTransientMoments",
     "SDEPath",
     "psi_density",
+    "tilted_psi_density",
     "psi_moments",
     "model_one",
     "model_two",
@@ -149,6 +150,22 @@ def psi_density(kappa: float, mu: float, sigma: float, theta: float, gamma: floa
     )
 
 
+def tilted_psi_density(mu: float, sigma: float, theta: float, gamma: float) -> PsiDensity:
+    """The density in the kappa = mu^2/sigma^2 family, the one both limiting laws live in.
+
+    Raises DomainError where mu^2 overflows or sigma^2 underflows to 0.
+    """
+    if not sigma > 0.0:
+        raise DomainError(f"sigma must be positive, got {sigma}")
+    try:
+        kappa = mu**2 / sigma**2
+    except OverflowError:
+        raise DomainError(f"the tilt mu^2/sigma^2 overflows: mu^2 is out of range for mu = {mu}") from None
+    except ZeroDivisionError:
+        raise DomainError(f"the tilt mu^2/sigma^2 is undefined: sigma^2 underflows to 0 for sigma = {sigma}") from None
+    return psi_density(kappa, mu, sigma, theta, gamma)
+
+
 @dataclass(frozen=True)
 class PsiMoments:
     ev: float
@@ -168,9 +185,7 @@ def psi_moments(mu: float, sigma: float, theta: float, gamma: float) -> PsiMomen
     gamma the law is a single Gaussian and the two truncated halves add up to
     its moments.
     """
-    if not sigma > 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    density = psi_density(mu**2 / sigma**2, mu, sigma, theta, gamma)
+    density = tilted_psi_density(mu, sigma, theta, gamma)
     return PsiMoments(ev=density.mean(), ev2=density.second_moment(), d1=density.d1, d2=density.d2)
 
 

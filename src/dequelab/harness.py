@@ -314,9 +314,7 @@ class DensityComparison:
 def heavy_traffic_density(family: str, alpha: float, beta: float, theta: float, gamma: float):
     """Stationary density of the constant-coefficient diffusion model."""
     params = QueueParams.for_family(family, alpha, beta, theta, gamma)
-    a = params.diffusion_coeff
-    mu = params.drift_offset
-    return diffusion.psi_density(mu**2 / a**2, mu, a, theta, gamma)
+    return diffusion.tilted_psi_density(params.drift_offset, params.diffusion_coeff, theta, gamma)
 
 
 def export_density_comparison(

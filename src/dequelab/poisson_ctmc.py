@@ -5,19 +5,21 @@ integers: birth rate alpha + i^- gamma, death rate beta + i^+ theta.  This
 module computes its stationary distribution (in log space, with controlled
 truncation), the closed-form limiting moments built from incomplete gamma
 functions, transient moments of the truncated master equation by
-uniformization (with an a-priori bound on the dropped Poisson tail), and the
-closed-form second-moment lower bound available when theta == gamma, an
-elementary integral along the fluid path (fluid.discounted_source_integral).
+uniformization (one Poisson series serves every output time, with an
+a-priori bound on the dropped tail), and the closed-form second-moment lower
+bound available when theta == gamma, an elementary integral along the fluid
+path (fluid.discounted_source_integral).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
-from scipy.special import gammaln, pdtrc
+from scipy.special import gammaln, pdtrc, xlogy
 
 from .errors import (
     DomainError,
@@ -48,10 +50,17 @@ _HARD_SUPPORT_CAP = 10**6
 # tolerance.  Each uniformization step costs O(box) and the number of steps
 # grows with the largest out-rate, which is proportional to the box, so the
 # work grows quadratically with the box; past this size it is impractical.
+# The series buffer holds _SERIES_ROWS rows of 2 * bound + 3 doubles, whatever
+# the number of grid times: at the cap 64 * 131075 * 8 B, about 67 MB.
 _TRANSIENT_SUPPORT_CAP = 2**16
-# Poisson upper-tail mass at which the uniformization series is cut, per
-# interval of the time grid.
+# Poisson upper-tail mass at which the uniformization series is cut, at the
+# last grid time; every earlier time's tail at that cut is smaller.
 _SERIES_TAIL_TOL = 1e-14
+# Rows of the series buffer, the iterates held at once.  A step writes one row
+# from the one before through fixed views, five ufunc calls and no
+# temporaries; each full buffer has its edge masses read once and is reduced
+# to six moment sums per row by one (rows x box) @ (box x 6) product.
+_SERIES_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -204,11 +213,14 @@ def poisson_moment_estimates(params: QueueParams) -> tuple[float, float]:
 class TransientMoments:
     """Moment curves of the chain on a time grid, from the truncated master equation.
 
-    max_boundary_mass bounds the probability of either edge state of the box
-    at every time in [0, t[-1]], not only on the grid, up to
-    series_tail_mass.  series_tail_mass is the summed Poisson tail dropped
-    by the uniformization series, an l1 bound on the error that cutting the
-    series adds to the pmf at any grid point.
+    One uniformization series serves every grid time.  max_boundary_mass is
+    the largest edge-state mass over its iterates up to the last time's cut,
+    and bounds the probability of either edge state of the box at every
+    time in [0, t[-1]], not only on the grid, up to series_tail_mass.
+    series_tail_mass is the Poisson tail dropped at the last grid time, the
+    largest of the grid times' tails, an l1 bound on the error that cutting
+    the series adds to the pmf at any grid point.  series_terms counts the
+    matrix-vector steps of the series, summed over every box tried.
     """
 
     t: np.ndarray
@@ -221,6 +233,17 @@ class TransientMoments:
     support_bound: int
     max_boundary_mass: float
     series_tail_mass: float
+    series_terms: int
+
+
+def _state_index(state) -> int:
+    """A start state as an int: an integer, or a float with no fractional part such as 2.0."""
+    if isinstance(state, (float, np.floating)) and float(state).is_integer():
+        return int(state)
+    try:
+        return operator.index(state)
+    except TypeError:
+        raise DomainError(f"state {state!r} must be an integer") from None
 
 
 def _initial_items(initial_pmf) -> list[tuple[int, float]]:
@@ -231,7 +254,7 @@ def _initial_items(initial_pmf) -> list[tuple[int, float]]:
         items = initial_pmf.items()
     else:
         raise DomainError("initial_pmf must be a StationaryPmf or a mapping state -> probability")
-    items = [(int(state), mass) for state, mass in items]
+    items = [(_state_index(state), mass) for state, mass in items]
     total = 0.0
     for state, mass in items:
         if not 0.0 <= mass < math.inf:
@@ -242,39 +265,33 @@ def _initial_items(initial_pmf) -> list[tuple[int, float]]:
     return [(state, mass) for state, mass in items if mass > 0.0]
 
 
-def _poisson_weights(lam: float) -> tuple[list[float], float]:
-    """Poisson(lam) pmf at 0..K and the mass above K.
-
-    K is the smallest cut whose upper tail is at most _SERIES_TAIL_TOL.  The
-    pmf is built in log space because e^-lam underflows past lam ~ 745, then
-    rescaled to sum to exactly 1 - tail, which removes the rounding that the
-    large, nearly cancelling log terms leave in its total.
-    """
+def _series_cut(lam: float) -> int:
+    """The first K whose Poisson(lam) upper tail is at most _SERIES_TAIL_TOL."""
     first = math.floor(lam)
     width = int(10.0 * math.sqrt(lam)) + 40
     while True:
         ks = np.arange(first, first + width)
         hit = np.flatnonzero(pdtrc(ks, lam) <= _SERIES_TAIL_TOL)
         if hit.size:
-            break
+            return int(ks[hit[0]])
         first += width
-    n_terms = int(ks[hit[0]])
-    tail = float(pdtrc(n_terms, lam))
-    k = np.arange(n_terms + 1, dtype=float)
-    log_w = k * math.log(lam) - lam - gammaln(k + 1.0)
-    w = np.exp(log_w - log_w.max())
-    w *= (1.0 - tail) / w.sum()
-    return w.tolist(), tail
 
 
-def _master_moments(params: QueueParams, items: list[tuple[int, float]], t_grid: np.ndarray, bound: int):
-    """Uniformization of the forward equations over [-bound, bound].
+def _uniformize(params: QueueParams, items: list[tuple[int, float]], t_grid: np.ndarray, bound: int):
+    """Uniformization of the forward equations over [-bound, bound], one series for every time.
 
     With rate the largest out-rate in the box, P = I + Q/rate is a
-    nonnegative tridiagonal stochastic step, and across an interval of
-    length d, p <- sum_k Pois(rate*d; k) p P^k.  Only the running iterate
-    and the running sum are held.  Returns the moment records, the largest
-    edge mass over every iterate and the summed dropped Poisson tails.
+    nonnegative tridiagonal stochastic step and p(t) = sum_k Pois(rate*t; k)
+    p0 P^k.  The iterates p0 P^k, k = 0..K, are computed once, K the cut of
+    the last time, into a buffer of _SERIES_ROWS zero-padded rows, and each
+    full buffer is added into the moments of every grid time.  The Poisson
+    weights are built in log space relative to each time's mode, because
+    e^-lam underflows past lam ~ 745, and each time's weights are rescaled
+    at the end to sum to 1 minus its own tail (at most the last time's),
+    which removes the rounding that the large, nearly cancelling log terms
+    leave in their total.  Returns the (time, 6) moment records (m, s, m+, m-, s+, s-),
+    the largest edge mass over every iterate, the last time's dropped tail
+    and the number K of matrix-vector steps.
     """
     states = np.arange(-bound, bound + 1, dtype=float)
     birth = params.alpha + np.maximum(-states, 0.0) * params.gamma
@@ -284,47 +301,64 @@ def _master_moments(params: QueueParams, items: list[tuple[int, float]], t_grid:
     loss = birth + death
     rate = float(loss.max())
     stay = 1.0 - loss / rate
-    up = birth[:-1] / rate
-    down = death[1:] / rate
-
-    p = np.zeros(2 * bound + 1)
-    for state, mass in items:
-        p[state + bound] += mass
-    pos = states > 0
-    neg = states < 0
+    # inflow from the left and right neighbours; the zero pads of each row
+    # stand in for the states outside the box
+    up = np.concatenate(([0.0], birth[:-1] / rate))
+    down = np.concatenate((death[1:] / rate, [0.0]))
     sq = states**2
+    functionals = np.stack(
+        (states, sq, np.maximum(states, 0.0), np.maximum(-states, 0.0), sq * (states > 0), sq * (states < 0)),
+        axis=1,
+    )
 
-    records = []
-    max_edge = max(p[0], p[-1])
-    series_tail = 0.0
-    t_now = 0.0
-    for t_target in t_grid:
-        lam = rate * (t_target - t_now)
-        if lam > 0.0:
-            weights, tail = _poisson_weights(lam)
-            series_tail += tail
-            v = p
-            p = weights[0] * v
-            for w in weights[1:]:
-                nxt = stay * v
-                nxt[1:] += up * v[:-1]
-                nxt[:-1] += down * v[1:]
-                v = nxt
-                max_edge = max(max_edge, v[0], v[-1])
-                if w > 0.0:
-                    p += w * v
-            t_now = t_target
-        records.append(
-            (
-                float(states @ p),
-                float(sq @ p),
-                float(states[pos] @ p[pos]),
-                float(-states[neg] @ p[neg]),
-                float(sq[pos] @ p[pos]),
-                float(sq[neg] @ p[neg]),
-            )
-        )
-    return records, float(max_edge), series_tail
+    n_terms = _series_cut(rate * t_grid[-1])
+    lam = rate * t_grid[:, None]
+    mode = np.floor(lam)
+    log_mode = xlogy(mode, lam) - gammaln(mode + 1.0)
+    moments = np.zeros((t_grid.size, 6))
+    sums = np.zeros((t_grid.size, 1))
+
+    buf = np.zeros((_SERIES_ROWS, 2 * bound + 3))
+    for state, mass in items:
+        buf[0, state + bound + 1] += mass
+    mid = [row[1:-1] for row in buf]
+    left = [row[:-2] for row in buf]
+    right = [row[2:] for row in buf]
+    scratch = np.empty(2 * bound + 1)
+
+    def advance(src: int, dst: int) -> None:
+        np.multiply(stay, mid[src], out=mid[dst])
+        np.multiply(up, left[src], out=scratch)
+        mid[dst] += scratch
+        np.multiply(down, right[src], out=scratch)
+        mid[dst] += scratch
+
+    max_edge = 0.0
+    for first in range(0, n_terms + 1, _SERIES_ROWS):
+        rows = min(_SERIES_ROWS, n_terms + 1 - first)
+        if first:
+            advance(_SERIES_ROWS - 1, 0)
+        for r in range(rows - 1):
+            advance(r, r + 1)
+        block = buf[:rows]
+        max_edge = max(max_edge, float(block[:, 1].max()), float(block[:, -2].max()))
+        block_moments = block[:, 1:-1] @ functionals
+        k = np.arange(first, first + rows, dtype=float)
+        log_fact = gammaln(k + 1.0)
+        # a block of times at a time keeps the weights at most rows x rows
+        for lo in range(0, t_grid.size, _SERIES_ROWS):
+            part = slice(lo, lo + _SERIES_ROWS)
+            weights = np.exp(xlogy(k, lam[part]) - log_fact - log_mode[part])
+            moments[part] += weights @ block_moments
+            sums[part] += weights.sum(axis=1, keepdims=True)
+    tails = pdtrc(n_terms, lam)
+    moments *= (1.0 - tails) / sums
+    return moments, max_edge, float(tails[-1, 0]), n_terms
+
+
+def _master_moments(params: QueueParams, items: list[tuple[int, float]], t_grid: np.ndarray, bound: int):
+    """The moment records, the largest edge mass and the dropped tail of _uniformize."""
+    return _uniformize(params, items, t_grid, bound)[:3]
 
 
 def transient_moments(
@@ -336,19 +370,23 @@ def transient_moments(
     """Transient moment curves m, s, m+, m-, s+, s- on t_grid.
 
     Solves the forward equations on a reflecting box [-b, b] by
-    uniformization, cutting each interval's Poisson series where its tail
-    mass falls below 1e-14 and reporting the summed tails as
-    series_tail_mass.  max_boundary_mass is the largest edge-state mass over
-    every term of the series, which bounds the edge mass over continuous
-    time.  The first box covers the start law's positive-mass states plus
-    the stationary support plus 16; while the edge mass exceeds leak_tol the
-    box is doubled and the solution retried.  A box that would pass
-    _TRANSIENT_SUPPORT_CAP raises ResourceLimitError if it is the first one
-    and TruncationError otherwise.
+    uniformization: one Poisson series from the start law serves every grid
+    time, cut where the last time's tail mass falls below 1e-14, and that
+    tail is reported as series_tail_mass.  max_boundary_mass is the largest
+    edge-state mass over every term of the series, which bounds the edge
+    mass over continuous time.  Start states must be integers (integral
+    floats such as 2.0 pass).  The first box covers the start law's
+    positive-mass states plus the stationary support plus 16; while the edge
+    mass exceeds leak_tol the box is doubled and the solution retried.  A
+    box that would pass _TRANSIENT_SUPPORT_CAP raises ResourceLimitError if
+    it is the first one and TruncationError otherwise.
     """
-    t_grid = np.asarray(list(t_grid), dtype=float)
-    if t_grid.size == 0:
-        raise DomainError("t_grid must be non-empty")
+    try:
+        t_grid = np.asarray(list(t_grid), dtype=float)
+    except TypeError:
+        raise DomainError(f"t_grid must be a sequence of times, got {t_grid!r}") from None
+    if t_grid.ndim != 1 or t_grid.size == 0:
+        raise DomainError("t_grid must be a non-empty sequence of times")
     if not np.all(np.isfinite(t_grid)):
         raise DomainError("t_grid must be finite")
     if np.any(np.diff(t_grid) <= 0.0) or t_grid[0] < 0.0:
@@ -360,8 +398,10 @@ def transient_moments(
         raise ResourceLimitError(
             f"the first box [-{bound}, {bound}] exceeds the transient support cap {_TRANSIENT_SUPPORT_CAP}"
         )
+    series_terms = 0
     while True:
-        records, max_edge, series_tail = _master_moments(params, items, t_grid, bound)
+        records, max_edge, series_tail, n_terms = _uniformize(params, items, t_grid, bound)
+        series_terms += n_terms
         if max_edge <= leak_tol:
             break
         if 2 * bound > _TRANSIENT_SUPPORT_CAP:
@@ -370,18 +410,18 @@ def transient_moments(
                 f"and doubling it would pass the transient support cap {_TRANSIENT_SUPPORT_CAP}"
             )
         bound *= 2
-    arr = np.array(records)
     return TransientMoments(
         t=t_grid,
-        m=arr[:, 0],
-        s=arr[:, 1],
-        m_plus=arr[:, 2],
-        m_minus=arr[:, 3],
-        s_plus=arr[:, 4],
-        s_minus=arr[:, 5],
+        m=records[:, 0],
+        s=records[:, 1],
+        m_plus=records[:, 2],
+        m_minus=records[:, 3],
+        s_plus=records[:, 4],
+        s_minus=records[:, 5],
         support_bound=bound,
         max_boundary_mass=max_edge,
         series_tail_mass=series_tail,
+        series_terms=series_terms,
     )
 
 

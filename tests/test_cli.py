@@ -42,6 +42,15 @@ def test_non_finite_argument_is_a_domain_error(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("sigma", ["1e-200", "1e-160"], ids=["coefficient-underflows", "tilt-overflows"])
+def test_density_with_vanishing_coefficient_is_a_domain_error(capsys, sigma):
+    code, out, err = run_cli(capsys, "diffusion", "density", "--alpha", "1", "--beta", "1.5", "--theta", "0.1",
+                             "--gamma", "0.15", "--sigma", sigma, "--varsigma", sigma)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("grid", ["0:inf:3", "-inf:0:3", "-inf:inf:3"])
 def test_non_finite_grid_end_is_a_config_error(capsys, grid):
     code, out, err = run_cli(capsys, "diffusion", "density", *RATES, f"--grid={grid}")

@@ -15,6 +15,7 @@ from dequelab.diffusion import (
     psi_moments,
     simulate_sde_path,
     stationary_samples,
+    tilted_psi_density,
 )
 from dequelab.errors import DomainError, UnsupportedCaseError
 from dequelab.fluid import fluid_closed_form_path, fluid_limit, zero_hitting_time
@@ -136,6 +137,22 @@ class TestPsiMoments:
     def test_table_anchor_second_moment(self):
         m = psi_moments(-1.0, math.sqrt(5.0), 0.01, 0.02)
         assert m.ev2 == pytest.approx(2625.0, abs=5e-4)
+
+    @pytest.mark.parametrize("mu, sigma, theta, gamma", PARAM_GRID)
+    def test_tilted_density_keeps_the_tilt_bits(self, mu, sigma, theta, gamma):
+        assert tilted_psi_density(mu, sigma, theta, gamma) == psi_density(mu**2 / sigma**2, mu, sigma, theta, gamma)
+
+    @pytest.mark.parametrize(
+        "mu, sigma",
+        [(1e200, 1.0), (-1e200, 1.0), (1.0, 1e-200), (0.0, 1e-200), (1e150, 1e-10)],
+        ids=["mu-squared-overflows", "negative-mu-squared-overflows", "sigma-squared-underflows",
+             "zero-mu-sigma-squared-underflows", "tilt-overflows"],
+    )
+    def test_tilt_out_of_range_is_a_domain_error(self, mu, sigma):
+        with pytest.raises(DomainError):
+            psi_moments(mu, sigma, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            tilted_psi_density(mu, sigma, 1.0, 1.0)
 
 
 class TestModelOne:

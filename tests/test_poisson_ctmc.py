@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
+from scipy.special import pdtrc
 
 from dequelab import poisson_ctmc
 from dequelab.errors import (
@@ -259,6 +260,51 @@ class TestTransientMoments:
             transient_moments(params, {0: 1.0}, [])
         with pytest.raises(DomainError):
             transient_moments(params, {0: 1.0}, [2.0, 1.0])
+        with pytest.raises(DomainError, match="integer"):
+            transient_moments(params, {1.9: 1.0}, [1.0])
+        with pytest.raises(DomainError, match="integer"):
+            transient_moments(params, {"3": 1.0}, [1.0])
+        with pytest.raises(DomainError, match="t_grid"):
+            transient_moments(params, {0: 1.0}, 5.0)
+
+    def test_integral_float_and_numpy_states_are_accepted(self):
+        params = QueueParams(1, 1.5, 0.5, 0.5)
+        plain = transient_moments(params, {2: 1.0}, [0.5, 2.0])
+        for start in ({2.0: 1.0}, {np.int64(2): 1.0}, {np.float64(2.0): 1.0}):
+            other = transient_moments(params, start, [0.5, 2.0])
+            assert np.array_equal(other.m, plain.m) and np.array_equal(other.s, plain.s)
+
+    def test_answer_does_not_depend_on_other_times(self):
+        params = QueueParams(1.0, 1.5, 0.1, 0.15)
+        grid = [0.0, 0.5, 3.0, 10.0, 40.0]
+        together = transient_moments(params, {0: 1.0}, grid)
+        for i, t in enumerate(grid):
+            alone = transient_moments(params, {0: 1.0}, [t])
+            assert alone.support_bound == together.support_bound
+            for name in ("m", "s", "m_plus", "m_minus", "s_plus", "s_minus"):
+                assert getattr(alone, name)[0] == pytest.approx(getattr(together, name)[i], rel=1e-12, abs=0.0), name
+
+    @pytest.mark.parametrize(
+        "params, start, t_grid, leak_tol, boxes, terms",
+        [
+            # box [-50, 50]: the largest out-rate is alpha + beta + 49 theta = 31.7
+            (QueueParams(1.0, 1.3, 0.6, 0.4), 2, [1.0, 4.0], 1e-8, [50], 222),
+            # the box doubles once, and both series count
+            (QueueParams(1.0, 1.0, 0.02, 0.02), 0, [30.0], 1e-30, [80, 160], 196 + 260),
+        ],
+        ids=["one-box", "two-boxes"],
+    )
+    def test_series_terms_counts_the_steps_of_every_box(self, params, start, t_grid, leak_tol, boxes, terms):
+        tm = transient_moments(params, {start: 1.0}, t_grid, leak_tol)
+        assert tm.support_bound == boxes[-1]
+        assert tm.series_terms == terms
+        expected = 0
+        for bound in boxes:
+            rate = max(params.alpha + bound * params.gamma, params.beta + bound * params.theta,
+                       params.alpha + params.beta + (bound - 1) * max(params.theta, params.gamma))
+            lam = rate * t_grid[-1]
+            expected += int(np.argmax(pdtrc(np.arange(10 * int(lam) + 100), lam) <= 1e-14))
+        assert tm.series_terms == expected
 
     @pytest.mark.parametrize(
         "start, t_grid",
@@ -291,22 +337,25 @@ def reflecting_box_pmfs(params, start, bound, times):
 
 class TestUniformization:
     def test_matches_dense_expm_on_small_box(self):
-        # a box small enough that reflection at its edges shapes the moments
+        # a box small enough that reflection at its edges shapes the moments; at
+        # the out-rate 5.3 the second grid's last time needs 265 steps, five
+        # buffers of 64 rows
         params = QueueParams(1.0, 1.3, 0.6, 0.4)
-        bound, grid = 6, [0.0, 0.3, 1.0, 4.0, 12.0]
-        records, _, _ = poisson_ctmc._master_moments(params, [(2, 1.0)], np.array(grid), bound)
-        states, pmfs = reflecting_box_pmfs(params, 2, bound, grid)
-        pos, neg = states > 0, states < 0
-        expected = {
-            "m": pmfs @ states,
-            "s": pmfs @ states**2,
-            "m_plus": pmfs[:, pos] @ states[pos],
-            "m_minus": -pmfs[:, neg] @ states[neg],
-            "s_plus": pmfs[:, pos] @ states[pos] ** 2,
-            "s_minus": pmfs[:, neg] @ states[neg] ** 2,
-        }
-        for column, (name, ref) in zip(np.array(records).T, expected.items()):
-            assert np.allclose(column, ref, rtol=1e-12, atol=1e-12), name
+        bound = 6
+        for grid in ([0.0, 0.3, 1.0, 4.0, 12.0], np.linspace(0.0, 30.0, 41)):
+            records, _, _ = poisson_ctmc._master_moments(params, [(2, 1.0)], np.array(grid), bound)
+            states, pmfs = reflecting_box_pmfs(params, 2, bound, grid)
+            pos, neg = states > 0, states < 0
+            expected = {
+                "m": pmfs @ states,
+                "s": pmfs @ states**2,
+                "m_plus": pmfs[:, pos] @ states[pos],
+                "m_minus": -pmfs[:, neg] @ states[neg],
+                "s_plus": pmfs[:, pos] @ states[pos] ** 2,
+                "s_minus": pmfs[:, neg] @ states[neg] ** 2,
+            }
+            for column, (name, ref) in zip(np.array(records).T, expected.items()):
+                assert np.allclose(column, ref, rtol=1e-12, atol=1e-12), (len(grid), name)
 
     def test_boundary_mass_bounds_reference_between_grid_points(self):
         # the top edge mass peaks near t = 0.25, well before the first grid point
