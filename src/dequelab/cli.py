@@ -93,14 +93,11 @@ def _params_from_args(args) -> QueueParams:
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"grid must look like LO:HI:N, got {text!r}")
     try:
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, n = text.split(":")
+        return float(lo), float(hi), int(n)
     except ValueError as exc:
         raise ConfigError(f"grid must look like LO:HI:N, got {text!r}") from exc
-    return lo, hi, n
 
 
 def _cmd_analytic(args) -> int:

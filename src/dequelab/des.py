@@ -27,7 +27,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, positive, time_window, whole_number
 from .numerics import InterarrivalModel, RandomStream, sample_exponential, sample_interarrival
 
 __all__ = [
@@ -83,14 +83,11 @@ class Scenario:
     histogram_bound: int = 1000
 
     def __post_init__(self):
-        if not (0.0 < self.theta < math.inf and 0.0 < self.gamma < math.inf):
-            raise DomainError("patience rates theta and gamma must be positive and finite")
-        if not (0.0 <= self.warmup < self.horizon < math.inf):
-            raise DomainError(f"need 0 <= warmup < horizon < inf, got {self.warmup}, {self.horizon}")
-        if self.replications < 1:
-            raise DomainError("replications must be >= 1")
-        if self.histogram_bound < 1:
-            raise DomainError("histogram_bound must be >= 1")
+        positive(self.theta, "theta")
+        positive(self.gamma, "gamma")
+        time_window(self.warmup, self.horizon)
+        for name, floor in (("replications", 1), ("initial_state", -math.inf), ("histogram_bound", 1)):
+            object.__setattr__(self, name, whole_number(getattr(self, name), name, floor))
 
     @classmethod
     def for_family(
@@ -188,7 +185,7 @@ def run_replication(scenario: Scenario, stream: RandomStream) -> ReplicationResu
     bound = scenario.histogram_bound
     hist = [0.0] * (2 * bound + 1)
 
-    x = int(scenario.initial_state)
+    x = scenario.initial_state
     # residual arrival clocks start fresh at time zero; the abandonment clock
     # is drawn here once and redrawn by the loop after every event
     next_seller = seller_arrival()
@@ -432,7 +429,7 @@ def _lockstep(
         first_seller, first_buyer = buf[pos[flat : flat + 2]]
         pos[flat : flat + 2] += 1
         return (0.0, first_seller, first_buyer, sc.warmup, sc.horizon,
-                int(sc.initial_state), sc.histogram_bound, slot, lane)
+                sc.initial_state, sc.histogram_bound, slot, lane)
 
     def finish(slot: int, lane: int) -> None:
         j, k = lanes[lane]
@@ -587,8 +584,7 @@ def scaled_stationary_histogram(
     template: ScaledTemplate, n: int, base_seed: int, stream_base: int = 0
 ) -> ScaledHistogram:
     """Occupancy histogram of the diffusion-scaled state for the index-n system."""
-    if n < 1:
-        raise DomainError("scaling index n must be >= 1")
+    n = whole_number(n, "scaling index n", 1)
     root = math.sqrt(n)
     scenario = Scenario(
         seller_model=InterarrivalModel(template.family, template.alpha + template.c / (2.0 * root)),

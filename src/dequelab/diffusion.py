@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr
 
-from .errors import DomainError, UnsupportedCaseError
+from .errors import (
+    DomainError, equal_rates, euler_step, finite, finite_result, non_negative, positive, time_window, whole_number
+)
 from .fluid import FluidPath, discounted_source_integral, fluid_limit
 from .numerics import RandomStream, normal_logcdf, normal_logsf, truncated_normal_moments
 from .params import QueueParams
@@ -127,14 +129,10 @@ class PsiDensity:
 
 def psi_density(kappa: float, mu: float, sigma: float, theta: float, gamma: float) -> PsiDensity:
     """Construct the glued-Gaussian density with the given exponent tilt kappa."""
-    if not all(map(math.isfinite, (kappa, mu, sigma, theta, gamma))):
-        raise DomainError(
-            f"kappa, mu, sigma, theta and gamma must be finite, got {kappa}, {mu}, {sigma}, {theta}, {gamma}"
-        )
-    if not sigma > 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    if not (theta > 0.0 and gamma > 0.0):
-        raise DomainError("theta and gamma must be positive")
+    finite(kappa, "kappa")
+    finite(mu, "mu")
+    for name, value in (("sigma", sigma), ("theta", theta), ("gamma", gamma)):
+        positive(value, name)
     lw1 = -0.5 * math.log(theta) + kappa / theta + normal_logsf(0.0, mu / theta, sigma**2 / (2.0 * theta))
     lw2 = -0.5 * math.log(gamma) + kappa / gamma + normal_logcdf(0.0, mu / gamma, sigma**2 / (2.0 * gamma))
     log_norm = np.logaddexp(lw1, lw2)
@@ -155,14 +153,8 @@ def tilted_psi_density(mu: float, sigma: float, theta: float, gamma: float) -> P
 
     Raises DomainError where mu^2 overflows or sigma^2 underflows to 0.
     """
-    if not sigma > 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    try:
-        kappa = mu**2 / sigma**2
-    except OverflowError:
-        raise DomainError(f"the tilt mu^2/sigma^2 overflows: mu^2 is out of range for mu = {mu}") from None
-    except ZeroDivisionError:
-        raise DomainError(f"the tilt mu^2/sigma^2 is undefined: sigma^2 underflows to 0 for sigma = {sigma}") from None
+    positive(sigma, "sigma")
+    kappa = finite_result(lambda: mu**2 / sigma**2, f"the tilt mu^2/sigma^2 at mu = {mu}, sigma = {sigma}")
     return psi_density(kappa, mu, sigma, theta, gamma)
 
 
@@ -203,11 +195,8 @@ class TimeVaryingDiffusion:
     fluid_path: FluidPath
 
     def __post_init__(self):
-        if not all(0.0 <= v < math.inf for v in (self.base_sq, self.theta, self.gamma)):
-            raise DomainError(
-                "base_sq, theta and gamma must be non-negative and finite, "
-                f"got {self.base_sq}, {self.theta}, {self.gamma}"
-            )
+        for name in ("base_sq", "theta", "gamma"):
+            non_negative(getattr(self, name), name)
 
     def value(self, t):
         """a(t) at a scalar or an array of times; a scalar gives a float."""
@@ -226,15 +215,12 @@ class PiecewiseOUParams:
     diffusion: float | TimeVaryingDiffusion
 
     def __post_init__(self):
-        if not (0.0 < self.theta < math.inf and 0.0 < self.gamma < math.inf):
-            raise DomainError("drift slopes theta and gamma must be positive and finite")
-        if not math.isfinite(self.drift_offset):
-            raise DomainError(f"drift offset must be finite, got {self.drift_offset}")
+        positive(self.theta, "theta")
+        positive(self.gamma, "gamma")
+        finite(self.drift_offset, "drift offset")
         # zero is allowed so the degenerate ODE limit can be exercised
-        if isinstance(self.diffusion, (int, float)) and not 0.0 <= self.diffusion < math.inf:
-            raise DomainError(
-                f"constant diffusion coefficient must be non-negative and finite, got {self.diffusion}"
-            )
+        if not isinstance(self.diffusion, TimeVaryingDiffusion):
+            non_negative(self.diffusion, "constant diffusion coefficient")
 
     def diffusion_at(self, t):
         """Diffusion coefficient at a scalar or an array of times; a scalar gives a float."""
@@ -283,7 +269,7 @@ def model_two(params: QueueParams) -> ModelTwoResult:
     """Fluid-centered approximation with coefficient b = sqrt(a^2 + |alpha-beta|)."""
     level = fluid_limit(params)
     mom = psi_moments(0.0, params.heavy_traffic_coeff, params.theta, params.gamma)
-    return ModelTwoResult(L1=level, L2=level**2 + mom.ev2)
+    return ModelTwoResult(L1=level, L2=finite_result(lambda: level**2 + mom.ev2, "the model-two second moment"))
 
 
 @dataclass(frozen=True)
@@ -312,12 +298,9 @@ def ou_closed_form_moments(
     X-hat -> N(c/theta, a^2/2 theta).
     """
     # checked before a_sq is read, which raises DomainError when sigma is unset
-    if params.theta != params.gamma:
-        raise UnsupportedCaseError(
-            f"closed-form moments require theta == gamma, got {params.theta} != {params.gamma}"
-        )
-    if not all(math.isfinite(v) for v in (z0_mean, z0_second, c)):
-        raise DomainError(f"z0_mean, z0_second and c must be finite, got {z0_mean}, {z0_second}, {c}")
+    equal_rates(params.theta, params.gamma, "the closed-form O-U moments")
+    for name, value in (("z0_mean", z0_mean), ("z0_second", z0_second), ("c", c)):
+        finite(value, name)
     theta = params.theta
     a_sq = params.diffusion_coeff_sq
     t_arr = np.asarray(t, dtype=float)
@@ -378,16 +361,11 @@ def stationary_samples(
     bounded by the number of retained samples.  A run that would keep no
     state raises DomainError.
     """
-    if not (math.isfinite(step) and step > 0.0):
-        raise DomainError(f"step must be positive and finite, got {step}")
-    if step > 0.01 / max(ou.theta, ou.gamma) + 1e-15:
-        raise DomainError("step too coarse; require step <= 0.01/max(theta, gamma)")
-    if not 0.0 <= warmup < horizon < math.inf:
-        raise DomainError(f"need 0 <= warmup < horizon < inf, got warmup={warmup}, horizon={horizon}")
-    if not math.isfinite(x0):
-        raise DomainError(f"x0 must be finite, got {x0}")
-    if n_paths < 1 or thin < 1:
-        raise DomainError("n_paths and thin must be >= 1")
+    euler_step(step, ou.theta, ou.gamma)
+    time_window(warmup, horizon)
+    finite(x0, "x0")
+    n_paths = whole_number(n_paths, "n_paths", 1)
+    thin = whole_number(thin, "thin", 1)
     n_steps = int(round(horizon / step))
     first_kept = int(math.ceil(warmup / step))
     # with no warmup the first kept state is the thin-th, since state 0 is x0

@@ -1,8 +1,14 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy and the input rules shared across the package.
 
 The CLI maps these onto exit codes: configuration problems exit with 2,
-numerical/resource failures with 3.
+numerical/resource failures with 3.  A rule raises DomainError, or ConfigError
+for a comparison config; a value it cannot compare, such as None, fails it.
 """
+
+import math
+import operator
+
+import numpy as np
 
 
 class DequeLabError(Exception):
@@ -31,3 +37,81 @@ class TruncationError(DequeLabError):
 
 class ConfigError(DequeLabError):
     """A scenario or comparison configuration is invalid."""
+
+
+def _holds(test, *values) -> bool:
+    try:
+        return bool(test(*values))
+    except TypeError:
+        return False
+
+
+def _scalar_rule(test, wording: str):
+    """A check(value, name, error=DomainError) that returns value when test(value) holds."""
+
+    def check(value, name: str, error: type[DequeLabError] = DomainError):
+        if not _holds(test, value):
+            raise error(f"{name} must be {wording}, got {value!r}")
+        return value
+
+    return check
+
+
+positive = _scalar_rule(lambda v: 0.0 < v < math.inf, "finite and > 0")
+non_negative = _scalar_rule(lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+finite = _scalar_rule(math.isfinite, "finite")
+
+
+def finite_result(compute, name: str):
+    """compute(), a number derived from checked inputs, when it is finite.
+
+    Python floats raise OverflowError or ZeroDivisionError where numpy gives
+    inf or nan; both fail the rule like an infinite result.
+    """
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    return finite(value, name)
+
+
+def whole_number(value, name: str, floor: float = -math.inf, error: type[DequeLabError] = DomainError) -> int:
+    """value as an int at or above floor: an integer, or a float with no fractional part such as 2.0."""
+    integral = isinstance(value, (float, np.floating)) and float(value).is_integer()
+    try:
+        number = int(value) if integral else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or number < floor:
+        raise error(f"{name} must be an integer >= {floor}, got {value!r}")
+    return number
+
+
+def time_window(warmup, horizon, error: type[DequeLabError] = DomainError) -> None:
+    """Checks 0 <= warmup < horizon < inf, the window a run measures over."""
+    if not _holds(lambda w, h: 0.0 <= w < h < math.inf, warmup, horizon):
+        raise error(f"need 0 <= warmup < horizon < inf, got {warmup!r}, {horizon!r}")
+
+
+def times(t, name: str = "t") -> np.ndarray:
+    """t as a float array (0-d for a scalar) when every time in it is finite and >= 0."""
+    try:
+        arr = np.asarray(t, dtype=float)
+    except (TypeError, ValueError):
+        arr = np.array(math.nan)
+    if not np.all((0.0 <= arr) & (arr < math.inf)):
+        raise DomainError(f"{name} must hold finite times >= 0, got {t!r}")
+    return arr
+
+
+def euler_step(step, theta: float, gamma: float) -> None:
+    """Checks 0 < step <= 0.01/max(theta, gamma), the step bound of the fluid and diffusion integrators."""
+    positive(step, "step")
+    if step > 0.01 / max(theta, gamma) + 1e-15:
+        raise DomainError(f"step {step} too coarse; require step <= 0.01/max(theta, gamma)")
+
+
+def equal_rates(theta: float, gamma: float, name: str) -> None:
+    """Checks theta == gamma, the one case where the closed form name exists."""
+    if theta != gamma:
+        raise UnsupportedCaseError(f"{name} requires theta == gamma, got theta={theta}, gamma={gamma}")

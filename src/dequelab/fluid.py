@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedCaseError
+from .errors import equal_rates, euler_step, finite, positive, times
 from .params import QueueParams
 
 __all__ = [
@@ -66,11 +66,6 @@ def zero_hitting_time(params: QueueParams, x0: float) -> float | None:
     return None
 
 
-def _check_start(x0: float) -> None:
-    if not math.isfinite(x0):
-        raise DomainError(f"x0 must be finite, got {x0}")
-
-
 def fluid_closed_form(params: QueueParams, x0: float, t) -> float | np.ndarray:
     """Evaluate the piecewise-exponential solution at time(s) t >= 0.
 
@@ -78,10 +73,8 @@ def fluid_closed_form(params: QueueParams, x0: float, t) -> float | np.ndarray:
     (the side of alpha - beta when x0 == 0), at that side's rate; after
     zero_hitting_time it relaxes from 0 at the other side's rate.
     """
-    _check_start(x0)
-    u = np.asarray(t, dtype=float)
-    if np.any(u < 0.0):
-        raise DomainError("fluid trajectory is defined for t >= 0 only")
+    finite(x0, "x0")
+    u = times(t)
     delta = params.alpha - params.beta
     sides = [(params.theta, delta / params.theta), (params.gamma, delta / params.gamma)]
     if (x0 if x0 != 0.0 else delta) < 0.0:
@@ -97,8 +90,8 @@ def fluid_closed_form(params: QueueParams, x0: float, t) -> float | np.ndarray:
 
 def fluid_closed_form_path(params: QueueParams, x0: float, step: float, horizon: float) -> FluidPath:
     """Closed form sampled on the uniform grid 0, step, ..., horizon."""
-    if not (0.0 < step < math.inf and 0.0 < horizon < math.inf):
-        raise DomainError(f"step and horizon must be positive and finite, got {step}, {horizon}")
+    positive(step, "step")
+    positive(horizon, "horizon")
     t = np.arange(0.0, horizon + 0.5 * step, step)
     return FluidPath(t=t, x=np.asarray(fluid_closed_form(params, x0, t)), hitting_time=zero_hitting_time(params, x0))
 
@@ -114,21 +107,14 @@ def discounted_source_integral(
     the integrand is a sum of two exponentials in u; expm1 keeps a piece
     accurate when theta times its length is small.
     """
-    if params.theta != params.gamma:
-        raise UnsupportedCaseError(
-            f"closed form requires theta == gamma, got theta={params.theta}, gamma={params.gamma}"
-        )
-    _check_start(x0)
-    if not (math.isfinite(const) and math.isfinite(slope)):
-        raise DomainError(f"const and slope must be finite, got {const}, {slope}")
+    equal_rates(params.theta, params.gamma, "the discounted source integral")
+    finite(x0, "x0")
+    finite(const, "const")
+    finite(slope, "slope")
     theta = params.theta
     limit = (params.alpha - params.beta) / theta
     amp = x0 - limit
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t_arr)):
-        raise DomainError("t must be finite")
-    if np.any(t_arr < 0.0):
-        raise DomainError("fluid trajectory is defined for t >= 0 only")
+    t_arr = times(t)
     t_hit = zero_hitting_time(params, x0)
     split = t_arr if t_hit is None else np.minimum(t_arr, t_hit)
 
@@ -165,13 +151,9 @@ def fluid_integrate(params: QueueParams, x0: float, step: float, horizon: float)
     crossing is located by bisection on the step size and the integration
     restarts exactly at zero, which keeps the fourth-order accuracy.
     """
-    if not (0.0 < step < math.inf and 0.0 < horizon < math.inf):
-        raise DomainError(f"step and horizon must be positive and finite, got {step}, {horizon}")
-    _check_start(x0)
-    if step > 0.01 / max(params.theta, params.gamma) + 1e-15:
-        raise DomainError(
-            f"step {step} too coarse; require step <= 0.01/max(theta, gamma)"
-        )
+    euler_step(step, params.theta, params.gamma)
+    positive(horizon, "horizon")
+    finite(x0, "x0")
     t_grid = np.arange(0.0, horizon + 0.5 * step, step)
     xs = np.empty_like(t_grid)
     xs[0] = x0

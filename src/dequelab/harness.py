@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import des, diffusion, poisson_ctmc
-from .errors import ConfigError
+from .errors import ConfigError, finite, positive, time_window, whole_number
 from .numerics import FAMILY_ALIASES
 from .params import QueueParams
 
@@ -50,16 +50,6 @@ def canonical_family(name: str) -> str:
         raise ConfigError(f"unknown distribution {name!r}; valid names: {valid}") from None
 
 
-def _whole_number(value, key: str) -> int:
-    """A count from a config: an int, or a float with no fractional part such as 10.0."""
-    if isinstance(value, int):
-        return value
-    number = float(value)
-    if not number.is_integer():
-        raise ConfigError(f"{key} must be a whole number, got {value!r}")
-    return int(number)
-
-
 @dataclass(frozen=True)
 class ComparisonConfig:
     """Axes of the comparison grid plus the simulation budget."""
@@ -75,17 +65,15 @@ class ComparisonConfig:
     def __post_init__(self):
         object.__setattr__(self, "families", tuple(canonical_family(f) for f in self.families))
         for pair in self.rate_pairs:
-            if len(pair) != 2 or not all(0 < rate < math.inf for rate in pair):
-                raise ConfigError(f"rate pair must be two positive finite numbers, got {pair}")
+            if len(pair) != 2:
+                raise ConfigError(f"rate pair must be two numbers, got {pair}")
+            for rate in pair:
+                positive(rate, "arrival rate", ConfigError)
         for mult in self.reneging_multipliers:
-            if not 0 < mult < math.inf:
-                raise ConfigError(f"reneging multiplier must be positive and finite, got {mult}")
-        if not (0 <= self.warmup < self.horizon < math.inf):
-            raise ConfigError(f"need 0 <= warmup < horizon < inf, got {self.warmup}, {self.horizon}")
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
-        if self.histogram_bound < 1:
-            raise ConfigError("histogram_bound must be >= 1")
+            positive(mult, "reneging multiplier", ConfigError)
+        time_window(self.warmup, self.horizon, ConfigError)
+        for name in ("replications", "histogram_bound"):
+            object.__setattr__(self, name, whole_number(getattr(self, name), name, 1, ConfigError))
 
     @classmethod
     def from_dict(cls, raw: dict, budget_override: str | None = None) -> "ComparisonConfig":
@@ -103,7 +91,7 @@ class ComparisonConfig:
             raise ConfigError(f"budget object needs replications, warmup and horizon, got {budget!r}")
         try:
             kwargs = {
-                "replications": _whole_number(budget["replications"], "replications"),
+                "replications": budget["replications"],
                 "warmup": float(budget["warmup"]),
                 "horizon": float(budget["horizon"]),
             }
@@ -116,8 +104,6 @@ class ComparisonConfig:
                         value = tuple(value)
                     elif key == "reneging_multipliers":
                         value = tuple(float(v) for v in value)
-                    else:
-                        value = _whole_number(value, key)
                     kwargs[key] = value
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config value: {exc}") from exc
@@ -368,12 +354,11 @@ def psi_density_grid(
         sd = math.sqrt(max(density.second_moment() - mean**2, 1e-300))
         lo = mean - 6.0 * sd if lo is None else lo
         hi = mean + 6.0 * sd if hi is None else hi
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"grid ends must be finite, got [{lo}, {hi}]")
+    finite(lo, "grid end lo", ConfigError)
+    finite(hi, "grid end hi", ConfigError)
     if not hi > lo:
         raise ConfigError(f"need hi > lo, got [{lo}, {hi}]")
-    if count < 2:
-        raise ConfigError("grid needs at least 2 points")
+    count = whole_number(count, "grid point count", 2, ConfigError)
     x = np.linspace(lo, hi, count)
     return x, density.pdf(x)
 

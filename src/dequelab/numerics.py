@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erfcx
 
-from .errors import DomainError
+from .errors import DomainError, non_negative, positive, whole_number
 
 __all__ = [
     "log_regularized_lower_gamma",
@@ -83,10 +83,8 @@ def _upper_cf(t: float, y: float) -> float:
 
 def log_regularized_lower_gamma(t: float, y: float) -> float:
     """log P(t, y), accurate even where P underflows (deep lower tail)."""
-    if not t > 0.0:
-        raise DomainError(f"log_regularized_lower_gamma requires t > 0, got {t}")
-    if y < 0.0:
-        raise DomainError(f"log_regularized_lower_gamma requires y >= 0, got {y}")
+    positive(t, "t")
+    non_negative(y, "y")
     if y == 0.0:
         return -math.inf
     if y < t + 1.0:
@@ -200,10 +198,9 @@ class InterarrivalModel:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise DomainError(f"unknown interarrival family {self.family!r}; choose from {_FAMILIES}")
-        if not 0.0 < self.rate < math.inf:
-            raise DomainError(f"rate must be positive and finite, got {self.rate}")
-        if self.family == "erlang" and self.stages < 1:
-            raise DomainError(f"erlang stages must be >= 1, got {self.stages}")
+        positive(self.rate, "rate")
+        if self.family == "erlang":
+            whole_number(self.stages, "erlang stages", 1)
 
     @property
     def mean(self) -> float:
@@ -259,8 +256,7 @@ class RandomStream:
     _rng: np.random.Generator | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.stream_id < 0:
-            raise DomainError(f"stream_id must be non-negative, got {self.stream_id}")
+        whole_number(self.stream_id, "stream_id", 0)
 
     @property
     def rng(self) -> np.random.Generator:
@@ -279,6 +275,4 @@ def sample_interarrival(model: InterarrivalModel, stream: RandomStream, size: in
 
 
 def sample_exponential(rate: float, stream: RandomStream, size: int | None = None):
-    if not rate > 0.0:
-        raise DomainError(f"rate must be positive, got {rate}")
-    return stream.rng.exponential(1.0 / rate, size)
+    return stream.rng.exponential(1.0 / positive(rate, "rate"), size)

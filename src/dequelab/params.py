@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, finite_result, non_negative, positive
 from .numerics import InterarrivalModel
 
 __all__ = ["QueueParams"]
@@ -36,13 +36,10 @@ class QueueParams:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "theta", "gamma"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise DomainError(f"{name} must be strictly positive and finite, got {value}")
+            positive(getattr(self, name), name)
         for name in ("sigma", "varsigma"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value < math.inf:
-                raise DomainError(f"{name} must be non-negative and finite, got {value}")
+            if getattr(self, name) is not None:
+                non_negative(getattr(self, name), name)
 
     @classmethod
     def for_family(
@@ -68,13 +65,15 @@ class QueueParams:
 
     @property
     def diffusion_coeff_sq(self) -> float:
-        """a^2 = alpha^3 sigma^2 + beta^3 varsigma^2."""
+        """a^2 = alpha^3 sigma^2 + beta^3 varsigma^2; DomainError where it leaves the float range."""
         if self.sigma is None or self.varsigma is None:
             raise DomainError(
                 "the diffusion coefficient needs sigma and varsigma; build the parameters "
                 "with QueueParams.for_family or pass both explicitly"
             )
-        return self.alpha**3 * self.sigma**2 + self.beta**3 * self.varsigma**2
+        return finite_result(
+            lambda: self.alpha**3 * self.sigma**2 + self.beta**3 * self.varsigma**2, "the diffusion coefficient a^2"
+        )
 
     @property
     def diffusion_coeff(self) -> float:

@@ -14,7 +14,6 @@ path (fluid.discounted_source_integral).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -26,6 +25,9 @@ from .errors import (
     NumericalOverflowError,
     ResourceLimitError,
     TruncationError,
+    non_negative,
+    times,
+    whole_number,
 )
 from .fluid import discounted_source_integral
 from .numerics import log_regularized_lower_gamma
@@ -236,16 +238,6 @@ class TransientMoments:
     series_terms: int
 
 
-def _state_index(state) -> int:
-    """A start state as an int: an integer, or a float with no fractional part such as 2.0."""
-    if isinstance(state, (float, np.floating)) and float(state).is_integer():
-        return int(state)
-    try:
-        return operator.index(state)
-    except TypeError:
-        raise DomainError(f"state {state!r} must be an integer") from None
-
-
 def _initial_items(initial_pmf) -> list[tuple[int, float]]:
     """(state, mass) pairs of the start law, zero masses dropped; all finite, >= 0, summing to 1."""
     if isinstance(initial_pmf, StationaryPmf):
@@ -254,12 +246,10 @@ def _initial_items(initial_pmf) -> list[tuple[int, float]]:
         items = initial_pmf.items()
     else:
         raise DomainError("initial_pmf must be a StationaryPmf or a mapping state -> probability")
-    items = [(_state_index(state), mass) for state, mass in items]
+    items = [(whole_number(state, "state"), mass) for state, mass in items]
     total = 0.0
     for state, mass in items:
-        if not 0.0 <= mass < math.inf:
-            raise DomainError(f"probability {mass} at state {state} must be finite and non-negative")
-        total += mass
+        total += non_negative(mass, f"probability at state {state}")
     if abs(total - 1.0) > 1e-9:
         raise DomainError(f"initial pmf must sum to 1, got {total}")
     return [(state, mass) for state, mass in items if mass > 0.0]
@@ -356,11 +346,6 @@ def _uniformize(params: QueueParams, items: list[tuple[int, float]], t_grid: np.
     return moments, max_edge, float(tails[-1, 0]), n_terms
 
 
-def _master_moments(params: QueueParams, items: list[tuple[int, float]], t_grid: np.ndarray, bound: int):
-    """The moment records, the largest edge mass and the dropped tail of _uniformize."""
-    return _uniformize(params, items, t_grid, bound)[:3]
-
-
 def transient_moments(
     params: QueueParams,
     initial_pmf,
@@ -381,16 +366,11 @@ def transient_moments(
     box that would pass _TRANSIENT_SUPPORT_CAP raises ResourceLimitError if
     it is the first one and TruncationError otherwise.
     """
-    try:
-        t_grid = np.asarray(list(t_grid), dtype=float)
-    except TypeError:
-        raise DomainError(f"t_grid must be a sequence of times, got {t_grid!r}") from None
+    t_grid = times(list(t_grid) if np.iterable(t_grid) else t_grid, "t_grid")
     if t_grid.ndim != 1 or t_grid.size == 0:
-        raise DomainError("t_grid must be a non-empty sequence of times")
-    if not np.all(np.isfinite(t_grid)):
-        raise DomainError("t_grid must be finite")
-    if np.any(np.diff(t_grid) <= 0.0) or t_grid[0] < 0.0:
-        raise DomainError("t_grid must be non-negative and strictly increasing")
+        raise DomainError(f"t_grid must be a non-empty sequence of times, got {t_grid!r}")
+    if np.any(np.diff(t_grid) <= 0.0):
+        raise DomainError("t_grid must be strictly increasing")
     items = _initial_items(initial_pmf)
     extent = max(abs(state) for state, _ in items)
     bound = extent + stationary_distribution(params, 1e-10).support_bound + 16
@@ -434,8 +414,7 @@ def second_moment_lower_bound(params: QueueParams, m0: float, s0: float, t) -> f
     ((alpha-beta)/theta)^2 + max(alpha, beta)/theta.  m(t) is the fluid path
     from m0, and the source is alpha + beta + 2 (alpha-beta) m + theta |m|.
     """
-    if not 0.0 <= s0 < math.inf:
-        raise DomainError(f"initial second moment s0 must be finite and >= 0, got {s0}")
+    non_negative(s0, "initial second moment s0")
     # no law has s0 < m0^2; the allowance covers roundoff when both come from a pmf
     if s0 < m0 * m0 * (1.0 - 1e-9):
         raise DomainError(f"initial second moment s0={s0} lies below m0**2 = {m0 * m0} (m0={m0})")

@@ -31,9 +31,19 @@ def run_cli(capsys, *argv):
         ["fluid", *RATES, "--x0", "inf", "--horizon", "0.2", "--step", "0.1"],
         ["fluid", *RATES, "--x0", "nan", "--horizon", "0.2", "--step", "0.1"],
         ["fluid", *RATES, "--x0", "nan", "--horizon", "0.2", "--step", "0.01", "--integrate"],
+        # a^2 = alpha^3 sigma^2 + beta^3 varsigma^2 leaves the float range: alpha^3 overflows,
+        # or at alpha = 5e-324 the nominal sd 1/sqrt(alpha) squares past it
+        ["diffusion", "model1", "--alpha", "1e150", "--beta", "1", "--theta", "1", "--gamma", "1"],
+        ["diffusion", "density", "--alpha", "1e150", "--beta", "1", "--theta", "1", "--gamma", "1"],
+        ["diffusion", "model1", "--alpha", "5e-324", "--beta", "1", "--theta", "1", "--gamma", "1"],
+        ["diffusion", "density", "--alpha", "5e-324", "--beta", "1", "--theta", "1", "--gamma", "1"],
+        # the fluid level (alpha - beta)/gamma squares past the float range
+        ["diffusion", "model2", "--alpha", "1", "--beta", "1.5", "--theta", "0.5", "--gamma", "1e-200"],
     ],
     ids=["analytic-theta-inf", "fluid-horizon-inf", "fluid-step-nan", "model1-sigma-inf",
-         "fluid-x0-inf", "fluid-x0-nan", "fluid-integrate-x0-nan"],
+         "fluid-x0-inf", "fluid-x0-nan", "fluid-integrate-x0-nan", "model1-coefficient-overflows",
+         "density-coefficient-overflows", "model1-nominal-sd-overflows", "density-nominal-sd-overflows",
+         "model2-level-overflows"],
 )
 def test_non_finite_argument_is_a_domain_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

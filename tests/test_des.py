@@ -64,6 +64,21 @@ class TestScenario:
         with pytest.raises(DomainError):
             Scenario.for_family("exponential", 1.0, 1.0, replications=1, **kwargs)
 
+    @pytest.mark.parametrize("field", ["initial_state", "replications", "histogram_bound"])
+    def test_integer_fields_take_whole_numbers(self, field):
+        whole = {"initial_state": 2, "replications": 2, "histogram_bound": 20}
+
+        def scenario(value):
+            kwargs = {**whole, field: value}
+            return Scenario.for_family("exponential", 1.0, 1.5, 0.5, 0.5, horizon=20.0, warmup=5.0, **kwargs)
+
+        for value in (whole[field] + 0.5, str(whole[field]), None):
+            with pytest.raises(DomainError):
+                scenario(value)
+        # an integral float is the integer it equals
+        exact, floated = estimate(scenario(whole[field]), 3), estimate(scenario(float(whole[field])), 3)
+        assert np.array_equal(floated.pmf, exact.pmf) and floated.L2 == exact.L2
+
 
 class TestRunReplication:
     def test_histogram_is_probability(self):

@@ -87,6 +87,11 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             fluid_closed_form(QueueParams(1, 1, 1, 1), 0.0, -1.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, [0.5, math.nan]], ids=["nan", "inf", "nan-in-array"])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(DomainError):
+            fluid_closed_form(QueueParams(2, 1, 1, 1), 0.0, t)
+
     @pytest.mark.parametrize("x0", [math.inf, -math.inf, math.nan])
     def test_non_finite_start_rejected(self, x0):
         params = QueueParams(2, 1, 1, 1)

@@ -75,6 +75,25 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ComparisonConfig.from_dict(json.loads(text))
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"replications": 2.5},
+            {"replications": "2"},
+            {"histogram_bound": math.inf},
+            {"histogram_bound": None},
+            {"warmup": "0"},
+            {"rate_pairs": ((1.0, "2"),)},
+            {"reneging_multipliers": (None,)},
+        ],
+        ids=["replications-fraction", "replications-string", "bound-inf", "bound-none", "warmup-string",
+             "rate-string", "multiplier-none"],
+    )
+    def test_values_outside_the_input_rules(self, fields):
+        # a non-real value fails the rule too, rather than raising a bare TypeError
+        with pytest.raises(ConfigError):
+            ComparisonConfig(**fields)
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"families": ["uniform"], "budget": TINY_BUDGET}))

@@ -205,6 +205,8 @@ class TestInterarrivalModels:
         # an infinite rate draws zero interarrival times, so a path never leaves time zero
         with pytest.raises(DomainError):
             InterarrivalModel("exponential", math.inf)
+        with pytest.raises(DomainError):
+            sample_exponential(math.inf, RandomStream(1))
 
     def test_exponential_sampler_mean(self):
         samples = sample_exponential(2.0, RandomStream(17, 3), size=1_000_000)

@@ -313,8 +313,10 @@ class TestTransientMoments:
             ({3: 1.0}, [1.0, math.inf]),
             ({3: math.nan}, [1.0]),
             ({3: 1.0, 4: math.nan}, [1.0]),
+            ({0: "1.0"}, [1.0]),
+            ({0: None}, [1.0]),
         ],
-        ids=["nan-time", "inf-time", "nan-mass", "nan-second-mass"],
+        ids=["nan-time", "inf-time", "nan-mass", "nan-second-mass", "string-mass", "none-mass"],
     )
     def test_non_finite_input_is_a_domain_error(self, start, t_grid):
         with pytest.raises(DomainError):
@@ -343,7 +345,7 @@ class TestUniformization:
         params = QueueParams(1.0, 1.3, 0.6, 0.4)
         bound = 6
         for grid in ([0.0, 0.3, 1.0, 4.0, 12.0], np.linspace(0.0, 30.0, 41)):
-            records, _, _ = poisson_ctmc._master_moments(params, [(2, 1.0)], np.array(grid), bound)
+            records, _, _ = poisson_ctmc._uniformize(params, [(2, 1.0)], np.array(grid), bound)[:3]
             states, pmfs = reflecting_box_pmfs(params, 2, bound, grid)
             pos, neg = states > 0, states < 0
             expected = {
@@ -361,7 +363,7 @@ class TestUniformization:
         # the top edge mass peaks near t = 0.25, well before the first grid point
         params = QueueParams(1.0, 2.0, 0.5, 0.5)
         bound = 5
-        _, max_edge, series_tail = poisson_ctmc._master_moments(params, [(4, 1.0)], np.array([3.0, 6.0]), bound)
+        _, max_edge, series_tail = poisson_ctmc._uniformize(params, [(4, 1.0)], np.array([3.0, 6.0]), bound)[:3]
         _, pmfs = reflecting_box_pmfs(params, 4, bound, np.linspace(0.0, 6.0, 241))
         edges = np.maximum(pmfs[:, 0], pmfs[:, -1])
         assert max_edge >= edges.max() - series_tail - 1e-15
