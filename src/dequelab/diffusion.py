@@ -133,8 +133,9 @@ def psi_density(kappa: float, mu: float, sigma: float, theta: float, gamma: floa
     finite(mu, "mu")
     for name, value in (("sigma", sigma), ("theta", theta), ("gamma", gamma)):
         positive(value, name)
-    lw1 = -0.5 * math.log(theta) + kappa / theta + normal_logsf(0.0, mu / theta, sigma**2 / (2.0 * theta))
-    lw2 = -0.5 * math.log(gamma) + kappa / gamma + normal_logcdf(0.0, mu / gamma, sigma**2 / (2.0 * gamma))
+    sigma_sq = finite_result(lambda: sigma**2, f"sigma^2 at sigma = {sigma}")
+    lw1 = -0.5 * math.log(theta) + kappa / theta + normal_logsf(0.0, mu / theta, sigma_sq / (2.0 * theta))
+    lw2 = -0.5 * math.log(gamma) + kappa / gamma + normal_logcdf(0.0, mu / gamma, sigma_sq / (2.0 * gamma))
     log_norm = np.logaddexp(lw1, lw2)
     return PsiDensity(
         kappa=kappa,

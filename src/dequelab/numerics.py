@@ -1,10 +1,9 @@
 """Special functions, probability kernels, and reproducible random sampling.
 
 Everything downstream (chain analysis, diffusion moments, simulators) is built
-on the primitives collected here: the log regularized incomplete gamma
-function, Gaussian pdf/tails/hazard, truncated-normal moments, the registry of
-interarrival families, interarrival-time models, and counter-based random
-streams.
+on the primitives collected here: Gaussian pdf/tails/hazard, truncated-normal
+moments, the registry of interarrival families, interarrival-time models, and
+counter-based random streams.
 """
 
 from __future__ import annotations
@@ -15,10 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erfcx
 
-from .errors import DomainError, non_negative, positive, whole_number
+from .errors import DomainError, positive, whole_number
 
 __all__ = [
-    "log_regularized_lower_gamma",
     "normal_pdf",
     "normal_sf",
     "normal_logcdf",
@@ -38,64 +36,8 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_3_OVER_2 = math.log(1.5)
 
-# Iteration budget for the incomplete-gamma series / continued fraction.
-_MAX_ITER = 10_000
-_EPS = 1e-15
-
-
-def _lower_series(t: float, y: float) -> float:
-    """log of the regularized lower tail via the ascending series (0 < y < t + 1)."""
-    ap = t
-    term = 1.0 / t
-    total = term
-    for _ in range(_MAX_ITER):
-        ap += 1.0
-        term *= y / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            return -y + t * math.log(y) - math.lgamma(t) + math.log(total)
-    raise DomainError(f"incomplete gamma series failed to converge for t={t}, y={y}")
-
-
-def _upper_cf(t: float, y: float) -> float:
-    """log of the regularized upper tail via the Lentz continued fraction (y >= t + 1)."""
-    tiny = 1e-300
-    b = y + 1.0 - t
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - t)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return -y + t * math.log(y) - math.lgamma(t) + math.log(h)
-    raise DomainError(f"incomplete gamma continued fraction failed to converge for t={t}, y={y}")
-
-
-def log_regularized_lower_gamma(t: float, y: float) -> float:
-    """log P(t, y), accurate even where P underflows (deep lower tail)."""
-    positive(t, "t")
-    non_negative(y, "y")
-    if y == 0.0:
-        return -math.inf
-    if y < t + 1.0:
-        return _lower_series(t, y)
-    return math.log1p(-math.exp(_upper_cf(t, y)))
-
-
 def _check_variance(variance: float) -> float:
-    if not variance > 0.0:
-        raise DomainError(f"variance must be positive, got {variance}")
-    return math.sqrt(variance)
+    return math.sqrt(positive(variance, "variance"))
 
 
 def normal_pdf(x: float, mean: float = 0.0, variance: float = 1.0) -> float:

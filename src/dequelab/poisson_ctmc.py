@@ -3,12 +3,12 @@
 With Poisson arrivals the signed queue length is a birth-death chain on the
 integers: birth rate alpha + i^- gamma, death rate beta + i^+ theta.  This
 module computes its stationary distribution (in log space, with controlled
-truncation), the closed-form limiting moments built from incomplete gamma
-functions, transient moments of the truncated master equation by
-uniformization (one Poisson series serves every output time, with an
-a-priori bound on the dropped tail), and the closed-form second-moment lower
-bound available when theta == gamma, an elementary integral along the fluid
-path (fluid.discounted_source_integral).
+truncation), the limiting moments summed over that pmf (the series of the
+paper's incomplete-gamma closed forms are these sums), transient moments of
+the truncated master equation by uniformization (one Poisson series serves
+every output time, with an a-priori bound on the dropped tail), and the
+closed-form second-moment lower bound available when theta == gamma, an
+elementary integral along the fluid path (fluid.discounted_source_integral).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .errors import (
     whole_number,
 )
 from .fluid import discounted_source_integral
-from .numerics import log_regularized_lower_gamma
 from .params import QueueParams
 
 __all__ = [
@@ -48,6 +47,9 @@ __all__ = [
 ]
 
 _HARD_SUPPORT_CAP = 10**6
+# Tail tolerance of the pmf that gamma_moment_summary sums, far below double
+# rounding since the second moment weighs the cut tail by i^2.
+_SUMMARY_TAIL_TOL = 1e-18
 # The transient solver grows its box when boundary mass exceeds the leak
 # tolerance.  Each uniformization step costs O(box) and the number of steps
 # grows with the largest out-rate, which is proportional to the box, so the
@@ -108,10 +110,11 @@ def _log_weights(params: QueueParams, bound: int) -> tuple[np.ndarray, np.ndarra
 def stationary_distribution(params: QueueParams, tail_tol: float = 1e-12) -> StationaryPmf:
     """Stationary distribution of the birth-death chain, normalized over a box.
 
-    The support bound grows geometrically until the one-step weight ratios at
-    the boundary drop below 1/2 and the geometric tail bound is below
-    tail_tol; products are accumulated as log sums so large alpha/theta
-    ratios cannot overflow.
+    The support bound doubles until the one-step weight ratios r just outside
+    the box are below 1 and the geometric tail bound w r/(1 - r) of each edge
+    weight w is below tail_tol; the ratios fall with the distance from 0, so
+    the bound holds for any r < 1.  Products are accumulated as log sums so
+    large alpha/theta ratios cannot overflow.
     """
     if not (0.0 < tail_tol <= 1e-3):
         raise DomainError(f"tail_tol must lie in (0, 1e-3], got {tail_tol}")
@@ -121,7 +124,7 @@ def stationary_distribution(params: QueueParams, tail_tol: float = 1e-12) -> Sta
         log_pos, log_neg = _log_weights(params, bound)
         r_pos = params.alpha / (params.beta + (bound + 1) * params.theta)
         r_neg = params.beta / (params.alpha + (bound + 1) * params.gamma)
-        if r_pos < 0.5 and r_neg < 0.5:
+        if r_pos < 1.0 and r_neg < 1.0:
             all_logs = np.concatenate((log_neg[::-1], [0.0], log_pos))
             shift = all_logs.max()
             weights = np.exp(all_logs - shift)
@@ -147,11 +150,13 @@ def stationary_distribution(params: QueueParams, tail_tol: float = 1e-12) -> Sta
 
 @dataclass(frozen=True)
 class GammaMomentSummary:
-    """Limiting moment pieces of the chain in incomplete-gamma closed form.
+    """Limiting moment pieces of the chain, summed over its stationary pmf.
 
     p1 and p2 are the total weights of the positive and negative half-lines
-    relative to state 0, pi0 = 1/(1 + p1 + p2), and m/s are the limiting
-    first and second moments of the positive and negative parts.
+    relative to state 0 (the series of the paper's incomplete-gamma closed
+    forms), pi0 = 1/(1 + p1 + p2), and m/s are the limiting first and second
+    moments of the positive and negative parts.  tail_mass_bound bounds the
+    pmf's mass outside the box the sums run over.
     """
 
     p1: float
@@ -161,6 +166,7 @@ class GammaMomentSummary:
     m_minus: float
     s_plus: float
     s_minus: float
+    tail_mass_bound: float
 
     @property
     def first_moment(self) -> float:
@@ -171,38 +177,38 @@ class GammaMomentSummary:
         return self.s_plus + self.s_minus
 
 
-def _half_line_weight(rate_ratio: float, tail_ratio: float) -> float:
-    """exp(log of rate_ratio * e^y * y^(-t) * gamma_lower(t, y)) - 1.
-
-    rate_ratio = t is the reneging-normalized opposite arrival rate and
-    tail_ratio = y the own one; assembled in log space because e^y alone
-    overflows for y beyond ~700.
-    """
-    t = rate_ratio
-    y = tail_ratio
-    log_term = (
-        math.log(t) + y - t * math.log(y) + math.lgamma(t)
-        + log_regularized_lower_gamma(t, y)
-    )
-    if log_term > 700.0:
-        raise NumericalOverflowError(
-            f"half-line weight overflows for rate ratio {t:g} at {y:g}; "
-            "the reneging rate is too small relative to the arrival rates"
-        )
-    return max(math.expm1(log_term), 0.0)
+def _half_line_sums(probs: np.ndarray) -> tuple[float, float, float]:
+    """(sum p_i, sum i p_i, sum i^2 p_i) over i = 1..len(probs), probs[i-1] the mass at distance i from 0."""
+    i = np.arange(1, probs.size + 1, dtype=float)
+    return float(probs.sum()), float(i @ probs), float((i * i) @ probs)
 
 
 def gamma_moment_summary(params: QueueParams) -> GammaMomentSummary:
-    """Closed-form limiting moments via gamma and incomplete gamma functions."""
+    """Limiting moments from the stationary pmf, one half-line sum for each side.
+
+    The negative side is a contiguous copy in mirror order, summed exactly as
+    the positive side, so a symmetric chain gives bit-equal halves and a
+    first moment of exactly 0.  A half-line weight 1 + p above e^700 raises
+    NumericalOverflowError naming its rate ratio.
+    """
     alpha, beta, theta, gamma = params.alpha, params.beta, params.theta, params.gamma
-    p1 = _half_line_weight(beta / theta, alpha / theta)
-    p2 = _half_line_weight(alpha / gamma, beta / gamma)
-    pi0 = 1.0 / (1.0 + p1 + p2)
-    m_plus = ((alpha - beta) / theta * p1 + alpha / theta) * pi0
-    m_minus = ((beta - alpha) / gamma * p2 + beta / gamma) * pi0
-    s_plus = (alpha - beta) / theta * m_plus + alpha / theta * (p1 + 1.0) * pi0
-    s_minus = (beta - alpha) / gamma * m_minus + beta / gamma * (p2 + 1.0) * pi0
-    return GammaMomentSummary(p1, p2, pi0, m_plus, m_minus, s_plus, s_minus)
+    pmf = stationary_distribution(params, _SUMMARY_TAIL_TOL)
+    b = pmf.support_bound
+    pi0 = float(pmf.probs[b])
+    mass_plus, m_plus, s_plus = _half_line_sums(pmf.probs[b + 1:])
+    mass_minus, m_minus, s_minus = _half_line_sums(pmf.probs[b - 1::-1].copy())
+    for mass, rate_ratio, tail_ratio in (
+        (mass_plus, beta / theta, alpha / theta),
+        (mass_minus, alpha / gamma, beta / gamma),
+    ):
+        if mass > pi0 * math.expm1(700.0):
+            raise NumericalOverflowError(
+                f"half-line weight overflows for rate ratio {rate_ratio:g} at {tail_ratio:g}; "
+                "the reneging rate is too small relative to the arrival rates"
+            )
+    return GammaMomentSummary(
+        mass_plus / pi0, mass_minus / pi0, pi0, m_plus, m_minus, s_plus, s_minus, pmf.tail_mass_bound
+    )
 
 
 def poisson_moment_estimates(params: QueueParams) -> tuple[float, float]:

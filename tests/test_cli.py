@@ -1,3 +1,6 @@
+import contextlib
+import io
+import itertools
 import json
 import math
 import os
@@ -6,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dequelab
 from dequelab.cli import main
@@ -39,11 +44,14 @@ def run_cli(capsys, *argv):
         ["diffusion", "density", "--alpha", "5e-324", "--beta", "1", "--theta", "1", "--gamma", "1"],
         # the fluid level (alpha - beta)/gamma squares past the float range
         ["diffusion", "model2", "--alpha", "1", "--beta", "1.5", "--theta", "0.5", "--gamma", "1e-200"],
+        # the branch variance sigma^2/(2 theta) is inf
+        ["diffusion", "model1", "--alpha", "1", "--beta", "1", "--theta", "5e-324", "--gamma", "1"],
+        ["diffusion", "density", "--alpha", "1", "--beta", "1", "--theta", "5e-324", "--gamma", "1"],
     ],
     ids=["analytic-theta-inf", "fluid-horizon-inf", "fluid-step-nan", "model1-sigma-inf",
          "fluid-x0-inf", "fluid-x0-nan", "fluid-integrate-x0-nan", "model1-coefficient-overflows",
          "density-coefficient-overflows", "model1-nominal-sd-overflows", "density-nominal-sd-overflows",
-         "model2-level-overflows"],
+         "model2-level-overflows", "model1-variance-overflows", "density-variance-overflows"],
 )
 def test_non_finite_argument_is_a_domain_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -92,12 +100,45 @@ class TestAnalytic:
         assert data["L2_p"] == pytest.approx(21.2498, abs=5e-4)
         assert data["pi0"] == pytest.approx(1.0 / (1.0 + data["p1"] + data["p2"]))
 
+    def test_slow_reneging_on_one_side(self, capsys):
+        # the series of p1 nearly cancels in the closed form here; the pmf sum does not
+        code, out, _ = run_cli(
+            capsys, "analytic", "--alpha", "1", "--beta", "1.5", "--theta", "1e-6", "--gamma", "0.5"
+        )
+        assert code == 0
+        assert json.loads(out)["L2_p"] == pytest.approx(8.30514, abs=5e-6)
+
     def test_numerical_error_exit_code(self, capsys):
         code, _, err = run_cli(
             capsys, "analytic", "--alpha", "1", "--beta", "2", "--theta", "1e-4", "--gamma", "2e-4"
         )
         assert code == 3
         assert "error" in err
+
+
+RATE_FLAGS = ("--alpha", "--beta", "--theta", "--gamma")
+EXTREME_RATES = ("5e-324", "1e-300", "1e-200", "1e-8", "1", "2.5", "1e150", "1e300")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    flags=st.sampled_from(list(itertools.combinations(RATE_FLAGS, 2))),
+    values=st.tuples(st.sampled_from(EXTREME_RATES), st.sampled_from(EXTREME_RATES)),
+)
+def test_analytic_answers_or_fails_cleanly_at_extreme_rates(flags, values):
+    # two of the four rates of (1, 1.5, 0.1, 0.15) set to extreme values
+    rates = dict(zip(RATE_FLAGS, ("1", "1.5", "0.1", "0.15")))
+    rates.update(zip(flags, values))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["analytic", *itertools.chain.from_iterable(rates.items())])
+    if code == 0:
+        assert err.getvalue() == ""
+        assert all(math.isfinite(v) for v in json.loads(out.getvalue()).values())
+    else:
+        assert code == 3
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 class TestFluid:

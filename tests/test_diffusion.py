@@ -111,6 +111,13 @@ class TestPsiDensity:
         with pytest.raises(DomainError, match="must be finite"):
             psi_density(*args)
 
+    def test_sigma_square_out_of_range_is_a_domain_error(self):
+        # sigma^2 overflows a Python float, or underflows to a zero variance
+        with pytest.raises(DomainError, match="sigma"):
+            psi_density(0.0, 0.0, 1e200, 1.0, 1.0)
+        with pytest.raises(DomainError, match="variance"):
+            psi_density(0.0, 0.0, 1e-200, 1.0, 1.0)
+
     def test_extreme_drift_ratio_stays_finite(self):
         # the negative branch carries no mass at all here; weights must not go NaN
         d = psi_density(0.0, 900.0, 1.0, 0.01, 0.01)

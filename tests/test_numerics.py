@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammainc, gammaln, hyp1f1
 
 from dequelab.errors import DomainError
 from dequelab.numerics import (
     InterarrivalModel,
     RandomStream,
-    log_regularized_lower_gamma,
     normal_hazard,
+    normal_logcdf,
+    normal_logsf,
     normal_pdf,
     normal_sf,
     sample_exponential,
@@ -32,52 +32,6 @@ def erf_series(x: float) -> float:
     return 2.0 / math.sqrt(math.pi) * total
 
 
-class TestLowerIncompleteGamma:
-    """log P(t, y), the log regularized lower incomplete gamma function."""
-
-    def test_known_values(self):
-        assert log_regularized_lower_gamma(1.0, 0.0) == -math.inf
-        assert log_regularized_lower_gamma(1.0, 1.0) == pytest.approx(math.log1p(-math.exp(-1.0)), rel=1e-12)
-        assert log_regularized_lower_gamma(2.0, 3.0) == pytest.approx(math.log1p(-4.0 * math.exp(-3.0)), rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            log_regularized_lower_gamma(0.0, 1.0)
-        with pytest.raises(DomainError):
-            log_regularized_lower_gamma(1.0, -0.1)
-
-    def test_monotone_in_y_and_limit(self):
-        t = 3.7
-        values = [log_regularized_lower_gamma(t, y) for y in np.linspace(0.0, 40.0, 30)]
-        assert all(b >= a for a, b in zip(values, values[1:]))
-        assert values[-1] == pytest.approx(0.0, abs=1e-12)
-
-    def test_quadrature_identity_on_grid(self):
-        # both tails of the Gamma(t) law by quadrature: y = 0.5 t runs the
-        # ascending series, y = 1.7 t (t >= 2) the continued fraction
-        def density(x, t):
-            return math.exp((t - 1.0) * math.log(x) - x - math.lgamma(t)) if x > 0.0 else 0.0
-
-        for t in [0.3, 0.8, 1.0, 2.5, 7.0, 12.0, 25.0, 60.0, 120.0, 160.0]:
-            for y in [0.5 * t, 1.7 * t]:
-                logp = log_regularized_lower_gamma(t, y)
-                lower, _ = quad(density, 0.0, y, args=(t,), limit=200, epsrel=1e-13, epsabs=0.0)
-                upper, _ = quad(density, y, math.inf, args=(t,), limit=200, epsrel=1e-13, epsabs=0.0)
-                assert math.exp(logp) == pytest.approx(lower, rel=1e-10)
-                assert -math.expm1(logp) == pytest.approx(upper, rel=1e-10)
-
-    def test_deep_lower_tail_log_form(self):
-        # P(200, 100) is tiny but representable
-        logp = log_regularized_lower_gamma(200.0, 100.0)
-        assert -60.0 < logp < -30.0
-        assert logp == pytest.approx(math.log(gammainc(200.0, 100.0)), rel=1e-12)
-        # P(2000, 100) underflows; P = y^t e^-y / Gamma(t+1) * M(1, t+1, y) in log form
-        logp = log_regularized_lower_gamma(2000.0, 100.0)
-        expected = 2000.0 * math.log(100.0) - 100.0 - gammaln(2001.0) + math.log(hyp1f1(1.0, 2001.0, 100.0))
-        assert gammainc(2000.0, 100.0) == 0.0
-        assert logp == pytest.approx(expected, rel=1e-12)
-
-
 class TestNormalKernels:
     def test_pdf_cdf_basics(self):
         assert normal_pdf(0.0) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-12)
@@ -94,6 +48,15 @@ class TestNormalKernels:
             normal_pdf(0.0, 0.0, 0.0)
         with pytest.raises(DomainError):
             normal_sf(0.0, 0.0, -1.0)
+
+    @pytest.mark.parametrize("variance", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_variance_is_a_domain_error(self, variance):
+        # sigma^2/(2 theta) at theta = 5e-324 is inf; every kernel must refuse it
+        for kernel in (normal_pdf, normal_sf, normal_logsf, normal_logcdf):
+            with pytest.raises(DomainError, match="variance must be finite"):
+                kernel(0.0, 0.0, variance)
+        with pytest.raises(DomainError, match="variance must be finite"):
+            truncated_normal_moments(0.0, variance, "positive")
 
     def test_hazard_agrees_with_ratio(self):
         for z in [-2.0, 0.0, 1.0, 5.0]:

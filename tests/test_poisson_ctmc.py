@@ -120,8 +120,9 @@ class TestStationaryDistribution:
             stationary_distribution(QueueParams(1, 1, 1, 1), tail_tol=0.5)
 
     def test_support_cap(self):
+        # sd about 3e5 states: the 1e-12 tail lies past the cap of 10**6
         with pytest.raises(ResourceLimitError):
-            stationary_distribution(QueueParams(1.0, 1.0, 1e-7, 1e-7))
+            stationary_distribution(QueueParams(1.0, 1.0, 1e-11, 1e-11))
 
 
 class TestGammaMomentSummary:
@@ -166,6 +167,18 @@ class TestGammaMomentSummary:
             assert summary.m_minus == pytest.approx(mm_s, rel=1e-8, abs=1e-10)
             assert summary.s_plus == pytest.approx(sp_s, rel=1e-8, abs=1e-10)
             assert summary.s_minus == pytest.approx(sm_s, rel=1e-8, abs=1e-10)
+
+    @pytest.mark.parametrize("theta", [1e-4, 1e-6])
+    @pytest.mark.parametrize("mirrored", [False, True], ids=["direct", "mirrored"])
+    def test_slow_reneging_on_one_side_against_series(self, theta, mirrored):
+        # beta/theta is large while the weights decay geometrically at alpha/beta:
+        # the closed forms' 1 + p1 nearly cancels against (alpha - beta) p1 here
+        rates = (1.5, 1.0, 0.5, theta) if mirrored else (1.0, 1.5, theta, 0.5)
+        summary = gamma_moment_summary(QueueParams(*rates))
+        expected = series_summary(*rates)
+        got = (summary.p1, summary.p2, summary.pi0, summary.m_plus, summary.m_minus, summary.s_plus, summary.s_minus)
+        assert got == pytest.approx(expected, rel=1e-9)
+        assert summary.tail_mass_bound < 1e-12
 
     def test_overflow_names_ratio(self):
         # strong imbalance with tiny reneging: the half-line weight exceeds 1e300
@@ -238,7 +251,7 @@ class TestTransientMoments:
 
     @pytest.mark.parametrize(
         "params, start",
-        [(QueueParams(1, 1, 1e-5, 1e-5), {0: 1.0}), (QueueParams(1, 1, 1, 1), {70000: 1.0})],
+        [(QueueParams(1, 1, 1e-9, 1e-9), {0: 1.0}), (QueueParams(1, 1, 1, 1), {70000: 1.0})],
         ids=["stationary-support-above-cap", "start-above-cap"],
     )
     def test_first_box_above_cap_is_a_resource_limit(self, params, start):
