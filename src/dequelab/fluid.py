@@ -4,7 +4,9 @@ The limit solves x' = (alpha - beta) - theta x^+ + gamma x^-.  Trajectories
 are piecewise exponential: a path starting on the "wrong" side of zero decays
 at the opposite side's rate until it hits zero at an explicit time, then
 relaxes toward the fixed point.  Both the closed form and an independent RK4
-integrator are provided so they can cross-check each other.
+integrator are provided so they can cross-check each other; the integrator
+takes one call per step to a plain-float RK4 step with the drift written out
+in each stage, reading the rates once per path.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import equal_rates, euler_step, finite, positive, times
+from .errors import ResourceLimitError, equal_rates, euler_step, finite, positive, times
 from .params import QueueParams
 
 __all__ = [
@@ -26,6 +28,9 @@ __all__ = [
     "discounted_source_integral",
     "fluid_integrate",
 ]
+
+# Points of a sampled path: 80 MB per array, and 10^7 RK4 steps of Python
+_MAX_GRID_POINTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -88,11 +93,20 @@ def fluid_closed_form(params: QueueParams, x0: float, t) -> float | np.ndarray:
     return float(out) if np.ndim(t) == 0 else out
 
 
+def _time_grid(step: float, horizon: float) -> np.ndarray:
+    """The uniform grid 0, step, ..., horizon of a path, for a checked step; at most _MAX_GRID_POINTS points."""
+    positive(horizon, "horizon")
+    if (horizon + 0.5 * step) / step > _MAX_GRID_POINTS:
+        raise ResourceLimitError(
+            f"a grid of step {step:g} up to horizon {horizon:g} would pass the cap of {_MAX_GRID_POINTS} points"
+        )
+    return np.arange(0.0, horizon + 0.5 * step, step)
+
+
 def fluid_closed_form_path(params: QueueParams, x0: float, step: float, horizon: float) -> FluidPath:
     """Closed form sampled on the uniform grid 0, step, ..., horizon."""
     positive(step, "step")
-    positive(horizon, "horizon")
-    t = np.arange(0.0, horizon + 0.5 * step, step)
+    t = _time_grid(step, horizon)
     return FluidPath(t=t, x=np.asarray(fluid_closed_form(params, x0, t)), hitting_time=zero_hitting_time(params, x0))
 
 
@@ -132,15 +146,15 @@ def discounted_source_integral(
     return float(out) if np.ndim(t) == 0 else out
 
 
-def _drift(params: QueueParams, x: float) -> float:
-    return (params.alpha - params.beta) - params.theta * max(x, 0.0) + params.gamma * max(-x, 0.0)
-
-
-def _rk4_step(params: QueueParams, x: float, h: float) -> float:
-    k1 = _drift(params, x)
-    k2 = _drift(params, x + 0.5 * h * k1)
-    k3 = _drift(params, x + 0.5 * h * k2)
-    k4 = _drift(params, x + h * k3)
+def _rk4_step(delta: float, theta: float, gamma: float, x: float, h: float) -> float:
+    """One RK4 step of x' = delta - theta x^+ + gamma x^- on plain floats, the drift written out per stage."""
+    k1 = delta - theta * (x if x > 0.0 else 0.0) + gamma * (-x if -x > 0.0 else 0.0)
+    y = x + 0.5 * h * k1
+    k2 = delta - theta * (y if y > 0.0 else 0.0) + gamma * (-y if -y > 0.0 else 0.0)
+    y = x + 0.5 * h * k2
+    k3 = delta - theta * (y if y > 0.0 else 0.0) + gamma * (-y if -y > 0.0 else 0.0)
+    y = x + h * k3
+    k4 = delta - theta * (y if y > 0.0 else 0.0) + gamma * (-y if -y > 0.0 else 0.0)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -151,28 +165,28 @@ def fluid_integrate(params: QueueParams, x0: float, step: float, horizon: float)
     crossing is located by bisection on the step size and the integration
     restarts exactly at zero, which keeps the fourth-order accuracy.
     """
-    euler_step(step, params.theta, params.gamma)
-    positive(horizon, "horizon")
+    delta, theta, gamma = params.alpha - params.beta, params.theta, params.gamma
+    euler_step(step, theta, gamma)
     finite(x0, "x0")
-    t_grid = np.arange(0.0, horizon + 0.5 * step, step)
+    t_grid = _time_grid(step, horizon)
     xs = np.empty_like(t_grid)
     xs[0] = x0
     x = x0
     hitting = None
     for k in range(1, len(t_grid)):
-        x_new = _rk4_step(params, x, step)
+        x_new = _rk4_step(delta, theta, gamma, x, step)
         if x != 0.0 and x * x_new < 0.0 and hitting is None:
             # bisect the substep length at which the path reaches zero
             lo, hi = 0.0, step
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                if x * _rk4_step(params, x, mid) > 0.0:
+                if x * _rk4_step(delta, theta, gamma, x, mid) > 0.0:
                     lo = mid
                 else:
                     hi = mid
             h_cross = 0.5 * (lo + hi)
             hitting = t_grid[k - 1] + h_cross
-            x_new = _rk4_step(params, 0.0, step - h_cross)
+            x_new = _rk4_step(delta, theta, gamma, 0.0, step - h_cross)
         x = x_new
         xs[k] = x
     return FluidPath(t=t_grid, x=xs, hitting_time=hitting)

@@ -143,7 +143,8 @@ def stationary_distribution(params: QueueParams, tail_tol: float = 1e-12) -> Sta
                 )
         if bound >= _HARD_SUPPORT_CAP:
             raise ResourceLimitError(
-                f"tail tolerance {tail_tol} unreachable within support bound {_HARD_SUPPORT_CAP}"
+                f"the stationary law needs more than {_HARD_SUPPORT_CAP} states a side at alpha={params.alpha:g}, "
+                f"beta={params.beta:g}, theta={params.theta:g}, gamma={params.gamma:g}"
             )
         bound = min(2 * bound, _HARD_SUPPORT_CAP)
 
@@ -228,7 +229,8 @@ class TransientMoments:
     series_tail_mass is the Poisson tail dropped at the last grid time, the
     largest of the grid times' tails, an l1 bound on the error that cutting
     the series adds to the pmf at any grid point.  series_terms counts the
-    matrix-vector steps of the series, summed over every box tried.
+    matrix-vector steps run, summed over every box tried; a leaking box stops
+    after the 64-row buffer in which its edge mass first passes leak_tol.
     """
 
     t: np.ndarray
@@ -273,7 +275,7 @@ def _series_cut(lam: float) -> int:
         first += width
 
 
-def _uniformize(params: QueueParams, items: list[tuple[int, float]], t_grid: np.ndarray, bound: int):
+def _uniformize(params: QueueParams, items: list[tuple[int, float]], t_grid: np.ndarray, bound: int, leak_tol: float):
     """Uniformization of the forward equations over [-bound, bound], one series for every time.
 
     With rate the largest out-rate in the box, P = I + Q/rate is a
@@ -287,7 +289,8 @@ def _uniformize(params: QueueParams, items: list[tuple[int, float]], t_grid: np.
     which removes the rounding that the large, nearly cancelling log terms
     leave in their total.  Returns the (time, 6) moment records (m, s, m+, m-, s+, s-),
     the largest edge mass over every iterate, the last time's dropped tail
-    and the number K of matrix-vector steps.
+    and the number K of matrix-vector steps.  A leaking box is thrown away:
+    it stops after the first buffer whose edge mass passes leak_tol, with no records or tail.
     """
     states = np.arange(-bound, bound + 1, dtype=float)
     birth = params.alpha + np.maximum(-states, 0.0) * params.gamma
@@ -338,6 +341,8 @@ def _uniformize(params: QueueParams, items: list[tuple[int, float]], t_grid: np.
             advance(r, r + 1)
         block = buf[:rows]
         max_edge = max(max_edge, float(block[:, 1].max()), float(block[:, -2].max()))
+        if max_edge > leak_tol:
+            return None, max_edge, None, first + rows - 1
         block_moments = block[:, 1:-1] @ functionals
         k = np.arange(first, first + rows, dtype=float)
         log_fact = gammaln(k + 1.0)
@@ -386,7 +391,7 @@ def transient_moments(
         )
     series_terms = 0
     while True:
-        records, max_edge, series_tail, n_terms = _uniformize(params, items, t_grid, bound)
+        records, max_edge, series_tail, n_terms = _uniformize(params, items, t_grid, bound, leak_tol)
         series_terms += n_terms
         if max_edge <= leak_tol:
             break

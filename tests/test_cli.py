@@ -26,6 +26,20 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_redirected(argv):
+    """main(argv) with its output captured, for tests that cannot take the capsys fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_failure(code, out, err, codes=(2, 3)):
+    assert code in codes
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -108,6 +122,15 @@ class TestAnalytic:
         assert code == 0
         assert json.loads(out)["L2_p"] == pytest.approx(8.30514, abs=5e-6)
 
+    def test_law_past_the_support_cap_names_the_rates(self, capsys):
+        code, out, err = run_cli(
+            capsys, "analytic", "--alpha", "1", "--beta", "1", "--theta", "1e-11", "--gamma", "1e-11"
+        )
+        assert_clean_failure(code, out, err, codes=(3,))
+        assert "more than 1000000 states a side" in err
+        assert "alpha=1, beta=1, theta=1e-11, gamma=1e-11" in err
+        assert "tolerance" not in err
+
     def test_numerical_error_exit_code(self, capsys):
         code, _, err = run_cli(
             capsys, "analytic", "--alpha", "1", "--beta", "2", "--theta", "1e-4", "--gamma", "2e-4"
@@ -129,16 +152,47 @@ def test_analytic_answers_or_fails_cleanly_at_extreme_rates(flags, values):
     # two of the four rates of (1, 1.5, 0.1, 0.15) set to extreme values
     rates = dict(zip(RATE_FLAGS, ("1", "1.5", "0.1", "0.15")))
     rates.update(zip(flags, values))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["analytic", *itertools.chain.from_iterable(rates.items())])
+    code, out, err = run_redirected(["analytic", *itertools.chain.from_iterable(rates.items())])
     if code == 0:
-        assert err.getvalue() == ""
-        assert all(math.isfinite(v) for v in json.loads(out.getvalue()).values())
+        assert err == ""
+        assert all(math.isfinite(v) for v in json.loads(out).values())
     else:
-        assert code == 3
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert_clean_failure(code, out, err, codes=(3,))
+
+
+# the extremes of the input rules; each flag also draws one ordinary value, so that some calls answer
+EXTREME_FLUID_VALUES = ("0", "-1", "5e-324", "1e300", "inf", "nan")
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(
+    rates=st.sampled_from([("2", "1", "1", "1"), ("1", "1.5", "0.2", "0.3")]),
+    x0=st.sampled_from(EXTREME_FLUID_VALUES + ("2.5",)),
+    step=st.sampled_from(EXTREME_FLUID_VALUES + ("0.01",)),
+    horizon=st.sampled_from(EXTREME_FLUID_VALUES + ("10",)),
+    mode=st.sampled_from([[], ["--closed-form"], ["--integrate"]]),
+)
+def test_fluid_answers_or_fails_cleanly_at_extreme_inputs(rates, x0, step, horizon, mode):
+    # a grid that can succeed has at most horizon/step + 1 = 1001 points
+    argv = ["fluid", *itertools.chain.from_iterable(zip(RATE_FLAGS, rates)),
+            "--x0", x0, "--step", step, "--horizon", horizon, *mode]
+    code, out, err = run_redirected(argv)
+    if code == 0:
+        assert err == ""
+        lines = out.splitlines()
+        assert lines[0] == "t,x" and len(lines) > 1
+        assert all(math.isfinite(float(v)) for line in lines[1:] for v in line.split(","))
+    else:
+        assert_clean_failure(code, out, err)
+
+
+@pytest.mark.parametrize("mode", [[], ["--integrate"]], ids=["closed-form", "integrate"])
+@pytest.mark.parametrize("horizon", ["1e9", "1e300"])
+def test_fluid_grid_past_the_cap_is_a_resource_limit(capsys, mode, horizon):
+    code, out, err = run_cli(capsys, "fluid", "--alpha", "2", "--beta", "1", "--theta", "1", "--gamma", "1",
+                             "--x0", "-1", "--step", "0.01", "--horizon", horizon, *mode)
+    assert_clean_failure(code, out, err, codes=(3,))
+    assert f"step 0.01 up to horizon {float(horizon):g}" in err and "10000000 points" in err
 
 
 class TestFluid:

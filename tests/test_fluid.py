@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from dequelab.errors import DomainError
+from dequelab.errors import DomainError, ResourceLimitError
 from dequelab.fluid import (
     discounted_source_integral,
     fluid_closed_form,
@@ -13,6 +14,41 @@ from dequelab.fluid import (
     zero_hitting_time,
 )
 from dequelab.params import QueueParams
+
+
+# (rates, x0, step, horizon) of fluid_integrate calls whose bits are pinned; the
+# workload cases are the transient benchmark's five, the stationary start's
+# mean written out
+PINNED_CASES = {
+    "balanced-from-zero": ((1.0, 1.0, 0.5, 0.25), 0.0, 0.02, 10.0),
+    "balanced-from-plus-two": ((1.0, 1.0, 0.5, 0.25), 2.0, 0.02, 10.0),
+    "balanced-from-minus-two": ((1.0, 1.0, 0.5, 0.25), -2.0, 0.02, 10.0),
+    "crossing-from-below": ((2.0, 1.0, 1.0, 1.0), -1.0, 0.01, 5.0),
+    "crossing-from-above": ((1.0, 1.5, 0.3, 0.45), 4.0, 0.01 / 0.45, 20.0),
+    "on-fixed-point": ((1.0, 2.0, 0.2, 0.4), -2.5, 0.02, 10.0),
+    "theta-ne-gamma": ((2.0, 1.0, 0.8, 0.4), 3.0, 0.0125, 20.0),
+    "workload-balanced": ((1.0, 1.0, 0.5, 0.5), 0.0, 0.02, 20.0),
+    "workload-far-side": ((1.0, 1.5, 0.5, 0.5), 3.0, 0.02, 20.0),
+    "workload-stationary": ((1.0, 1.5, 0.1, 0.15), -3.253249148526459, 0.01 / 0.15, 100.0),
+    "workload-from-zero": ((2.0, 1.0, 1.0, 0.5), 0.0, 0.01, 20.0),
+    "workload-small-reneging": ((1.0, 1.0, 0.02, 0.02), 0.0, 0.5, 500.0),
+}
+# sha256 of x.tobytes() + repr(hitting_time), recorded from the integrator
+# whose stages called a drift function on the params
+PINNED_DIGESTS = {
+    "balanced-from-zero": "5baf8af7443a61cd31bee92cc724bd65af15cf7453a4bc1abf2d95980ab2a715",
+    "balanced-from-plus-two": "c020fbca78ee4fdf530f6b0b29d9ba7529802923e5daa6632289f4b2c09116f7",
+    "balanced-from-minus-two": "a0bb74d0bcf2300dcab7912bcfb8ada74a4d07eae6891327bd5c56c321082f01",
+    "crossing-from-below": "18f2a5623e261b5f52968d1e0e212abce6b48df84022dcd90e31dbebab06ed2e",
+    "crossing-from-above": "9dd7fa15c6ff2962a536ef07f5f1acdd99d35c4f913e81574429f9e153e1a1af",
+    "on-fixed-point": "cc06e508bcf01d09b990e127703bee97c1d42cb440f5fc10427bc65ae9341807",
+    "theta-ne-gamma": "b7a47aae7f8eb10d4624f3b26212b6ddb6851d1329ae7f5959d2d721d06bb329",
+    "workload-balanced": "6ba205ded303ea9ad662a67276bb9c203ba52f5c1d085448c5abd2e781b2a91f",
+    "workload-far-side": "043dbd3662b9b15b77eeadec1a081c12ba5d3e064865a4c51a472b3199f1ccfa",
+    "workload-stationary": "0f77cebfa2b4aae80c543e904f2a9c061f5c61f8ec950394ac2ec7109ed395d5",
+    "workload-from-zero": "3dbe31009544d67fa876d933b2afd38439e517e15d6d3870a5411db1ad27b058",
+    "workload-small-reneging": "6ba205ded303ea9ad662a67276bb9c203ba52f5c1d085448c5abd2e781b2a91f",
+}
 
 
 def case_params(rng):
@@ -141,6 +177,13 @@ class TestIntegratorOracle:
         path = fluid_integrate(params, level, 0.02, 10.0)
         assert np.allclose(path.x, level, atol=1e-12)
 
+    @pytest.mark.parametrize("name", list(PINNED_CASES))
+    def test_pinned_bits(self, name):
+        rates, x0, step, horizon = PINNED_CASES[name]
+        path = fluid_integrate(QueueParams(*rates), x0, step, horizon)
+        digest = hashlib.sha256(path.x.tobytes() + repr(path.hitting_time).encode()).hexdigest()
+        assert digest == PINNED_DIGESTS[name]
+
     def test_step_guard(self):
         with pytest.raises(DomainError):
             fluid_integrate(QueueParams(1, 1, 1, 1), 0.0, 0.5, 5.0)
@@ -179,3 +222,11 @@ class TestPathHelpers:
         assert path.value_at(-1.0) == path.x[0]
         assert path.value_at(0.74) == path.x[1]
         assert path.value_at(99.0) == path.x[-1]
+
+    def test_grid_one_point_past_the_cap_is_a_resource_limit(self):
+        # 0, step, ..., horizon is 10^7 + 1 points
+        params = QueueParams(2, 1, 1, 1)
+        with pytest.raises(ResourceLimitError, match="step 1 up to horizon 1e"):
+            fluid_closed_form_path(params, -1.0, 1.0, 1e7)
+        with pytest.raises(ResourceLimitError, match="step 0.01 up to horizon 100000"):
+            fluid_integrate(params, -1.0, 0.01, 1e5)

@@ -298,26 +298,24 @@ class TestTransientMoments:
                 assert getattr(alone, name)[0] == pytest.approx(getattr(together, name)[i], rel=1e-12, abs=0.0), name
 
     @pytest.mark.parametrize(
-        "params, start, t_grid, leak_tol, boxes, terms",
+        "params, start, t_grid, leak_tol, boxes, last_terms",
         [
             # box [-50, 50]: the largest out-rate is alpha + beta + 49 theta = 31.7
             (QueueParams(1.0, 1.3, 0.6, 0.4), 2, [1.0, 4.0], 1e-8, [50], 222),
-            # the box doubles once, and both series count
-            (QueueParams(1.0, 1.0, 0.02, 0.02), 0, [30.0], 1e-30, [80, 160], 196 + 260),
+            # the box doubles once; the series of the leaking box [-80, 80]
+            # counts up to the buffer where its edge mass passes leak_tol
+            (QueueParams(1.0, 1.0, 0.02, 0.02), 0, [30.0], 1e-30, [80, 160], 260),
         ],
         ids=["one-box", "two-boxes"],
     )
-    def test_series_terms_counts_the_steps_of_every_box(self, params, start, t_grid, leak_tol, boxes, terms):
+    def test_series_terms_counts_the_steps_of_every_box(self, params, start, t_grid, leak_tol, boxes, last_terms):
         tm = transient_moments(params, {start: 1.0}, t_grid, leak_tol)
         assert tm.support_bound == boxes[-1]
-        assert tm.series_terms == terms
-        expected = 0
-        for bound in boxes:
-            rate = max(params.alpha + bound * params.gamma, params.beta + bound * params.theta,
-                       params.alpha + params.beta + (bound - 1) * max(params.theta, params.gamma))
-            lam = rate * t_grid[-1]
-            expected += int(np.argmax(pdtrc(np.arange(10 * int(lam) + 100), lam) <= 1e-14))
-        assert tm.series_terms == expected
+        leaked = [steps_until_leak(params, start, bound, t_grid[-1], leak_tol) for bound in boxes[:-1]]
+        assert tm.series_terms == sum(leaked) + last_terms
+        rate = max(params.alpha + boxes[-1] * params.gamma, params.beta + boxes[-1] * params.theta,
+                   params.alpha + params.beta + (boxes[-1] - 1) * max(params.theta, params.gamma))
+        assert last_terms == series_cut(rate * t_grid[-1])
 
     @pytest.mark.parametrize(
         "start, t_grid",
@@ -336,8 +334,8 @@ class TestTransientMoments:
             transient_moments(QueueParams(2, 1, 1, 1), start, t_grid)
 
 
-def reflecting_box_pmfs(params, start, bound, times):
-    """Dense reference: p(t) = p(0) expm(Q t) for the chain kept on [-bound, bound]."""
+def reflecting_box_generator(params, bound):
+    """States and dense generator Q of the chain kept on [-bound, bound]."""
     states = np.arange(-bound, bound + 1)
     birth = params.alpha + np.maximum(-states, 0) * params.gamma
     death = params.beta + np.maximum(states, 0) * params.theta
@@ -345,9 +343,36 @@ def reflecting_box_pmfs(params, start, bound, times):
     death[0] = 0.0
     q = np.diag(birth[:-1], 1) + np.diag(death[1:], -1)
     q -= np.diag(q.sum(axis=1))
+    return states, q
+
+
+def reflecting_box_pmfs(params, start, bound, times):
+    """Dense reference: p(t) = p(0) expm(Q t) for the chain kept on [-bound, bound]."""
+    states, q = reflecting_box_generator(params, bound)
     p0 = np.zeros(2 * bound + 1)
     p0[start + bound] = 1.0
     return states, np.array([p0 @ expm(q * t) for t in times])
+
+
+def series_cut(lam):
+    """The first K whose Poisson(lam) upper tail is at most 1e-14."""
+    return int(np.argmax(pdtrc(np.arange(10 * int(lam) + 100), lam) <= 1e-14))
+
+
+def steps_until_leak(params, start, bound, t_end, leak_tol):
+    """Steps a leaking box's series runs: to the end of the 64-step buffer holding
+    the first iterate whose edge mass passes leak_tol, or to the cut at t_end."""
+    states, q = reflecting_box_generator(params, bound)
+    rate = -q.diagonal().min()
+    step = np.eye(states.size) + q / rate
+    cut = series_cut(rate * t_end)
+    p = np.zeros(states.size)
+    p[start + bound] = 1.0
+    for k in range(cut + 1):
+        if max(p[0], p[-1]) > leak_tol:
+            return min(64 * (k // 64) + 63, cut)
+        p = p @ step
+    raise AssertionError(f"the box [-{bound}, {bound}] does not leak")
 
 
 class TestUniformization:
@@ -358,7 +383,7 @@ class TestUniformization:
         params = QueueParams(1.0, 1.3, 0.6, 0.4)
         bound = 6
         for grid in ([0.0, 0.3, 1.0, 4.0, 12.0], np.linspace(0.0, 30.0, 41)):
-            records, _, _ = poisson_ctmc._uniformize(params, [(2, 1.0)], np.array(grid), bound)[:3]
+            records, _, _ = poisson_ctmc._uniformize(params, [(2, 1.0)], np.array(grid), bound, math.inf)[:3]
             states, pmfs = reflecting_box_pmfs(params, 2, bound, grid)
             pos, neg = states > 0, states < 0
             expected = {
@@ -376,7 +401,7 @@ class TestUniformization:
         # the top edge mass peaks near t = 0.25, well before the first grid point
         params = QueueParams(1.0, 2.0, 0.5, 0.5)
         bound = 5
-        _, max_edge, series_tail = poisson_ctmc._uniformize(params, [(4, 1.0)], np.array([3.0, 6.0]), bound)[:3]
+        _, max_edge, series_tail = poisson_ctmc._uniformize(params, [(4, 1.0)], np.array([3.0, 6.0]), bound, math.inf)[:3]
         _, pmfs = reflecting_box_pmfs(params, 4, bound, np.linspace(0.0, 6.0, 241))
         edges = np.maximum(pmfs[:, 0], pmfs[:, -1])
         assert max_edge >= edges.max() - series_tail - 1e-15
