@@ -86,15 +86,17 @@ class PsiDensity:
                 continue
             rate = self.theta if positive else self.gamma
             mean, var = self._branch(positive)
-            z = (x[sel] - mean) / math.sqrt(var)
-            out[sel] = (
-                self.log_c
-                - 0.5 * math.log(rate)
-                + self.kappa / rate
-                - 0.5 * z * z
-                - _LOG_SQRT_2PI
-                - 0.5 * math.log(var)
-            )
+            # z and z * z overflow to inf only where the density underflows to 0
+            with np.errstate(over="ignore"):
+                z = (x[sel] - mean) / math.sqrt(var)
+                out[sel] = (
+                    self.log_c
+                    - 0.5 * math.log(rate)
+                    + self.kappa / rate
+                    - 0.5 * z * z
+                    - _LOG_SQRT_2PI
+                    - 0.5 * math.log(var)
+                )
         return out
 
     def pdf(self, x):
@@ -128,14 +130,23 @@ class PsiDensity:
 
 
 def psi_density(kappa: float, mu: float, sigma: float, theta: float, gamma: float) -> PsiDensity:
-    """Construct the glued-Gaussian density with the given exponent tilt kappa."""
+    """Construct the glued-Gaussian density with the given exponent tilt kappa.
+
+    Raises DomainError where a side's Gaussian or log weight leaves the float range.
+    """
     finite(kappa, "kappa")
     finite(mu, "mu")
     for name, value in (("sigma", sigma), ("theta", theta), ("gamma", gamma)):
         positive(value, name)
     sigma_sq = finite_result(lambda: sigma**2, f"sigma^2 at sigma = {sigma}")
-    lw1 = -0.5 * math.log(theta) + kappa / theta + normal_logsf(0.0, mu / theta, sigma_sq / (2.0 * theta))
-    lw2 = -0.5 * math.log(gamma) + kappa / gamma + normal_logcdf(0.0, mu / gamma, sigma_sq / (2.0 * gamma))
+    lw1 = finite_result(
+        lambda: -0.5 * math.log(theta) + kappa / theta + normal_logsf(0.0, mu / theta, sigma_sq / (2.0 * theta)),
+        "the log weight of the half line x >= 0",
+    )
+    lw2 = finite_result(
+        lambda: -0.5 * math.log(gamma) + kappa / gamma + normal_logcdf(0.0, mu / gamma, sigma_sq / (2.0 * gamma)),
+        "the log weight of the half line x < 0",
+    )
     log_norm = np.logaddexp(lw1, lw2)
     return PsiDensity(
         kappa=kappa,
@@ -179,7 +190,8 @@ def psi_moments(mu: float, sigma: float, theta: float, gamma: float) -> PsiMomen
     its moments.
     """
     density = tilted_psi_density(mu, sigma, theta, gamma)
-    return PsiMoments(ev=density.mean(), ev2=density.second_moment(), d1=density.d1, d2=density.d2)
+    ev, ev2 = finite(density.mean(), "the psi mean"), finite(density.second_moment(), "the psi second moment")
+    return PsiMoments(ev=ev, ev2=ev2, d1=density.d1, d2=density.d2)
 
 
 @dataclass(frozen=True)
@@ -268,7 +280,7 @@ class ModelTwoResult:
 
 def model_two(params: QueueParams) -> ModelTwoResult:
     """Fluid-centered approximation with coefficient b = sqrt(a^2 + |alpha-beta|)."""
-    level = fluid_limit(params)
+    level = finite_result(lambda: fluid_limit(params), "the fluid fixed point")
     mom = psi_moments(0.0, params.heavy_traffic_coeff, params.theta, params.gamma)
     return ModelTwoResult(L1=level, L2=finite_result(lambda: level**2 + mom.ev2, "the model-two second moment"))
 

@@ -163,7 +163,10 @@ def fluid_integrate(params: QueueParams, x0: float, step: float, horizon: float)
 
     The drift has a kink at zero; when a step straddles the sign change the
     crossing is located by bisection on the step size and the integration
-    restarts exactly at zero, which keeps the fourth-order accuracy.
+    restarts exactly at zero, which keeps the fourth-order accuracy.  Both
+    tests compare signs, not the product of two values, which underflows to
+    zero next to a subnormal start.  The hitting time is a Python float, as
+    in fluid_closed_form_path.
     """
     delta, theta, gamma = params.alpha - params.beta, params.theta, params.gamma
     euler_step(step, theta, gamma)
@@ -175,17 +178,18 @@ def fluid_integrate(params: QueueParams, x0: float, step: float, horizon: float)
     hitting = None
     for k in range(1, len(t_grid)):
         x_new = _rk4_step(delta, theta, gamma, x, step)
-        if x != 0.0 and x * x_new < 0.0 and hitting is None:
+        if (x_new < 0.0 < x or x < 0.0 < x_new) and hitting is None:
             # bisect the substep length at which the path reaches zero
             lo, hi = 0.0, step
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                if x * _rk4_step(delta, theta, gamma, x, mid) > 0.0:
+                y = _rk4_step(delta, theta, gamma, x, mid)
+                if (y > 0.0) if x > 0.0 else (y < 0.0):
                     lo = mid
                 else:
                     hi = mid
             h_cross = 0.5 * (lo + hi)
-            hitting = t_grid[k - 1] + h_cross
+            hitting = float(t_grid[k - 1]) + h_cross
             x_new = _rk4_step(delta, theta, gamma, 0.0, step - h_cross)
         x = x_new
         xs[k] = x

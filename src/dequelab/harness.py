@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import des, diffusion, poisson_ctmc
-from .errors import ConfigError, finite, positive, time_window, whole_number
+from .errors import ConfigError, finite, finite_result, positive, time_window, whole_number
 from .numerics import FAMILY_ALIASES
 from .params import QueueParams
 
@@ -350,14 +350,16 @@ def psi_density_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(x, psi(x)) on a uniform grid; defaults to mean +- 6 sd with 1024 points."""
     if lo is None or hi is None:
-        mean = density.mean()
-        sd = math.sqrt(max(density.second_moment() - mean**2, 1e-300))
+        mean = finite(density.mean(), "the psi mean")
+        variance = finite_result(lambda: density.second_moment() - mean**2, "the psi variance")
+        sd = math.sqrt(max(variance, 1e-300))
         lo = mean - 6.0 * sd if lo is None else lo
         hi = mean + 6.0 * sd if hi is None else hi
     finite(lo, "grid end lo", ConfigError)
     finite(hi, "grid end hi", ConfigError)
     if not hi > lo:
         raise ConfigError(f"need hi > lo, got [{lo}, {hi}]")
+    finite(hi - lo, "the grid width hi - lo", ConfigError)
     count = whole_number(count, "grid point count", 2, ConfigError)
     x = np.linspace(lo, hi, count)
     return x, density.pdf(x)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erfcx
 
-from .errors import DomainError, positive, whole_number
+from .errors import DomainError, finite_result, positive, whole_number
 
 __all__ = [
     "normal_pdf",
@@ -56,7 +56,7 @@ def normal_sf(x: float, mean: float = 0.0, variance: float = 1.0) -> float:
 def normal_logsf(x: float, mean: float = 0.0, variance: float = 1.0) -> float:
     """log P(X > x), stable in both tails."""
     sd = _check_variance(variance)
-    z = (x - mean) / sd
+    z = finite_result(lambda: (x - mean) / sd, "the standardized point (x - mean)/sd")
     u = z / _SQRT2
     if u <= 0.0:
         # survival is at least 1/2; plain erfc has no underflow here
@@ -72,7 +72,7 @@ def normal_logcdf(x: float, mean: float = 0.0, variance: float = 1.0) -> float:
 
 def normal_hazard(z: float) -> float:
     """Gaussian hazard (inverse Mills ratio) phi(z) / (1 - Phi(z)) for standard normal."""
-    return _SQRT_2_OVER_PI / erfcx(z / _SQRT2)
+    return _SQRT_2_OVER_PI / float(erfcx(z / _SQRT2))
 
 
 def truncated_normal_moments(mean: float, variance: float, side: str) -> tuple[float, float]:
@@ -83,7 +83,7 @@ def truncated_normal_moments(mean: float, variance: float, side: str) -> tuple[f
     finite.
     """
     sd = _check_variance(variance)
-    z = -mean / sd
+    z = finite_result(lambda: -mean / sd, "the standardized zero -mean/sd")
     if side == "positive":
         h = normal_hazard(z)
         first = mean + sd * h

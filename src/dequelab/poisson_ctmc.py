@@ -6,9 +6,10 @@ module computes its stationary distribution (in log space, with controlled
 truncation), the limiting moments summed over that pmf (the series of the
 paper's incomplete-gamma closed forms are these sums), transient moments of
 the truncated master equation by uniformization (one Poisson series serves
-every output time, with an a-priori bound on the dropped tail), and the
-closed-form second-moment lower bound available when theta == gamma, an
-elementary integral along the fluid path (fluid.discounted_source_integral).
+every output time, with an a-priori bound on the dropped tail, on a box sized
+once from a coupling bound), and the closed-form second-moment lower bound
+available when theta == gamma, an elementary integral along the fluid path
+(fluid.discounted_source_integral).
 """
 
 from __future__ import annotations
@@ -50,12 +51,10 @@ _HARD_SUPPORT_CAP = 10**6
 # Tail tolerance of the pmf that gamma_moment_summary sums, far below double
 # rounding since the second moment weighs the cut tail by i^2.
 _SUMMARY_TAIL_TOL = 1e-18
-# The transient solver grows its box when boundary mass exceeds the leak
-# tolerance.  Each uniformization step costs O(box) and the number of steps
-# grows with the largest out-rate, which is proportional to the box, so the
-# work grows quadratically with the box; past this size it is impractical.
-# The series buffer holds _SERIES_ROWS rows of 2 * bound + 3 doubles, whatever
-# the number of grid times: at the cap 64 * 131075 * 8 B, about 67 MB.
+# Largest half-width of the transient solver's box.  A uniformization step
+# costs O(box) and the steps grow with the rate, which grows with the box, so
+# past this size the work is impractical.  The series buffer holds
+# _SERIES_ROWS rows of 2 * bound + 3 doubles: at the cap about 67 MB.
 _TRANSIENT_SUPPORT_CAP = 2**16
 # Poisson upper-tail mass at which the uniformization series is cut, at the
 # last grid time; every earlier time's tail at that cut is smaller.
@@ -222,15 +221,12 @@ def poisson_moment_estimates(params: QueueParams) -> tuple[float, float]:
 class TransientMoments:
     """Moment curves of the chain on a time grid, from the truncated master equation.
 
-    One uniformization series serves every grid time.  max_boundary_mass is
-    the largest edge-state mass over its iterates up to the last time's cut,
-    and bounds the probability of either edge state of the box at every
-    time in [0, t[-1]], not only on the grid, up to series_tail_mass.
-    series_tail_mass is the Poisson tail dropped at the last grid time, the
-    largest of the grid times' tails, an l1 bound on the error that cutting
-    the series adds to the pmf at any grid point.  series_terms counts the
-    matrix-vector steps run, summed over every box tried; a leaking box stops
-    after the 64-row buffer in which its edge mass first passes leak_tol.
+    One uniformization series on the one box [-support_bound, support_bound] serves every grid time.
+    max_boundary_mass is the largest edge-state mass over its iterates up to the last time's cut, and bounds
+    the probability of either edge state at every time in [0, t[-1]], not only on the grid, up to
+    series_tail_mass.  series_tail_mass is the Poisson tail dropped at the last grid time, the largest of the
+    grid times' tails, an l1 bound on the error that cutting the series adds to the pmf at any grid point.
+    series_terms counts the matrix-vector steps run.
     """
 
     t: np.ndarray
@@ -247,59 +243,92 @@ class TransientMoments:
 
 
 def _initial_items(initial_pmf) -> list[tuple[int, float]]:
-    """(state, mass) pairs of the start law, zero masses dropped; all finite, >= 0, summing to 1."""
+    """(state, mass) pairs of the start law, zero masses dropped; all finite, >= 0, summing to 1.
+
+    A StationaryPmf is checked by array operations, a mapping pair by pair, with the same errors."""
     if isinstance(initial_pmf, StationaryPmf):
-        items = zip(initial_pmf.states.tolist(), initial_pmf.probs.tolist())
+        states, masses = initial_pmf.states, np.asarray(initial_pmf.probs, dtype=float)
+        for k in np.flatnonzero(~((masses >= 0.0) & (masses < math.inf)))[:1]:
+            non_negative(masses[k].item(), f"probability at state {states[k]}")
+        total = float(masses.sum())
+        items = list(zip(states[masses > 0.0].tolist(), masses[masses > 0.0].tolist()))
     elif isinstance(initial_pmf, Mapping):
-        items = initial_pmf.items()
+        items = [(whole_number(state, "state"), mass) for state, mass in initial_pmf.items()]
+        total = sum(non_negative(mass, f"probability at state {state}") for state, mass in items)
+        items = [(state, mass) for state, mass in items if mass > 0.0]
     else:
         raise DomainError("initial_pmf must be a StationaryPmf or a mapping state -> probability")
-    items = [(whole_number(state, "state"), mass) for state, mass in items]
-    total = 0.0
-    for state, mass in items:
-        total += non_negative(mass, f"probability at state {state}")
     if abs(total - 1.0) > 1e-9:
         raise DomainError(f"initial pmf must sum to 1, got {total}")
-    return [(state, mass) for state, mass in items if mass > 0.0]
+    return items
 
 
-def _series_cut(lam: float) -> int:
-    """The first K whose Poisson(lam) upper tail is at most _SERIES_TAIL_TOL."""
-    first = math.floor(lam)
+def _series_cut(lam: float, tol: float) -> int:
+    """The first K >= floor(lam) whose Poisson(lam) tail P(X > K) is at most tol, by bisection on the falling tail."""
     width = int(10.0 * math.sqrt(lam)) + 40
-    while True:
-        ks = np.arange(first, first + width)
-        hit = np.flatnonzero(pdtrc(ks, lam) <= _SERIES_TAIL_TOL)
-        if hit.size:
-            return int(ks[hit[0]])
-        first += width
+    lo, hi = math.floor(lam) - 1, math.floor(lam) + width
+    while pdtrc(hi, lam) > tol:
+        lo, hi = hi, hi + width
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if pdtrc(mid, lam) <= tol else (mid, hi)
+    return hi
+
+
+def _transient_box(params: QueueParams, items: list[tuple[int, float]], tol: float) -> int:
+    """The smallest half-width b whose coupling bound on the edge mass is at most tol (see transient_moments).
+
+    The tails pi(>= j) are summed in log space out to twice S + c, S the start's extent and c the Poisson(lam) cut
+    at tol/4, lam = max(alpha/theta, beta/gamma): each half-line law is log-concave and below Poisson(lam), so
+    pi(>= d + k)/pi(>= d) <= P(Poisson(lam) >= k) puts the bound at S + c under tol/2, and past twice S + c every
+    weight ratio is at most 1/2, so the geometric bound on the weights past the span at most doubles a bound."""
+    alpha, beta, theta, gamma, cap = params.alpha, params.beta, params.theta, params.gamma, _TRANSIENT_SUPPORT_CAP
+    states = np.array([min(max(state, -cap - 1), cap + 1) for state, _ in items])
+    masses = np.array([mass for _, mass in items])
+    lam = min(max(alpha / theta, beta / gamma), cap)
+    span = min(2 * (int(np.abs(states).max()) + _series_cut(lam, tol / 4.0)) + 1, cap)
+    ratios = (alpha / (beta + (span + 1) * theta), beta / (alpha + (span + 1) * gamma))
+    passing = []
+    if max(ratios) < 1.0:
+        bound = np.zeros(span + 1)
+        sides = zip(_log_weights(params, span), ratios, (np.maximum(states, 0), np.maximum(-states, 0)))
+        for log_w, ratio, dist in sides:
+            rest = log_w[-1] + math.log(ratio / (1.0 - ratio))
+            log_tail = np.logaddexp.accumulate(np.concatenate(([rest], log_w[::-1], [0.0])))[:0:-1]
+            # a start at distance d >= b counts whole, one below b adds its mass times pi(>= b)/pi(>= d)
+            mass_at = np.bincount(np.minimum(dist, span + 1), weights=masses)
+            bound[: mass_at.size] += np.cumsum(mass_at[::-1])[::-1][: span + 1]
+            with np.errstate(divide="ignore"):
+                below = np.logaddexp.accumulate(np.log(mass_at[:span]) - log_tail[: min(mass_at.size, span)])
+            bound[1:] += np.exp(log_tail[1:] + below[np.minimum(np.arange(span), below.size - 1)])
+        passing = np.flatnonzero(bound <= tol)
+    if not len(passing):
+        raise ResourceLimitError(f"the edge-mass bound is above {tol:.1e} on the box [-{span}, {span}]: the box "
+                                 f"needs more than the transient support cap {cap} states a side")
+    return int(passing[0])
 
 
 def _uniformize(params: QueueParams, items: list[tuple[int, float]], t_grid: np.ndarray, bound: int, leak_tol: float):
     """Uniformization of the forward equations over [-bound, bound], one series for every time.
 
-    With rate the largest out-rate in the box, P = I + Q/rate is a
-    nonnegative tridiagonal stochastic step and p(t) = sum_k Pois(rate*t; k)
-    p0 P^k.  The iterates p0 P^k, k = 0..K, are computed once, K the cut of
-    the last time, into a buffer of _SERIES_ROWS zero-padded rows, and each
-    full buffer is added into the moments of every grid time.  The Poisson
-    weights are built in log space relative to each time's mode, because
-    e^-lam underflows past lam ~ 745, and each time's weights are rescaled
-    at the end to sum to 1 minus its own tail (at most the last time's),
-    which removes the rounding that the large, nearly cancelling log terms
-    leave in their total.  Returns the (time, 6) moment records (m, s, m+, m-, s+, s-),
-    the largest edge mass over every iterate, the last time's dropped tail
-    and the number K of matrix-vector steps.  A leaking box is thrown away:
-    it stops after the first buffer whose edge mass passes leak_tol, with no records or tail.
+    With rate = alpha + beta + bound max(theta, gamma), P = I + Q/rate is a nonnegative tridiagonal
+    stochastic step, monotone on each half, and p(t) = sum_k Pois(rate*t; k) p0 P^k; start states past the box
+    are folded onto its edge.  The iterates p0 P^k, k = 0..K, are computed once, K the cut of the last time,
+    into a buffer of _SERIES_ROWS zero-padded rows, and each full buffer is added into the moments of every
+    grid time.  The Poisson weights are built in log space relative to each time's mode, because e^-lam
+    underflows past lam ~ 745, and each time's weights are rescaled at the end to sum to 1 minus its own tail
+    (at most the last time's), which removes the rounding that the large, nearly cancelling log terms leave in
+    their total.  Returns the (time, 6) moment records (m, s, m+, m-, s+, s-), the largest edge mass over every
+    iterate, the last time's dropped tail and the number K of matrix-vector steps; an edge mass above leak_tol
+    raises TruncationError.
     """
     states = np.arange(-bound, bound + 1, dtype=float)
     birth = params.alpha + np.maximum(-states, 0.0) * params.gamma
     death = params.beta + np.maximum(states, 0.0) * params.theta
     birth[-1] = 0.0  # transitions leaving the box are dropped
     death[0] = 0.0
-    loss = birth + death
-    rate = float(loss.max())
-    stay = 1.0 - loss / rate
+    rate = params.alpha + params.beta + bound * max(params.theta, params.gamma)
+    stay = 1.0 - (birth + death) / rate
     # inflow from the left and right neighbours; the zero pads of each row
     # stand in for the states outside the box
     up = np.concatenate(([0.0], birth[:-1] / rate))
@@ -310,7 +339,7 @@ def _uniformize(params: QueueParams, items: list[tuple[int, float]], t_grid: np.
         axis=1,
     )
 
-    n_terms = _series_cut(rate * t_grid[-1])
+    n_terms = _series_cut(rate * t_grid[-1], _SERIES_TAIL_TOL)
     lam = rate * t_grid[:, None]
     mode = np.floor(lam)
     log_mode = xlogy(mode, lam) - gammaln(mode + 1.0)
@@ -319,10 +348,8 @@ def _uniformize(params: QueueParams, items: list[tuple[int, float]], t_grid: np.
 
     buf = np.zeros((_SERIES_ROWS, 2 * bound + 3))
     for state, mass in items:
-        buf[0, state + bound + 1] += mass
-    mid = [row[1:-1] for row in buf]
-    left = [row[:-2] for row in buf]
-    right = [row[2:] for row in buf]
+        buf[0, min(max(state, -bound), bound) + bound + 1] += mass
+    mid, left, right = list(buf[:, 1:-1]), list(buf[:, :-2]), list(buf[:, 2:])
     scratch = np.empty(2 * bound + 1)
 
     def advance(src: int, dst: int) -> None:
@@ -341,8 +368,6 @@ def _uniformize(params: QueueParams, items: list[tuple[int, float]], t_grid: np.
             advance(r, r + 1)
         block = buf[:rows]
         max_edge = max(max_edge, float(block[:, 1].max()), float(block[:, -2].max()))
-        if max_edge > leak_tol:
-            return None, max_edge, None, first + rows - 1
         block_moments = block[:, 1:-1] @ functionals
         k = np.arange(first, first + rows, dtype=float)
         log_fact = gammaln(k + 1.0)
@@ -352,6 +377,9 @@ def _uniformize(params: QueueParams, items: list[tuple[int, float]], t_grid: np.
             weights = np.exp(xlogy(k, lam[part]) - log_fact - log_mode[part])
             moments[part] += weights @ block_moments
             sums[part] += weights.sum(axis=1, keepdims=True)
+    if max_edge > leak_tol:
+        raise TruncationError(f"boundary mass {max_edge:.3e} exceeds leak_tol {leak_tol:.1e} "
+                              f"on the box [-{bound}, {bound}]")
     tails = pdtrc(n_terms, lam)
     moments *= (1.0 - tails) / sums
     return moments, max_edge, float(tails[-1, 0]), n_terms
@@ -365,17 +393,20 @@ def transient_moments(
 ) -> TransientMoments:
     """Transient moment curves m, s, m+, m-, s+, s- on t_grid.
 
-    Solves the forward equations on a reflecting box [-b, b] by
-    uniformization: one Poisson series from the start law serves every grid
-    time, cut where the last time's tail mass falls below 1e-14, and that
-    tail is reported as series_tail_mass.  max_boundary_mass is the largest
-    edge-state mass over every term of the series, which bounds the edge
-    mass over continuous time.  Start states must be integers (integral
-    floats such as 2.0 pass).  The first box covers the start law's
-    positive-mass states plus the stationary support plus 16; while the edge
-    mass exceeds leak_tol the box is doubled and the solution retried.  A
-    box that would pass _TRANSIENT_SUPPORT_CAP raises ResourceLimitError if
-    it is the first one and TruncationError otherwise.
+    Solves the forward equations on a reflecting box [-b, b] by uniformization: one Poisson series from the start
+    law serves every grid time, cut where the last time's tail mass, series_tail_mass, falls below 1e-14.  Start
+    states must be integers (integral floats such as 2.0 pass).
+
+    b is chosen once, from a coupling bound.  X+ is dominated pathwise by the chain's positive half reflected at 0,
+    a monotone reversible birth-death chain (births alpha, deaths beta + y theta) with stationary law pi on y >= 0.
+    Started at s+ it stays below the copy started from pi conditioned on y >= s+, whose density against pi never
+    rises above 1/pi(>= s+), so its mass at or above b, at any time or uniformized step, is at most pi(>= b)/pi(>= s+);
+    the steps stay monotone at the top of the box since the uniformization rate is alpha + beta + b max(theta, gamma).
+    The negative side gives pi(<= -b)/pi(<= -s-).  b is the smallest half-width at which the start law's sum of
+    m_s min(1, ratio) over both sides is at most min(leak_tol, 1e-14); start states past b are folded onto the edge,
+    inside the bound.  A b past _TRANSIENT_SUPPORT_CAP raises ResourceLimitError before anything of its width is
+    built.  max_boundary_mass, the measured largest edge mass over every series term, bounds the edge mass over
+    continuous time; above leak_tol it raises TruncationError naming the box, the mass and leak_tol.
     """
     t_grid = times(list(t_grid) if np.iterable(t_grid) else t_grid, "t_grid")
     if t_grid.ndim != 1 or t_grid.size == 0:
@@ -383,24 +414,8 @@ def transient_moments(
     if np.any(np.diff(t_grid) <= 0.0):
         raise DomainError("t_grid must be strictly increasing")
     items = _initial_items(initial_pmf)
-    extent = max(abs(state) for state, _ in items)
-    bound = extent + stationary_distribution(params, 1e-10).support_bound + 16
-    if bound > _TRANSIENT_SUPPORT_CAP:
-        raise ResourceLimitError(
-            f"the first box [-{bound}, {bound}] exceeds the transient support cap {_TRANSIENT_SUPPORT_CAP}"
-        )
-    series_terms = 0
-    while True:
-        records, max_edge, series_tail, n_terms = _uniformize(params, items, t_grid, bound, leak_tol)
-        series_terms += n_terms
-        if max_edge <= leak_tol:
-            break
-        if 2 * bound > _TRANSIENT_SUPPORT_CAP:
-            raise TruncationError(
-                f"boundary mass {max_edge:.3e} exceeds {leak_tol:.1e} on the box [-{bound}, {bound}], "
-                f"and doubling it would pass the transient support cap {_TRANSIENT_SUPPORT_CAP}"
-            )
-        bound *= 2
+    bound = _transient_box(params, items, min(leak_tol, _SERIES_TAIL_TOL))
+    records, max_edge, series_tail, n_terms = _uniformize(params, items, t_grid, bound, leak_tol)
     return TransientMoments(
         t=t_grid,
         m=records[:, 0],
@@ -412,7 +427,7 @@ def transient_moments(
         support_bound=bound,
         max_boundary_mass=max_edge,
         series_tail_mass=series_tail,
-        series_terms=series_terms,
+        series_terms=n_terms,
     )
 
 

@@ -186,6 +186,40 @@ def test_fluid_answers_or_fails_cleanly_at_extreme_inputs(rates, x0, step, horiz
         assert_clean_failure(code, out, err)
 
 
+EXTREME_VALUES = EXTREME_RATES + ("0", "-1", "inf", "nan")
+# small point counts only: a valid grid's count is not capped
+EXTREME_GRIDS = ("-3:3:5", "0:1:1", "nan:1:3", "-inf:1:3", "0:1e300:3", "-1e308:1e308:3", "1:0:3", "0:1:2.5",
+                 "-5e-324:5e-324:3")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(
+    mode=st.sampled_from(["model1", "model2", "density"]),
+    flags=st.sampled_from(list(itertools.combinations(RATE_FLAGS, 2))),
+    values=st.tuples(st.sampled_from(EXTREME_VALUES), st.sampled_from(EXTREME_VALUES)),
+    sds=st.tuples(*[st.sampled_from((None,) + EXTREME_VALUES)] * 2),
+    grid=st.sampled_from((None,) + EXTREME_GRIDS),
+)
+def test_diffusion_answers_or_fails_cleanly_at_extreme_inputs(mode, flags, values, sds, grid):
+    rates = dict(zip(RATE_FLAGS, ("1", "1.5", "0.1", "0.15")))
+    rates.update(zip(flags, values))
+    argv = ["diffusion", mode, *itertools.chain.from_iterable(rates.items())]
+    argv += [f"{flag}={value}" for flag, value in zip(("--sigma", "--varsigma"), sds) if value is not None]
+    if mode == "density" and grid is not None:
+        argv.append(f"--grid={grid}")
+    code, out, err = run_redirected(argv)
+    if code == 0:
+        assert err == ""
+        if mode == "density":
+            lines = out.splitlines()
+            assert lines[0] == "x,psi" and len(lines) > 1
+            assert all(math.isfinite(float(v)) for line in lines[1:] for v in line.split(","))
+        else:
+            assert all(math.isfinite(v) for v in json.loads(out).values())
+    else:
+        assert_clean_failure(code, out, err)
+
+
 @pytest.mark.parametrize("mode", [[], ["--integrate"]], ids=["closed-form", "integrate"])
 @pytest.mark.parametrize("horizon", ["1e9", "1e300"])
 def test_fluid_grid_past_the_cap_is_a_resource_limit(capsys, mode, horizon):

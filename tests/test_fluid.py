@@ -34,17 +34,19 @@ PINNED_CASES = {
     "workload-small-reneging": ((1.0, 1.0, 0.02, 0.02), 0.0, 0.5, 500.0),
 }
 # sha256 of x.tobytes() + repr(hitting_time), recorded from the integrator
-# whose stages called a drift function on the params
+# whose stages called a drift function on the params; the three crossing
+# cases re-recorded when the hitting time became a Python float (repr
+# '0.693...' in place of 'np.float64(0.693...)'), with x.tobytes() unchanged
 PINNED_DIGESTS = {
     "balanced-from-zero": "5baf8af7443a61cd31bee92cc724bd65af15cf7453a4bc1abf2d95980ab2a715",
     "balanced-from-plus-two": "c020fbca78ee4fdf530f6b0b29d9ba7529802923e5daa6632289f4b2c09116f7",
     "balanced-from-minus-two": "a0bb74d0bcf2300dcab7912bcfb8ada74a4d07eae6891327bd5c56c321082f01",
-    "crossing-from-below": "18f2a5623e261b5f52968d1e0e212abce6b48df84022dcd90e31dbebab06ed2e",
-    "crossing-from-above": "9dd7fa15c6ff2962a536ef07f5f1acdd99d35c4f913e81574429f9e153e1a1af",
+    "crossing-from-below": "d32897f04ac50e95fd36b4370946a43ce8194ba5acb8f5e8c5239f9bb60206e2",
+    "crossing-from-above": "9afaaeebc21223075fb249221fa6d74c971e63cfe26832e96959ba6e1a1c07c4",
     "on-fixed-point": "cc06e508bcf01d09b990e127703bee97c1d42cb440f5fc10427bc65ae9341807",
     "theta-ne-gamma": "b7a47aae7f8eb10d4624f3b26212b6ddb6851d1329ae7f5959d2d721d06bb329",
     "workload-balanced": "6ba205ded303ea9ad662a67276bb9c203ba52f5c1d085448c5abd2e781b2a91f",
-    "workload-far-side": "043dbd3662b9b15b77eeadec1a081c12ba5d3e064865a4c51a472b3199f1ccfa",
+    "workload-far-side": "f236e291d5248950d56b898ae6de1f149bb2123ed4de47ce80c6eef9251bef7a",
     "workload-stationary": "0f77cebfa2b4aae80c543e904f2a9c061f5c61f8ec950394ac2ec7109ed395d5",
     "workload-from-zero": "3dbe31009544d67fa876d933b2afd38439e517e15d6d3870a5411db1ad27b058",
     "workload-small-reneging": "6ba205ded303ea9ad662a67276bb9c203ba52f5c1d085448c5abd2e781b2a91f",
@@ -183,6 +185,14 @@ class TestIntegratorOracle:
         path = fluid_integrate(QueueParams(*rates), x0, step, horizon)
         digest = hashlib.sha256(path.x.tobytes() + repr(path.hitting_time).encode()).hexdigest()
         assert digest == PINNED_DIGESTS[name]
+
+    @pytest.mark.parametrize("x0", [5e-324, 1e-300], ids=["subnormal", "tiny"])
+    def test_crossing_next_to_zero_is_found(self, x0):
+        # x * x_new underflows to zero here, so only a sign test sees the crossing
+        params = QueueParams(1, 1.5, 0.2, 0.3)
+        path = fluid_integrate(params, x0, 0.01, 1.0)
+        assert type(path.hitting_time) is float
+        assert abs(path.hitting_time - zero_hitting_time(params, x0)) <= 1e-12
 
     def test_step_guard(self):
         with pytest.raises(DomainError):

@@ -242,12 +242,12 @@ class TestTransientMoments:
         assert np.allclose(tm.m, tm.m_plus - tm.m_minus, atol=1e-12)
         assert np.allclose(tm.s, tm.s_plus + tm.s_minus, atol=1e-12)
 
-    def test_leak_raises_for_small_box(self, monkeypatch):
-        # the first box [-48, 48] leaks, and doubling it would pass the cap
-        monkeypatch.setattr(poisson_ctmc, "_TRANSIENT_SUPPORT_CAP", 64)
+    def test_leak_raises_when_the_box_is_too_small(self, monkeypatch):
+        # the measured edge mass is checked whatever box the bound picked
+        monkeypatch.setattr(poisson_ctmc, "_transient_box", lambda params, items, tol: 8)
         params = QueueParams(2.0, 1.0, 0.2, 0.2)
-        with pytest.raises(TruncationError, match=r"box \[-48, 48\].*cap 64"):
-            transient_moments(params, {0: 1.0}, [10.0], leak_tol=1e-300)
+        with pytest.raises(TruncationError, match=r"boundary mass .* exceeds leak_tol 1\.0e-08 on the box \[-8, 8\]"):
+            transient_moments(params, {0: 1.0}, [10.0])
 
     @pytest.mark.parametrize(
         "params, start",
@@ -298,24 +298,21 @@ class TestTransientMoments:
                 assert getattr(alone, name)[0] == pytest.approx(getattr(together, name)[i], rel=1e-12, abs=0.0), name
 
     @pytest.mark.parametrize(
-        "params, start, t_grid, leak_tol, boxes, last_terms",
+        "params, start, t_grid, leak_tol, box",
         [
-            # box [-50, 50]: the largest out-rate is alpha + beta + 49 theta = 31.7
-            (QueueParams(1.0, 1.3, 0.6, 0.4), 2, [1.0, 4.0], 1e-8, [50], 222),
-            # the box doubles once; the series of the leaking box [-80, 80]
-            # counts up to the buffer where its edge mass passes leak_tol
-            (QueueParams(1.0, 1.0, 0.02, 0.02), 0, [30.0], 1e-30, [80, 160], 260),
+            # the negative side, whose weights fall more slowly, sets the box
+            (QueueParams(1.0, 1.3, 0.6, 0.4), 2, [1.0, 4.0], 1e-8, 23),
+            # the leak tolerance 1e-30, below 1e-14, sets the bound
+            (QueueParams(1.0, 1.0, 0.02, 0.02), 0, [30.0], 1e-30, 103),
         ],
-        ids=["one-box", "two-boxes"],
+        ids=["near-zero", "small-reneging"],
     )
-    def test_series_terms_counts_the_steps_of_every_box(self, params, start, t_grid, leak_tol, boxes, last_terms):
+    def test_series_terms_counts_the_steps_of_one_box(self, params, start, t_grid, leak_tol, box):
         tm = transient_moments(params, {start: 1.0}, t_grid, leak_tol)
-        assert tm.support_bound == boxes[-1]
-        leaked = [steps_until_leak(params, start, bound, t_grid[-1], leak_tol) for bound in boxes[:-1]]
-        assert tm.series_terms == sum(leaked) + last_terms
-        rate = max(params.alpha + boxes[-1] * params.gamma, params.beta + boxes[-1] * params.theta,
-                   params.alpha + params.beta + (boxes[-1] - 1) * max(params.theta, params.gamma))
-        assert last_terms == series_cut(rate * t_grid[-1])
+        assert box == tail_ratio_box(params, [(start, 1.0)], min(leak_tol, 1e-14))
+        assert tm.support_bound == box
+        rate = params.alpha + params.beta + box * max(params.theta, params.gamma)
+        assert tm.series_terms == series_cut(rate * t_grid[-1])
 
     @pytest.mark.parametrize(
         "start, t_grid",
@@ -359,20 +356,64 @@ def series_cut(lam):
     return int(np.argmax(pdtrc(np.arange(10 * int(lam) + 100), lam) <= 1e-14))
 
 
-def steps_until_leak(params, start, bound, t_end, leak_tol):
-    """Steps a leaking box's series runs: to the end of the 64-step buffer holding
-    the first iterate whose edge mass passes leak_tol, or to the cut at t_end."""
-    states, q = reflecting_box_generator(params, bound)
-    rate = -q.diagonal().min()
-    step = np.eye(states.size) + q / rate
-    cut = series_cut(rate * t_end)
-    p = np.zeros(states.size)
-    p[start + bound] = 1.0
-    for k in range(cut + 1):
-        if max(p[0], p[-1]) > leak_tol:
-            return min(64 * (k // 64) + 63, cut)
-        p = p @ step
-    raise AssertionError(f"the box [-{bound}, {bound}] does not leak")
+def tail_ratio_box(params, items, tol, far=2000):
+    """Independent box rule: the smallest b with sum of m min(1, pi(>= b)/pi(>= s)) over both
+    half lines at most tol, the tails summed term by term in log space out to far states."""
+
+    def log_tails(birth, death, reneging):
+        log_w = [0.0]
+        for j in range(1, far + 1):
+            log_w.append(log_w[-1] + math.log(birth) - math.log(death + j * reneging))
+        tails = [log_w[-1]]
+        for value in reversed(log_w[:-1]):
+            top = max(value, tails[-1])
+            tails.append(top + math.log(math.exp(value - top) + math.exp(tails[-1] - top)))
+        return tails[::-1]
+
+    pos = log_tails(params.alpha, params.beta, params.theta)
+    neg = log_tails(params.beta, params.alpha, params.gamma)
+    for b in range(far):
+        total = sum(
+            mass * min(1.0, math.exp(tails[b] - tails[min(max(sign * state, 0), far)]))
+            for state, mass in items
+            for sign, tails in ((1, pos), (-1, neg))
+        )
+        if total <= tol:
+            return b
+    raise AssertionError("no box within the far states")
+
+
+class TestTransientBox:
+    # templates (alpha, beta, theta, gamma) run at (alpha, beta, theta/n, gamma/n)
+    # from 0 and from n x0, read at n t, the scaling of the paper's limit
+    @pytest.mark.parametrize("template, x0", [((2.0, 1.0, 1.0, 1.0), -1.0), ((1.0, 1.5, 0.5, 0.75), 2.0)],
+                             ids=["theta-eq-gamma", "theta-ne-gamma"])
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("from_zero", [True, False], ids=["from-zero", "from-n-x0"])
+    def test_scaled_chain_box_holds_its_bound(self, template, x0, n, from_zero):
+        alpha, beta, theta, gamma = template
+        params = QueueParams(alpha, beta, theta / n, gamma / n)
+        check_box(params, {0 if from_zero else round(n * x0): 1.0}, [0.25 * n, n], 1e-8)
+
+    def test_stationary_start_box_holds_its_bound(self):
+        params = QueueParams(1.0, 1.5, 0.1, 0.15)
+        check_box(params, stationary_distribution(params, 1e-12), [1.0, 10.0], 1e-8)
+
+
+def check_box(params, start, t_grid, leak_tol):
+    """The box's edge mass meets its bound, doubling it leaves the moments alone, and it is never
+    wider than the start's extent plus the stationary support at tail 1e-10 plus 16."""
+    tm = transient_moments(params, start, t_grid, leak_tol)
+    b = tm.support_bound
+    assert tm.max_boundary_mass <= min(leak_tol, 1e-14)
+    items = (list(zip(start.states.tolist(), start.probs.tolist())) if hasattr(start, "probs")
+             else list(start.items()))
+    wide = poisson_ctmc._uniformize(params, items, np.array(t_grid), 2 * b, leak_tol)[0]
+    for column, name in zip(wide.T, ("m", "s", "m_plus", "m_minus", "s_plus", "s_minus")):
+        value = getattr(tm, name)
+        assert np.all(np.abs(value - column) <= 1e-12 * np.maximum(np.abs(column), 1.0)), name
+    extent = max(abs(state) for state, mass in items if mass > 0.0)
+    assert b <= extent + stationary_distribution(params, 1e-10).support_bound + 16
 
 
 class TestUniformization:
