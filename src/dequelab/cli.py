@@ -15,12 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
 
 from . import des, diffusion, fluid, harness, poisson_ctmc
 from .errors import ConfigError, DequeLabError
+from .numerics import FAMILY_ALIASES
 from .params import QueueParams
 
-_DIST_CHOICES = sorted(harness.FAMILY_ALIASES)
+_DIST_CHOICES = sorted(FAMILY_ALIASES)
 
 
 def _add_rates(parser: argparse.ArgumentParser) -> None:
@@ -78,18 +80,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _params_from_args(args) -> QueueParams:
-    family = harness.canonical_family(args.dist)
-    params = QueueParams.for_family(family, args.alpha, args.beta, args.theta, args.gamma)
-    if args.sigma is not None or args.varsigma is not None:
-        params = QueueParams(
-            args.alpha,
-            args.beta,
-            args.theta,
-            args.gamma,
-            args.sigma if args.sigma is not None else params.sigma,
-            args.varsigma if args.varsigma is not None else params.varsigma,
-        )
-    return params
+    nominal = QueueParams.for_family(args.dist, args.alpha, args.beta, args.theta, args.gamma)
+    sigma = nominal.sigma if args.sigma is None else args.sigma
+    varsigma = nominal.varsigma if args.varsigma is None else args.varsigma
+    return QueueParams(args.alpha, args.beta, args.theta, args.gamma, sigma, varsigma)
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
@@ -100,63 +94,47 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         raise ConfigError(f"grid must look like LO:HI:N, got {text!r}") from exc
 
 
-def _cmd_analytic(args) -> int:
+# Each handler returns its output for main to print: a dict, written as JSON,
+# or the lines of a CSV table or a file list.
+
+
+def _cmd_analytic(args) -> dict:
     params = QueueParams(args.alpha, args.beta, args.theta, args.gamma)
     summary = poisson_ctmc.gamma_moment_summary(params)
-    json.dump(
-        {
-            "p1": summary.p1,
-            "p2": summary.p2,
-            "pi0": summary.pi0,
-            "L1_p": summary.first_moment,
-            "L2_p": summary.second_moment,
-        },
-        sys.stdout,
-        indent=2,
-    )
-    sys.stdout.write("\n")
-    return 0
+    return {
+        "p1": summary.p1,
+        "p2": summary.p2,
+        "pi0": summary.pi0,
+        "L1_p": summary.first_moment,
+        "L2_p": summary.second_moment,
+    }
 
 
-def _cmd_fluid(args) -> int:
+def _cmd_fluid(args) -> Iterator[str]:
     params = QueueParams(args.alpha, args.beta, args.theta, args.gamma)
     if args.integrate:
         path = fluid.fluid_integrate(params, args.x0, args.step, args.horizon)
     else:
         path = fluid.fluid_closed_form_path(params, args.x0, args.step, args.horizon)
-    sys.stdout.write("t,x\n")
-    for t, x in zip(path.t, path.x):
-        sys.stdout.write(f"{t:.10g},{x:.10g}\n")
-    return 0
+    return harness.csv_lines("t,x", harness.array_rows(path.t, path.x))
 
 
-def _cmd_diffusion(args) -> int:
+def _cmd_diffusion(args) -> dict | Iterator[str]:
     params = _params_from_args(args)
     if args.mode == "model1":
         result = diffusion.model_one(params)
-        json.dump({"L1_d1": result.L1, "L2_d1": result.L2}, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    elif args.mode == "model2":
+        return {"L1_d1": result.L1, "L2_d1": result.L2}
+    if args.mode == "model2":
         result = diffusion.model_two(params)
-        json.dump({"L1_d2": result.L1, "L2_d2": result.L2}, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        density = diffusion.tilted_psi_density(params.drift_offset, params.diffusion_coeff, params.theta, params.gamma)
-        if args.grid is None:
-            xs, ys = harness.psi_density_grid(density)
-        else:
-            lo, hi, n = _parse_grid(args.grid)
-            xs, ys = harness.psi_density_grid(density, lo, hi, n)
-        sys.stdout.write("x,psi\n")
-        for x, y in zip(xs, ys):
-            sys.stdout.write(f"{x:.10g},{y:.10g}\n")
-    return 0
+        return {"L1_d2": result.L1, "L2_d2": result.L2}
+    density = diffusion.tilted_psi_density(params.drift_offset, params.diffusion_coeff, params.theta, params.gamma)
+    grid = () if args.grid is None else _parse_grid(args.grid)
+    return harness.csv_lines("x,psi", harness.array_rows(*harness.psi_density_grid(density, *grid)))
 
 
-def _cmd_simulate(args) -> int:
-    family = harness.canonical_family(args.dist)
+def _cmd_simulate(args) -> dict:
     scenario = des.Scenario.for_family(
-        family,
+        args.dist,
         args.alpha,
         args.beta,
         args.theta,
@@ -168,35 +146,21 @@ def _cmd_simulate(args) -> int:
         histogram_bound=args.bound,
     )
     result = des.estimate(scenario, args.seed)
-    nonzero = {
-        int(state): float(p)
-        for state, p in zip(result.states, result.pmf)
-        if p > 0.0
+    return {
+        "L1_s": result.L1,
+        "L2_s": result.L2,
+        "ci_halfwidth_L1": result.ci_halfwidth_L1,
+        "ci_halfwidth_L2": result.ci_halfwidth_L2,
+        "replication_count": result.replication_count,
+        "seed": result.seed,
+        "overflow": result.overflow,
+        "pmf": {str(state): p for state, p in zip(result.states.tolist(), result.pmf.tolist()) if p > 0.0},
     }
-    json.dump(
-        {
-            "L1_s": result.L1,
-            "L2_s": result.L2,
-            "ci_halfwidth_L1": result.ci_halfwidth_L1,
-            "ci_halfwidth_L2": result.ci_halfwidth_L2,
-            "replication_count": result.replication_count,
-            "seed": result.seed,
-            "overflow": result.overflow,
-            "pmf": {str(k): v for k, v in sorted(nonzero.items())},
-        },
-        sys.stdout,
-        indent=2,
-    )
-    sys.stdout.write("\n")
-    return 0
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> list[str]:
     config = harness.ComparisonConfig.from_file(args.config, budget_override=args.budget)
-    written = harness.run_compare_command(config, args.seed, args.out)
-    for path in written:
-        sys.stdout.write(f"{path}\n")
-    return 0
+    return [f"{path}\n" for path in harness.run_compare_command(config, args.seed, args.out)]
 
 
 _HANDLERS = {
@@ -212,16 +176,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
-    except ConfigError as exc:
+        output = _HANDLERS[args.command](args)
+        sys.stdout.writelines([json.dumps(output, indent=2) + "\n"] if isinstance(output, dict) else output)
+        return 0
+    except (DequeLabError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DequeLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, (ConfigError, FileNotFoundError)) else 3
 
 
 if __name__ == "__main__":

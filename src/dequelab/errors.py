@@ -2,7 +2,8 @@
 
 The CLI maps these onto exit codes: configuration problems exit with 2,
 numerical/resource failures with 3.  A rule raises DomainError, or ConfigError
-for a comparison config; a value it cannot compare, such as None, fails it.
+for a comparison config; a value it cannot compare, such as None or a string,
+fails it, and so does a truth value such as True, which is not a number here.
 """
 
 import math
@@ -39,7 +40,12 @@ class ConfigError(DequeLabError):
     """A scenario or comparison configuration is invalid."""
 
 
+_TRUTH_VALUES = (bool, np.bool_)
+
+
 def _holds(test, *values) -> bool:
+    if any(isinstance(v, _TRUTH_VALUES) for v in values):
+        return False
     try:
         return bool(test(*values))
     except TypeError:
@@ -79,7 +85,7 @@ def whole_number(value, name: str, floor: float = -math.inf, error: type[DequeLa
     """value as an int at or above floor: an integer, or a float with no fractional part such as 2.0."""
     integral = isinstance(value, (float, np.floating)) and float(value).is_integer()
     try:
-        number = int(value) if integral else operator.index(value)
+        number = None if isinstance(value, _TRUTH_VALUES) else int(value) if integral else operator.index(value)
     except TypeError:
         number = None
     if number is None or number < floor:

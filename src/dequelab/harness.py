@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -17,20 +18,20 @@ import numpy as np
 
 from . import des, diffusion, poisson_ctmc
 from .errors import ConfigError, finite, finite_result, positive, time_window, whole_number
-from .numerics import FAMILY_ALIASES
+from .numerics import FAMILIES, canonical_family
 from .params import QueueParams
 
 __all__ = [
-    "FAMILY_ALIASES",
     "BUDGETS",
     "ComparisonConfig",
     "ComparisonRow",
     "DensityComparison",
-    "canonical_family",
     "relative_error_pct",
     "run_comparison",
     "export_density_comparison",
     "psi_density_grid",
+    "csv_lines",
+    "array_rows",
     "comparison_to_csv",
     "comparison_to_json",
     "run_compare_command",
@@ -42,19 +43,33 @@ BUDGETS = {
 }
 
 
-def canonical_family(name: str) -> str:
-    try:
-        return FAMILY_ALIASES[name.lower()]
-    except (AttributeError, KeyError):
-        valid = sorted(FAMILY_ALIASES)
-        raise ConfigError(f"unknown distribution {name!r}; valid names: {valid}") from None
+def _listed(value, name: str) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return tuple(value)
+
+
+def _positive_floats(values, axis: str, name: str) -> tuple[float, ...]:
+    return tuple(float(positive(v, name, ConfigError)) for v in _listed(values, axis))
+
+
+def _rate_pair(pair) -> tuple[float, float]:
+    pair = _positive_floats(pair, "rate pair", "arrival rate")
+    if len(pair) != 2:
+        raise ConfigError(f"rate pair must be two numbers, got {pair}")
+    return pair
 
 
 @dataclass(frozen=True)
 class ComparisonConfig:
-    """Axes of the comparison grid plus the simulation budget."""
+    """Axes of the comparison grid plus the simulation budget.
 
-    families: tuple[str, ...] = ("exponential", "uniform", "erlang", "hyperexponential")
+    Every field is checked here and stored as floats, ints and canonical family
+    names: a number must be an int or a float (not a string or a bool), an
+    axis a list or a tuple.
+    """
+
+    families: tuple[str, ...] = FAMILIES
     rate_pairs: tuple[tuple[float, float], ...] = ((1.0, 1.0), (1.0, 1.5), (1.0, 2.0))
     reneging_multipliers: tuple[float, ...] = (1.0, 0.1, 0.01)
     replications: int = 50
@@ -63,17 +78,18 @@ class ComparisonConfig:
     histogram_bound: int = 1000
 
     def __post_init__(self):
-        object.__setattr__(self, "families", tuple(canonical_family(f) for f in self.families))
-        for pair in self.rate_pairs:
-            if len(pair) != 2:
-                raise ConfigError(f"rate pair must be two numbers, got {pair}")
-            for rate in pair:
-                positive(rate, "arrival rate", ConfigError)
-        for mult in self.reneging_multipliers:
-            positive(mult, "reneging multiplier", ConfigError)
+        checked = {
+            "families": tuple(canonical_family(f, ConfigError) for f in _listed(self.families, "families")),
+            "rate_pairs": tuple(map(_rate_pair, _listed(self.rate_pairs, "rate_pairs"))),
+            "reneging_multipliers": _positive_floats(self.reneging_multipliers, "reneging_multipliers",
+                                                     "reneging multiplier"),
+        }
         time_window(self.warmup, self.horizon, ConfigError)
+        checked.update(warmup=float(self.warmup), horizon=float(self.horizon))
         for name in ("replications", "histogram_bound"):
-            object.__setattr__(self, name, whole_number(getattr(self, name), name, 1, ConfigError))
+            checked[name] = whole_number(getattr(self, name), name, 1, ConfigError)
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_dict(cls, raw: dict, budget_override: str | None = None) -> "ComparisonConfig":
@@ -87,29 +103,12 @@ class ComparisonConfig:
             if budget not in BUDGETS:
                 raise ConfigError(f"unknown budget {budget!r}; valid: {sorted(BUDGETS)} or an object")
             budget = BUDGETS[budget]
-        if not isinstance(budget, dict) or not {"replications", "warmup", "horizon"} <= budget.keys():
-            raise ConfigError(f"budget object needs replications, warmup and horizon, got {budget!r}")
-        try:
-            kwargs = {
-                "replications": budget["replications"],
-                "warmup": float(budget["warmup"]),
-                "horizon": float(budget["horizon"]),
-            }
-            for key in ("families", "rate_pairs", "reneging_multipliers", "histogram_bound"):
-                if key in raw:
-                    value = raw.pop(key)
-                    if key == "rate_pairs":
-                        value = tuple(tuple(float(v) for v in pair) for pair in value)
-                    elif key == "families":
-                        value = tuple(value)
-                    elif key == "reneging_multipliers":
-                        value = tuple(float(v) for v in value)
-                    kwargs[key] = value
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed config value: {exc}") from exc
-        if raw:
-            raise ConfigError(f"unknown config keys: {sorted(raw)}")
-        return cls(**kwargs)
+        if not isinstance(budget, dict) or budget.keys() != {"replications", "warmup", "horizon"}:
+            raise ConfigError(f"budget object needs exactly replications, warmup and horizon, got {budget!r}")
+        unknown = raw.keys() - {"families", "rate_pairs", "reneging_multipliers", "histogram_bound"}
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        return cls(**raw, **budget)
 
     @classmethod
     def from_file(cls, path: str | Path, budget_override: str | None = None) -> "ComparisonConfig":
@@ -247,17 +246,31 @@ def run_comparison(config: ComparisonConfig, base_seed: int = 0) -> list[Compari
     return _simulate_grid(config, base_seed)[0]
 
 
-def _fmt(value: float | None) -> str:
-    if value is None:
-        return "NA"
-    return format(value, ".10g")
+def csv_lines(header: str, rows: Iterable[Sequence]) -> Iterator[str]:
+    """A CSV table line by line, each line ending in a newline.
+
+    Numbers are written .10g, None as NA and strings as they are.  Rows are
+    read lazily, so a long table streams.  A tuple of numbers goes through one
+    %-template for the whole row, any other row cell by cell; array tables pass
+    their rows through array_rows, since numpy scalars format more slowly.
+    """
+    numbers = ",".join(["%.10g"] * (header.count(",") + 1)) + "\n"
+    yield header + "\n"
+    for row in rows:
+        try:
+            yield numbers % row
+        except TypeError:
+            yield ",".join([v if isinstance(v, str) else "NA" if v is None else "%.10g" % v for v in row]) + "\n"
+
+
+def array_rows(*columns: np.ndarray) -> Iterator[tuple]:
+    """The rows of equal-length arrays as tuples of Python numbers, converted 2^16 rows at a time."""
+    for lo in range(0, len(columns[0]), 2**16):
+        yield from zip(*(column[lo:lo + 2**16].tolist() for column in columns))
 
 
 def comparison_to_csv(rows: list[ComparisonRow]) -> str:
-    lines = [_CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([r.family] + [_fmt(getattr(r, name)) for name in _COLUMNS[1:]]))
-    return "\n".join(lines) + "\n"
+    return "".join(csv_lines(_CSV_HEADER, ([getattr(r, name) for name in _COLUMNS] for r in rows)))
 
 
 def comparison_to_json(rows: list[ComparisonRow]) -> str:
@@ -281,20 +294,8 @@ class DensityComparison:
     simulated_pmf: np.ndarray
 
     def to_csv(self) -> str:
-        lines = ["x,psi,psi_cell_mass,pi_poisson,pi_sim"]
-        for k in range(len(self.states)):
-            lines.append(
-                ",".join(
-                    [
-                        str(int(self.states[k])),
-                        _fmt(float(self.psi[k])),
-                        _fmt(float(self.psi_cell_mass[k])),
-                        _fmt(float(self.poisson_pmf[k])),
-                        _fmt(float(self.simulated_pmf[k])),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        columns = (self.states, self.psi, self.psi_cell_mass, self.poisson_pmf, self.simulated_pmf)
+        return "".join(csv_lines("x,psi,psi_cell_mass,pi_poisson,pi_sim", array_rows(*columns)))
 
 
 def heavy_traffic_density(family: str, alpha: float, beta: float, theta: float, gamma: float):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erfcx
 
-from .errors import DomainError, finite_result, positive, whole_number
+from .errors import DequeLabError, DomainError, finite_result, positive, whole_number
 
 __all__ = [
     "normal_pdf",
@@ -25,6 +25,8 @@ __all__ = [
     "truncated_normal_moments",
     "tv_distance",
     "FAMILY_ALIASES",
+    "FAMILIES",
+    "canonical_family",
     "InterarrivalModel",
     "RandomStream",
     "sample_interarrival",
@@ -114,14 +116,22 @@ FAMILY_ALIASES = {
     "hyperexp": "hyperexponential",
     "hyperexponential": "hyperexponential",
 }
-_FAMILIES = tuple(dict.fromkeys(FAMILY_ALIASES.values()))
+FAMILIES = tuple(dict.fromkeys(FAMILY_ALIASES.values()))
+
+
+def canonical_family(name: str, error: type[DequeLabError] = DomainError) -> str:
+    """The canonical name of an interarrival family, given any of its names in any case."""
+    try:
+        return FAMILY_ALIASES[name.lower()]
+    except (AttributeError, KeyError):
+        raise error(f"unknown distribution {name!r}; valid names: {sorted(FAMILY_ALIASES)}") from None
 
 
 @dataclass(frozen=True)
 class InterarrivalModel:
     """A renewal interarrival law with mean 1/rate.
 
-    Families:
+    Families (any name in FAMILY_ALIASES, in any case; the canonical name is stored):
       exponential        rate `rate`
       uniform            on [0, 2/rate]
       erlang             `stages` exponential stages, each with rate stages*rate
@@ -138,8 +148,7 @@ class InterarrivalModel:
     stages: int = 2
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise DomainError(f"unknown interarrival family {self.family!r}; choose from {_FAMILIES}")
+        object.__setattr__(self, "family", canonical_family(self.family))
         positive(self.rate, "rate")
         if self.family == "erlang":
             whole_number(self.stages, "erlang stages", 1)

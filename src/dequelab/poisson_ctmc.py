@@ -27,6 +27,7 @@ from .errors import (
     ResourceLimitError,
     TruncationError,
     non_negative,
+    positive,
     times,
     whole_number,
 )
@@ -56,6 +57,10 @@ _SUMMARY_TAIL_TOL = 1e-18
 # past this size the work is impractical.  The series buffer holds
 # _SERIES_ROWS rows of 2 * bound + 3 doubles: at the cap about 67 MB.
 _TRANSIENT_SUPPORT_CAP = 2**16
+# Largest rate*t at the last grid time, about the series' step count K: the
+# tests and the benchmark reach K = 2 079, and past 10^6 steps a series takes
+# seconds even on the smallest box.
+_SERIES_RATE_TIME_CAP = 1e6
 # Poisson upper-tail mass at which the uniformization series is cut, at the
 # last grid time; every earlier time's tail at that cut is smaller.
 _SERIES_TAIL_TOL = 1e-14
@@ -278,15 +283,23 @@ def _series_cut(lam: float, tol: float) -> int:
 def _transient_box(params: QueueParams, items: list[tuple[int, float]], tol: float) -> int:
     """The smallest half-width b whose coupling bound on the edge mass is at most tol (see transient_moments).
 
-    The tails pi(>= j) are summed in log space out to twice S + c, S the start's extent and c the Poisson(lam) cut
-    at tol/4, lam = max(alpha/theta, beta/gamma): each half-line law is log-concave and below Poisson(lam), so
-    pi(>= d + k)/pi(>= d) <= P(Poisson(lam) >= k) puts the bound at S + c under tol/2, and past twice S + c every
-    weight ratio is at most 1/2, so the geometric bound on the weights past the span at most doubles a bound."""
+    The tails pi(>= j) are summed in log space out to twice S + c, S the start's extent and c the larger of the
+    half lines' cuts at tol/4.  The half line of births B, deaths D + y R is log-concave and below Poisson(B/R), and
+    when r = B/D < 1 every weight ratio is at most r, so pi(>= d + k)/pi(>= d) is at most P(Poisson(B/R) >= k) and
+    r^k; its cut is the smaller k that puts these under tol/4, and the bound at S + c is under tol/2.  The tail
+    past the span is bounded geometrically from its first weight ratio rho, at most 1/2 past twice a Poisson cut
+    and r past a geometric one; a geometric cut below the Poisson one, itself at most the cap, has 1 - r above
+    33/cap, so that tail, at most (tol/4)^2 rho/(1 - rho) of pi(>= d) for a start distance d <= S, moves the bound
+    by far less than tol."""
     alpha, beta, theta, gamma, cap = params.alpha, params.beta, params.theta, params.gamma, _TRANSIENT_SUPPORT_CAP
     states = np.array([min(max(state, -cap - 1), cap + 1) for state, _ in items])
     masses = np.array([mass for _, mass in items])
-    lam = min(max(alpha / theta, beta / gamma), cap)
-    span = min(2 * (int(np.abs(states).max()) + _series_cut(lam, tol / 4.0)) + 1, cap)
+    cut = 0
+    for birth, death, reneging in ((alpha, beta, theta), (beta, alpha, gamma)):
+        ratio = birth / death
+        geometric = math.ceil((math.log(tol) - math.log(4.0)) / math.log(ratio)) if 0.0 < ratio < 1.0 else math.inf
+        cut = max(cut, min(_series_cut(min(birth / reneging, cap), tol / 4.0), geometric))
+    span = min(2 * (int(np.abs(states).max()) + cut) + 1, cap)
     ratios = (alpha / (beta + (span + 1) * theta), beta / (alpha + (span + 1) * gamma))
     passing = []
     if max(ratios) < 1.0:
@@ -320,7 +333,7 @@ def _uniformize(params: QueueParams, items: list[tuple[int, float]], t_grid: np.
     (at most the last time's), which removes the rounding that the large, nearly cancelling log terms leave in
     their total.  Returns the (time, 6) moment records (m, s, m+, m-, s+, s-), the largest edge mass over every
     iterate, the last time's dropped tail and the number K of matrix-vector steps; an edge mass above leak_tol
-    raises TruncationError.
+    raises TruncationError, and a rate*t past _SERIES_RATE_TIME_CAP raises ResourceLimitError before any step.
     """
     states = np.arange(-bound, bound + 1, dtype=float)
     birth = params.alpha + np.maximum(-states, 0.0) * params.gamma
@@ -328,6 +341,9 @@ def _uniformize(params: QueueParams, items: list[tuple[int, float]], t_grid: np.
     birth[-1] = 0.0  # transitions leaving the box are dropped
     death[0] = 0.0
     rate = params.alpha + params.beta + bound * max(params.theta, params.gamma)
+    if not rate * t_grid[-1] <= _SERIES_RATE_TIME_CAP:
+        raise ResourceLimitError(f"the series needs about rate*t = {rate * t_grid[-1]:.3g} steps on the box "
+                                 f"[-{bound}, {bound}], past the cap {_SERIES_RATE_TIME_CAP:.0e}")
     stay = 1.0 - (birth + death) / rate
     # inflow from the left and right neighbours; the zero pads of each row
     # stand in for the states outside the box
@@ -405,8 +421,9 @@ def transient_moments(
     The negative side gives pi(<= -b)/pi(<= -s-).  b is the smallest half-width at which the start law's sum of
     m_s min(1, ratio) over both sides is at most min(leak_tol, 1e-14); start states past b are folded onto the edge,
     inside the bound.  A b past _TRANSIENT_SUPPORT_CAP raises ResourceLimitError before anything of its width is
-    built.  max_boundary_mass, the measured largest edge mass over every series term, bounds the edge mass over
-    continuous time; above leak_tol it raises TruncationError naming the box, the mass and leak_tol.
+    built, and a series of more than about _SERIES_RATE_TIME_CAP steps before its first step.  max_boundary_mass,
+    the measured largest edge mass over every series term, bounds the edge mass over continuous time; above
+    leak_tol, which must be finite and > 0, it raises TruncationError naming the box, the mass and leak_tol.
     """
     t_grid = times(list(t_grid) if np.iterable(t_grid) else t_grid, "t_grid")
     if t_grid.ndim != 1 or t_grid.size == 0:
@@ -414,7 +431,7 @@ def transient_moments(
     if np.any(np.diff(t_grid) <= 0.0):
         raise DomainError("t_grid must be strictly increasing")
     items = _initial_items(initial_pmf)
-    bound = _transient_box(params, items, min(leak_tol, _SERIES_TAIL_TOL))
+    bound = _transient_box(params, items, min(positive(leak_tol, "leak_tol"), _SERIES_TAIL_TOL))
     records, max_edge, series_tail, n_terms = _uniformize(params, items, t_grid, bound, leak_tol)
     return TransientMoments(
         t=t_grid,

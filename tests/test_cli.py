@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -390,10 +391,17 @@ class TestCompare:
             {"histogram_bound": 10.9},
             {"families": ["exp"], "reneging_multipliers": [math.inf], "budget": TINY_BUDGET},
             {"families": ["exp"], "rate_pairs": [[math.inf, 1.0]], "budget": TINY_BUDGET},
+            {"families": ["exp"], "rate_pairs": [[1, "2"]], "budget": TINY_BUDGET},
+            {"families": ["exp"], "budget": {"replications": 1, "warmup": "0", "horizon": 5}},
+            {"families": ["exp"], "reneging_multipliers": [True], "budget": TINY_BUDGET},
+            {"families": ["exp"], "budget": {"replications": True, "warmup": 0, "horizon": 5}},
+            {"families": ["exp"], "budget": {**TINY_BUDGET, "seed": 9}},
+            {"families": "exp", "budget": TINY_BUDGET},
         ],
         ids=["budget-missing-keys", "replications-not-a-number", "rate-not-a-number", "not-an-object",
              "histogram-bound-zero", "family-not-a-string", "replications-not-whole", "histogram-bound-not-whole",
-             "multiplier-infinite", "rate-infinite"],
+             "multiplier-infinite", "rate-infinite", "rate-numeric-string", "warmup-numeric-string",
+             "multiplier-true", "replications-true", "budget-extra-key", "families-not-a-list"],
     )
     def test_malformed_config_exit_code(self, capsys, tmp_path, config):
         cfg_path = tmp_path / "cfg.json"
@@ -410,3 +418,79 @@ class TestCompare:
             "--out", str(tmp_path / "o"),
         )
         assert code == 2
+
+
+# sha256 of the stdout of valid calls: any change to an output byte shows here
+PINNED_ARGV = {
+    "analytic": ["analytic", "--alpha", "1", "--beta", "1.5", "--theta", "0.1", "--gamma", "0.15"],
+    "fluid-closed-form": ["fluid", "--alpha", "1", "--beta", "1.5", "--theta", "0.2", "--gamma", "0.3",
+        "--x0", "2", "--horizon", "5", "--step", "0.01"],
+    "fluid-integrate": ["fluid", "--alpha", "1", "--beta", "1.5", "--theta", "0.2", "--gamma", "0.3",
+        "--x0", "2", "--horizon", "5", "--step", "0.01", "--integrate"],
+    "model1": ["diffusion", "model1", "--alpha", "1", "--beta", "2", "--theta", "0.01", "--gamma", "0.02",
+        "--dist", "erlang2"],
+    "model2": ["diffusion", "model2", "--alpha", "1", "--beta", "1.5", "--theta", "0.1", "--gamma", "0.15",
+        "--dist", "hyperexp"],
+    "density-default-grid": ["diffusion", "density", "--alpha", "1", "--beta", "1.5", "--theta", "0.1",
+        "--gamma", "0.15", "--dist", "uniform"],
+    "density-explicit-grid": ["diffusion", "density", *RATES, "--dist", "exp", "--grid=-3:3:61"],
+    "density-sd-override": ["diffusion", "density", *RATES, "--sigma", "0.5", "--varsigma", "2"],
+    "simulate": ["simulate", "--dist", "hyperexp", "--alpha", "1", "--beta", "1.5", "--theta", "0.5",
+        "--gamma", "0.75", "--reps", "2", "--horizon", "80", "--warmup", "10", "--seed", "7",
+        "--x0", "-2", "--bound", "40"],
+}
+PINNED_STDOUT = {
+    "analytic": "3763e6d00469668eac320cc1453273fd0c41b3d4dcb47fc2dda906e897b99f72",
+    "fluid-closed-form": "01c474c885629d50894373a3259317ad0d91419f1ea152a74c3d5b4cbaab2eec",
+    "fluid-integrate": "52cedba4c8de52063094664fc9c0f2b5ba369bbf88c2cfcf4e1f465918d80af8",
+    "model1": "b14f94d69afed2231742d8d6239c84dbe49e1b4bce1fe7d850c9da947fcf0842",
+    "model2": "1084705809ff7dce51ed0716877e639031165e88fc414a50fe7f232ae0981b41",
+    "density-default-grid": "14961c23944952111756f38822b7fc6b1f38769e6ec6215b43fe78b94f8eab53",
+    "density-explicit-grid": "247032b1da9b22bee8b7b90912feb7446913b28b6116dc3172a5e5063c0c5c32",
+    "density-sd-override": "3189cc263cc9e8da62556d01d44c77843dbe0c17100e1ba9a31e67cd20e99168",
+    "simulate": "f981608cdf5e63019ee245f753f1fc9b1872de22a30fdcd3bd33e22b2c8b8469",
+}
+# every family by an alias, whole numbers where floats are meant; compare writes each file named below
+PINNED_COMPARE_CONFIG = {
+    "families": ["exp", "uniform", "erlang2", "HyperExp"],
+    "rate_pairs": [[1, 1.5]],
+    "reneging_multipliers": [1, 0.1],
+    "budget": {"replications": 2, "warmup": 10, "horizon": 60},
+    "histogram_bound": 200,
+}
+PINNED_COMPARE_FILES = {
+    "stdout": "58825c493e6ae563e1bc807c5f4012734803fefb2fea4c94c36179fa7231489e",
+    "comparison.csv": "a8f485d668572a8bd8025529d4fd01bc1404ec6bd84bcef114f47e007b69079c",
+    "comparison.json": "b22f984403ffbcf44a2eae917ff2ac00583eb6958f96c4eed8da4316a18322a9",
+    "density/exponential_a1_b1.5_m1.csv": "b41ad2d142a4b9753938ecfa771de52a4eda2ab6475323e4b25e1bd569bb24d5",
+    "density/exponential_a1_b1.5_m0.1.csv": "1ce59d54dcbcdcae3f4cc5c849191cb90426167d81a131678662431f1b7fa1a7",
+    "density/uniform_a1_b1.5_m1.csv": "e9930af78c0149b3787493a0227d4e3b4613dc21d5107c65b933434fd8b27c39",
+    "density/uniform_a1_b1.5_m0.1.csv": "0e2ec01e53edcfeb689af4bae476a0fc6752ea721ba93892724e2c6f90640589",
+    "density/erlang_a1_b1.5_m1.csv": "dfcc7b2ac42b2796e4b33d05facc923047eff5639698b29e2e436d6a74f604ce",
+    "density/erlang_a1_b1.5_m0.1.csv": "c1bc8baf003994b4de39c521e38fe371d4338710c5828579eb04a01b6fd7f69a",
+    "density/hyperexponential_a1_b1.5_m1.csv": "842e10333629d5f5d23df314a614d2ec0f2fbda96f899fa2136d49eac715bee7",
+    "density/hyperexponential_a1_b1.5_m0.1.csv": "5f0d66eaecde20df1d6057cf61bc03bf3c254e7bdbd8910873aa8da4249bec58",
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("name", list(PINNED_ARGV))
+    def test_stdout_bytes(self, capsys, name):
+        code, out, err = run_cli(capsys, *PINNED_ARGV[name])
+        assert (code, err) == (0, "")
+        assert sha256(out) == PINNED_STDOUT[name]
+
+    def test_compare_files_bytes(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(PINNED_COMPARE_CONFIG))
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "compare", "--config", str(cfg_path), "--seed", "5", "--out", str(out_dir))
+        assert (code, err) == (0, "")
+        files = [p for p in out_dir.rglob("*") if p.is_file()]
+        digests = {p.relative_to(out_dir).as_posix(): sha256(p.read_text(encoding="utf-8")) for p in files}
+        digests["stdout"] = sha256(out.replace(str(out_dir), "<out>"))
+        assert digests == PINNED_COMPARE_FILES

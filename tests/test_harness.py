@@ -8,12 +8,13 @@ import pytest
 from dequelab import des
 from dequelab.des import Scenario, estimate
 from dequelab.diffusion import model_one, model_two, psi_density
-from dequelab.errors import ConfigError
+from dequelab.errors import ConfigError, DomainError
 from dequelab.harness import (
     ComparisonConfig,
-    canonical_family,
+    array_rows,
     comparison_to_csv,
     comparison_to_json,
+    csv_lines,
     export_density_comparison,
     heavy_traffic_density,
     psi_density_grid,
@@ -21,6 +22,7 @@ from dequelab.harness import (
     run_comparison,
     run_compare_command,
 )
+from dequelab.numerics import InterarrivalModel
 from dequelab.params import QueueParams
 from dequelab.poisson_ctmc import poisson_moment_estimates
 
@@ -29,13 +31,16 @@ TINY_BUDGET = {"replications": 2, "warmup": 10.0, "horizon": 60.0}
 
 class TestConfig:
     def test_family_aliases(self):
-        assert canonical_family("exp") == "exponential"
-        assert canonical_family("erlang2") == "erlang"
-        assert canonical_family("HYPEREXP") == "hyperexponential"
+        cfg = ComparisonConfig(families=["exp", "erlang2", "HYPEREXP", "Uniform"])
+        assert cfg.families == ("exponential", "erlang", "hyperexponential", "uniform")
+        assert ComparisonConfig().families == ("exponential", "uniform", "erlang", "hyperexponential")
 
     def test_unknown_family_lists_valid_names(self):
-        with pytest.raises(ConfigError, match="valid names"):
-            canonical_family("weibull")
+        message = r"unknown distribution 'weibull'; valid names: \['erlang', 'erlang2', 'exp',"
+        with pytest.raises(ConfigError, match=message):
+            ComparisonConfig(families=["weibull"])
+        with pytest.raises(DomainError, match=message):
+            InterarrivalModel("weibull", 1.0)
 
     def test_from_dict_budgets(self):
         cfg = ComparisonConfig.from_dict({"families": ["exp"], "budget": "desk"})
@@ -93,6 +98,44 @@ class TestConfig:
         # a non-real value fails the rule too, rather than raising a bare TypeError
         with pytest.raises(ConfigError):
             ComparisonConfig(**fields)
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"rate_pairs": [[1, "2"]]}, "arrival rate must be"),
+            ({"reneging_multipliers": ["0.5"]}, "reneging multiplier must be"),
+            ({"budget": {"replications": 2, "warmup": "0", "horizon": 50}}, "need 0 <= warmup < horizon"),
+            ({"budget": {"replications": 2, "warmup": 0, "horizon": "50"}}, "need 0 <= warmup < horizon"),
+            ({"rate_pairs": [[True, 1]]}, "arrival rate must be"),
+            ({"reneging_multipliers": [True]}, "reneging multiplier must be"),
+            ({"budget": {"replications": True, "warmup": 0, "horizon": 50}}, "replications must be an integer"),
+            ({"budget": {"replications": 2, "warmup": False, "horizon": 50}}, "need 0 <= warmup < horizon"),
+            ({"histogram_bound": True}, "histogram_bound must be an integer"),
+            ({"budget": {"replications": 2, "warmup": 0, "horizon": 50, "seed": 9}}, "exactly replications"),
+            ({"families": "exp"}, "families must be a list"),
+            ({"rate_pairs": [1, 2]}, "rate pair must be a list"),
+            ({"reneging_multipliers": 0.1}, "reneging_multipliers must be a list"),
+        ],
+        ids=["rate-string", "multiplier-string", "warmup-string", "horizon-string", "rate-true",
+             "multiplier-true", "replications-true", "warmup-false", "bound-true", "budget-extra-key",
+             "families-string", "rate-pairs-flat", "multipliers-number"],
+    )
+    def test_from_dict_takes_json_numbers_and_lists_only(self, raw, message):
+        with pytest.raises(ConfigError, match=message):
+            ComparisonConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("rate_pairs", [5, "ab", (1.0, 2.0), None], ids=["number", "string", "flat", "none"])
+    def test_rate_pairs_not_a_list_of_pairs(self, rate_pairs):
+        with pytest.raises(ConfigError, match="must be a list"):
+            ComparisonConfig(rate_pairs=rate_pairs)
+
+    def test_whole_numbers_are_stored_as_floats(self):
+        cfg = ComparisonConfig.from_dict({"rate_pairs": [[1, 2]], "reneging_multipliers": [1],
+                                          "budget": {"replications": 2.0, "warmup": 0, "horizon": 50}})
+        assert cfg.rate_pairs == ((1.0, 2.0),) and cfg.reneging_multipliers == (1.0,)
+        assert (cfg.warmup, cfg.horizon, cfg.replications) == (0.0, 50.0, 2)
+        stored = [*cfg.rate_pairs[0], *cfg.reneging_multipliers, cfg.warmup, cfg.horizon]
+        assert all(type(v) is float for v in stored) and type(cfg.replications) is int
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -231,6 +274,20 @@ class TestOutputs:
         assert any(p.parent.name == "density" for p in written)
         for p in written:
             assert p.exists() and p.stat().st_size > 0
+
+
+def test_csv_lines_cells():
+    # a tuple of numbers takes the row template, a row with a name or a None the cell rule
+    rows = [(1, 0.5, 1e-300), ["exp", None, 2.0], (np.float64(1.0) / 3.0, -0.0, math.inf), ("x", 1)]
+    lines = list(csv_lines("a,b,c", rows))
+    assert lines == ["a,b,c\n", "1,0.5,1e-300\n", "exp,NA,2\n", "0.3333333333,-0,inf\n", "x,1\n"]
+
+
+def test_array_rows_are_python_numbers_across_chunks():
+    x = np.arange(2**16 + 3) / 7.0
+    rows = list(array_rows(x, np.arange(x.size)))
+    assert rows == list(zip(x.tolist(), range(x.size)))
+    assert type(rows[-1][0]) is float and type(rows[-1][1]) is int
 
 
 @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf)])

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from dequelab.des import Scenario
 from dequelab.errors import DomainError
 from dequelab.numerics import (
+    FAMILY_ALIASES,
     InterarrivalModel,
     RandomStream,
     normal_hazard,
@@ -18,6 +20,7 @@ from dequelab.numerics import (
     truncated_normal_moments,
     tv_distance,
 )
+from dequelab.params import QueueParams
 
 
 def erf_series(x: float) -> float:
@@ -155,6 +158,15 @@ class TestInterarrivalModels:
         assert m.sd == pytest.approx(0.5)
         samples = m.sample(RandomStream(5, 0).rng, 200_000)
         assert samples.mean() == pytest.approx(1.0, abs=0.01)
+
+    @pytest.mark.parametrize("alias", sorted(FAMILY_ALIASES))
+    def test_aliases_store_the_canonical_name(self, alias):
+        canonical = FAMILY_ALIASES[alias]
+        assert InterarrivalModel(alias.upper(), 1.5) == InterarrivalModel(canonical, 1.5)
+        assert InterarrivalModel(alias, 1.5).family == canonical
+        assert QueueParams.for_family(alias, 1, 1.5, 0.1, 0.2) == QueueParams.for_family(canonical, 1, 1.5, 0.1, 0.2)
+        scenario = Scenario.for_family(alias, 1, 1.5, 0.1, 0.2, horizon=10.0, warmup=0.0, replications=1)
+        assert scenario.seller_model.family == scenario.buyer_model.family == canonical
 
     def test_validation(self):
         with pytest.raises(DomainError):

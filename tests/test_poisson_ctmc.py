@@ -258,6 +258,26 @@ class TestTransientMoments:
         with pytest.raises(ResourceLimitError, match=r"box \[-\d+, \d+\].*cap 65536"):
             transient_moments(params, start, [1.0])
 
+    @pytest.mark.parametrize(
+        "params, t_last",
+        [(QueueParams(1, 1, 1e300, 1e300), 1.0), (QueueParams(1, 1, 1, 1), 5e10)],
+        ids=["rate-1e300", "t-5e10"],
+    )
+    def test_series_past_the_cap_is_a_resource_limit(self, params, t_last):
+        # about rate * t steps: 1e300 and 9e11, against 2 079 for the longest tier-1 series
+        message = r"rate\*t = .* steps on the box \[-\d+, \d+\], past the cap 1e\+06"
+        with pytest.raises(ResourceLimitError, match=message):
+            transient_moments(params, {0: 1.0}, [0.5 * t_last, t_last])
+
+    @pytest.mark.parametrize("leak_tol", [0.0, -1e-8, math.nan, math.inf])
+    def test_leak_tol_must_be_finite_and_positive(self, leak_tol):
+        with pytest.raises(DomainError, match="leak_tol must be finite and > 0"):
+            transient_moments(QueueParams(1, 1.5, 0.5, 0.5), {0: 1.0}, [1.0], leak_tol)
+
+    def test_smallest_leak_tol_sizes_a_box(self):
+        tm = transient_moments(QueueParams(1, 1.5, 0.5, 0.5), {0: 1.0}, [1.0], 5e-324)
+        assert tm.support_bound == tail_ratio_box(QueueParams(1, 1.5, 0.5, 0.5), [(0, 1.0)], 5e-324)
+
     def test_zero_mass_states_are_ignored(self):
         params = QueueParams(2.0, 1.0, 1.0, 0.5)
         plain = transient_moments(params, {1: 1.0}, [0.5, 2.0])
@@ -394,6 +414,17 @@ class TestTransientBox:
         alpha, beta, theta, gamma = template
         params = QueueParams(alpha, beta, theta / n, gamma / n)
         check_box(params, {0 if from_zero else round(n * x0): 1.0}, [0.25 * n, n], 1e-8)
+
+    @pytest.mark.parametrize("rates", [(1.0, 1.5, 1e-8, 0.5), (1.5, 1.0, 0.5, 1e-8)], ids=["positive", "negative"])
+    def test_geometric_cut_bounds_the_span(self, monkeypatch, rates):
+        # one half line renegs at 1e-8, so its Poisson(alpha/theta) cut is past the cap; its weight ratios stay
+        # below 1/1.5, whose geometric cut at 2.5e-15 is 83 states, so the tails are summed out to 2 * 83 + 1
+        params = QueueParams(*rates)
+        spans = []
+        log_weights = poisson_ctmc._log_weights
+        monkeypatch.setattr(poisson_ctmc, "_log_weights", lambda p, bound: spans.append(bound) or log_weights(p, bound))
+        assert poisson_ctmc._transient_box(params, [(0, 1.0)], 1e-14) == tail_ratio_box(params, [(0, 1.0)], 1e-14)
+        assert spans == [167]
 
     def test_stationary_start_box_holds_its_bound(self):
         params = QueueParams(1.0, 1.5, 0.1, 0.15)
