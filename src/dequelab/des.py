@@ -28,7 +28,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DomainError, positive, time_window, whole_number
-from .numerics import InterarrivalModel, RandomStream, sample_exponential, sample_interarrival
+from .numerics import InterarrivalModel, RandomStream
 
 __all__ = [
     "Scenario",
@@ -142,12 +142,12 @@ def _samplers(scenario: Scenario, stream: RandomStream) -> tuple:
 
     One substream per kind of draw keeps a result independent of how the draws interleave.
     """
-    subs = [stream.substream(k) for k in range(4)]
+    seller, buyer, seller_patience, buyer_patience = (stream.substream(k).rng for k in range(4))
     return (
-        partial(sample_interarrival, scenario.seller_model, subs[0]),
-        partial(sample_interarrival, scenario.buyer_model, subs[1]),
-        partial(sample_exponential, scenario.theta, subs[2]),
-        partial(sample_exponential, scenario.gamma, subs[3]),
+        partial(scenario.seller_model.sample, seller),
+        partial(scenario.buyer_model.sample, buyer),
+        partial(seller_patience.exponential, 1.0 / scenario.theta),
+        partial(buyer_patience.exponential, 1.0 / scenario.gamma),
     )
 
 

@@ -68,10 +68,6 @@ class PsiDensity:
     d1: float
     d2: float
 
-    @property
-    def c(self) -> float:
-        return math.exp(self.log_c)
-
     def _branch(self, positive: bool) -> tuple[float, float]:
         """(mean, variance) of the Gaussian on the requested side."""
         rate = self.theta if positive else self.gamma
@@ -102,8 +98,6 @@ class PsiDensity:
     def pdf(self, x):
         out = np.exp(self.logpdf(x))
         return float(out) if np.ndim(x) == 0 else out
-
-    __call__ = pdf
 
     def cdf(self, x):
         x_arr = np.asarray(x, dtype=float)
@@ -176,10 +170,6 @@ class PsiMoments:
     ev2: float
     d1: float
     d2: float
-
-    @property
-    def variance(self) -> float:
-        return self.ev2 - self.ev**2
 
 
 def psi_moments(mu: float, sigma: float, theta: float, gamma: float) -> PsiMoments:

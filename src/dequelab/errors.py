@@ -3,7 +3,8 @@
 The CLI maps these onto exit codes: configuration problems exit with 2,
 numerical/resource failures with 3.  A rule raises DomainError, or ConfigError
 for a comparison config; a value it cannot compare, such as None or a string,
-fails it, and so does a truth value such as True, which is not a number here.
+fails it, and so do a truth value such as True, which is not a number here,
+and an integer too large for a float.
 """
 
 import math
@@ -47,8 +48,9 @@ def _holds(test, *values) -> bool:
     if any(isinstance(v, _TRUTH_VALUES) for v in values):
         return False
     try:
-        return bool(test(*values))
-    except TypeError:
+        # every rule asks for finite floats; an int past the float range compares as finite
+        return bool(test(*values)) and all(math.isfinite(float(v)) for v in values)
+    except (TypeError, OverflowError):
         return False
 
 

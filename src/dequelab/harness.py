@@ -304,16 +304,8 @@ def heavy_traffic_density(family: str, alpha: float, beta: float, theta: float, 
     return diffusion.tilted_psi_density(params.drift_offset, params.diffusion_coeff, theta, gamma)
 
 
-def export_density_comparison(
-    scenario: des.Scenario,
-    base_seed: int = 0,
-    simulated: des.SimulationEstimate | None = None,
-) -> DensityComparison:
-    """Tabulate psi, the Poisson pmf, and the simulated pmf on the integer lattice.
-
-    The lattice spans the Poisson chain's mean +- 6 sd; pass a precomputed
-    SimulationEstimate to reuse existing replications.
-    """
+def export_density_comparison(scenario: des.Scenario, simulated: des.SimulationEstimate) -> DensityComparison:
+    """Tabulate psi, the Poisson pmf, and the simulated pmf on the integer lattice of the chain's mean +- 6 sd."""
     alpha = scenario.seller_model.rate
     beta = scenario.buyer_model.rate
     family = scenario.seller_model.family
@@ -328,8 +320,6 @@ def export_density_comparison(
     cell_mass = density.cdf(states + 0.5) - density.cdf(states - 0.5)
 
     poisson_vals = np.array([pmf.prob(int(i)) for i in states])
-    if simulated is None:
-        simulated = des.estimate(scenario, base_seed)
     sim_vals = np.zeros(len(states))
     inside = np.abs(states) <= simulated.bound
     sim_vals[inside] = simulated.pmf[states[inside] + simulated.bound]
@@ -376,7 +366,7 @@ def run_compare_command(config: ComparisonConfig, base_seed: int, out_dir: str |
     rows, scenarios, sims = _simulate_grid(config, base_seed)
     written = []
     for row, scenario, sim in zip(rows, scenarios, sims):
-        comparison = export_density_comparison(scenario, base_seed, simulated=sim)
+        comparison = export_density_comparison(scenario, sim)
         mult = row.theta / row.alpha
         name = f"{row.family}_a{row.alpha:g}_b{row.beta:g}_m{mult:g}.csv"
         path = density_dir / name

@@ -29,8 +29,6 @@ __all__ = [
     "canonical_family",
     "InterarrivalModel",
     "RandomStream",
-    "sample_interarrival",
-    "sample_exponential",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -154,10 +152,6 @@ class InterarrivalModel:
             whole_number(self.stages, "erlang stages", 1)
 
     @property
-    def mean(self) -> float:
-        return 1.0 / self.rate
-
-    @property
     def sd(self) -> float:
         if self.family == "exponential":
             return 1.0 / self.rate
@@ -173,8 +167,8 @@ class InterarrivalModel:
             return 1.0 / math.sqrt(self.rate)
         return self.sd
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Draw interarrival times; strictly positive, mean 1/rate."""
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw size interarrival times; strictly positive, mean 1/rate."""
         if self.family == "exponential":
             return rng.exponential(1.0 / self.rate, size)
         if self.family == "uniform":
@@ -185,11 +179,9 @@ class InterarrivalModel:
         # of one array call, so sample(m) then sample(n) equals sample(m + n).
         # The branch is slow when its Exp(1) variate is below log(3/2),
         # which has probability 1/3.
-        n = 1 if size is None else size
-        pairs = rng.standard_exponential((n, 2))
+        pairs = rng.standard_exponential((size, 2))
         scale = np.where(pairs[:, 0] < _LOG_3_OVER_2, 2.0 / self.rate, 0.5 / self.rate)
-        out = pairs[:, 1] * scale
-        return float(out[0]) if size is None else out
+        return pairs[:, 1] * scale
 
 
 @dataclass
@@ -220,10 +212,3 @@ class RandomStream:
         """A fresh independent stream at stream_id + offset."""
         return RandomStream(self.seed, self.stream_id + offset)
 
-
-def sample_interarrival(model: InterarrivalModel, stream: RandomStream, size: int | None = None):
-    return model.sample(stream.rng, size)
-
-
-def sample_exponential(rate: float, stream: RandomStream, size: int | None = None):
-    return stream.rng.exponential(1.0 / positive(rate, "rate"), size)

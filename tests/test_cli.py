@@ -397,11 +397,13 @@ class TestCompare:
             {"families": ["exp"], "budget": {"replications": True, "warmup": 0, "horizon": 5}},
             {"families": ["exp"], "budget": {**TINY_BUDGET, "seed": 9}},
             {"families": "exp", "budget": TINY_BUDGET},
+            {"families": ["exp"], "rate_pairs": [[10**400, 1.0]], "budget": TINY_BUDGET},
         ],
         ids=["budget-missing-keys", "replications-not-a-number", "rate-not-a-number", "not-an-object",
              "histogram-bound-zero", "family-not-a-string", "replications-not-whole", "histogram-bound-not-whole",
              "multiplier-infinite", "rate-infinite", "rate-numeric-string", "warmup-numeric-string",
-             "multiplier-true", "replications-true", "budget-extra-key", "families-not-a-list"],
+             "multiplier-true", "replications-true", "budget-extra-key", "families-not-a-list",
+             "rate-past-float-range"],
     )
     def test_malformed_config_exit_code(self, capsys, tmp_path, config):
         cfg_path = tmp_path / "cfg.json"

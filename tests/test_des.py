@@ -18,8 +18,6 @@ from dequelab.errors import DomainError
 from dequelab.numerics import (
     InterarrivalModel,
     RandomStream,
-    sample_exponential,
-    sample_interarrival,
     tv_distance,
 )
 from dequelab.params import QueueParams
@@ -148,8 +146,24 @@ def edge_scenario(name, family):
 
 def warmup_on_first_arrival(family, stream):
     """The edge scenario whose warmup is the first seller arrival on stream: an event exactly at the warmup."""
-    first = sample_interarrival(InterarrivalModel(family, 1.0), stream.substream(0), 1)[0]
+    first = InterarrivalModel(family, 1.0).sample(stream.substream(0).rng, 1)[0]
     return Scenario.for_family(family, 1.0, 2.0, 0.1, 0.2, horizon=40.0, warmup=float(first), replications=1)
+
+
+def counting_samplers(monkeypatch) -> list:
+    """Patch des._samplers so that every callable it returns records the sizes requested of it."""
+    requested = []
+    samplers = des._samplers
+
+    def counted(sample):
+        def wrapped(size):
+            requested.append(size)
+            return sample(size)
+
+        return wrapped
+
+    monkeypatch.setattr(des, "_samplers", lambda scenario, stream: tuple(map(counted, samplers(scenario, stream))))
+    return requested
 
 
 def pinned_scenarios():
@@ -222,11 +236,11 @@ class TestPinnedOutput:
 
 class TestDraws:
     SAMPLERS = {
-        "exponential": lambda stream, n: sample_interarrival(InterarrivalModel("exponential", 1.5), stream, n),
-        "uniform": lambda stream, n: sample_interarrival(InterarrivalModel("uniform", 1.5), stream, n),
-        "erlang": lambda stream, n: sample_interarrival(InterarrivalModel("erlang", 1.5), stream, n),
-        "hyperexponential": lambda stream, n: sample_interarrival(InterarrivalModel("hyperexponential", 1.5), stream, n),
-        "patience": lambda stream, n: sample_exponential(0.3, stream, n),
+        "exponential": lambda stream, n: InterarrivalModel("exponential", 1.5).sample(stream.rng, n),
+        "uniform": lambda stream, n: InterarrivalModel("uniform", 1.5).sample(stream.rng, n),
+        "erlang": lambda stream, n: InterarrivalModel("erlang", 1.5).sample(stream.rng, n),
+        "hyperexponential": lambda stream, n: InterarrivalModel("hyperexponential", 1.5).sample(stream.rng, n),
+        "patience": lambda stream, n: stream.rng.exponential(1.0 / 0.3, n),
     }
 
     @pytest.mark.parametrize("name", sorted(SAMPLERS))
@@ -239,17 +253,7 @@ class TestDraws:
         assert values == sample(RandomStream(4, 1), 10_000).tolist()
 
     def test_short_replication_draws_few_variates(self, monkeypatch):
-        requested = []
-
-        def counting(sampler):
-            def wrapped(law, stream, size=None):
-                requested.append(size)
-                return sampler(law, stream, size)
-
-            return wrapped
-
-        monkeypatch.setattr(des, "sample_interarrival", counting(sample_interarrival))
-        monkeypatch.setattr(des, "sample_exponential", counting(sample_exponential))
+        requested = counting_samplers(monkeypatch)
         sc = Scenario.for_family("exponential", 1.0, 1.0, 1.0, 1.0, horizon=10.0, warmup=0.0, replications=1)
         run_replication(sc, RandomStream(2, 0))
         assert 0 < sum(requested) <= 4 * 64
@@ -432,17 +436,7 @@ class TestLockstep:
         assert [w.filename for w in [*batched, *single]] == [__file__] * 2
 
     def test_short_lanes_draw_few_variates(self, monkeypatch):
-        requested = []
-
-        def counting(sampler):
-            def wrapped(law, stream, size=None):
-                requested.append(size)
-                return sampler(law, stream, size)
-
-            return wrapped
-
-        monkeypatch.setattr(des, "sample_interarrival", counting(sample_interarrival))
-        monkeypatch.setattr(des, "sample_exponential", counting(sample_exponential))
+        requested = counting_samplers(monkeypatch)
         lanes = des._LOCKSTEP_MIN_LANES
         sc = Scenario.for_family("exponential", 1.0, 1.0, 1.0, 1.0, horizon=10.0, warmup=0.0, replications=lanes)
         estimate_many([sc], 2, [0])

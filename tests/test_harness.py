@@ -115,10 +115,14 @@ class TestConfig:
             ({"families": "exp"}, "families must be a list"),
             ({"rate_pairs": [1, 2]}, "rate pair must be a list"),
             ({"reneging_multipliers": 0.1}, "reneging_multipliers must be a list"),
+            ({"rate_pairs": [[10**400, 1]]}, "arrival rate must be"),
+            ({"reneging_multipliers": [10**400]}, "reneging multiplier must be"),
+            ({"budget": {"replications": 2, "warmup": 0, "horizon": 10**400}}, "need 0 <= warmup < horizon"),
         ],
         ids=["rate-string", "multiplier-string", "warmup-string", "horizon-string", "rate-true",
              "multiplier-true", "replications-true", "warmup-false", "bound-true", "budget-extra-key",
-             "families-string", "rate-pairs-flat", "multipliers-number"],
+             "families-string", "rate-pairs-flat", "multipliers-number", "rate-past-float-range",
+             "multiplier-past-float-range", "horizon-past-float-range"],
     )
     def test_from_dict_takes_json_numbers_and_lists_only(self, raw, message):
         with pytest.raises(ConfigError, match=message):
@@ -302,7 +306,7 @@ class TestDensityComparison:
             "exponential", 1.0, 1.0, 1.0, 1.0,
             horizon=200.0, warmup=50.0, replications=4,
         )
-        comp = export_density_comparison(sc, base_seed=9)
+        comp = export_density_comparison(sc, estimate(sc, 9))
         mid = len(comp.states) // 2
         assert np.abs(comp.psi - comp.psi[::-1]).max() <= 1e-9
         assert np.abs(comp.poisson_pmf - comp.poisson_pmf[::-1]).max() <= 1e-9
@@ -314,7 +318,7 @@ class TestDensityComparison:
             "exponential", 1.0, 1.0, 1.0, 1.0,
             horizon=60.0, warmup=10.0, replications=1,
         )
-        comp = export_density_comparison(sc, base_seed=9)
+        comp = export_density_comparison(sc, estimate(sc, 9))
         from dequelab.numerics import normal_pdf
 
         for x, value in zip(comp.states, comp.psi):
@@ -325,7 +329,7 @@ class TestDensityComparison:
             "exponential", 1.0, 1.5, 0.1, 0.15,
             horizon=60.0, warmup=10.0, replications=1,
         )
-        comp = export_density_comparison(sc, base_seed=4)
+        comp = export_density_comparison(sc, estimate(sc, 4))
         assert comp.psi_cell_mass.sum() == pytest.approx(1.0, abs=1e-6)
         assert comp.poisson_pmf.sum() == pytest.approx(1.0, abs=1e-6)
         assert comp.simulated_pmf.sum() == pytest.approx(1.0, abs=1e-6)
@@ -334,7 +338,7 @@ class TestDensityComparison:
         sc = Scenario.for_family(
             "uniform", 1.0, 1.0, 1.0, 1.0, horizon=50.0, warmup=5.0, replications=1,
         )
-        text = export_density_comparison(sc, base_seed=2).to_csv()
+        text = export_density_comparison(sc, estimate(sc, 2)).to_csv()
         assert text.splitlines()[0] == "x,psi,psi_cell_mass,pi_poisson,pi_sim"
 
     def test_reuses_provided_estimate(self):
@@ -342,7 +346,7 @@ class TestDensityComparison:
             "exponential", 1.0, 1.0, 0.5, 0.5, horizon=80.0, warmup=10.0, replications=2,
         )
         est = estimate(sc, 5)
-        comp = export_density_comparison(sc, base_seed=999, simulated=est)
+        comp = export_density_comparison(sc, est)
         mid = comp.states.tolist().index(0)
         assert comp.simulated_pmf[mid] == est.pmf[est.bound]
 

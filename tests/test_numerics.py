@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from dequelab import des
 from dequelab.des import Scenario
-from dequelab.errors import DomainError
+from dequelab.errors import DomainError, finite
 from dequelab.numerics import (
     FAMILY_ALIASES,
     InterarrivalModel,
@@ -15,8 +16,6 @@ from dequelab.numerics import (
     normal_logsf,
     normal_pdf,
     normal_sf,
-    sample_exponential,
-    sample_interarrival,
     truncated_normal_moments,
     tv_distance,
 )
@@ -134,7 +133,7 @@ class TestInterarrivalModels:
     @pytest.mark.parametrize("rate", [0.5, 1.0, 2.0])
     def test_sample_mean_and_sd(self, family, rate):
         model = InterarrivalModel(family, rate)
-        samples = sample_interarrival(model, RandomStream(91, 7), size=1_000_000)
+        samples = model.sample(RandomStream(91, 7).rng, 1_000_000)
         n = len(samples)
         mean_se = samples.std(ddof=1) / math.sqrt(n)
         assert samples.min() > 0.0
@@ -180,11 +179,14 @@ class TestInterarrivalModels:
         # an infinite rate draws zero interarrival times, so a path never leaves time zero
         with pytest.raises(DomainError):
             InterarrivalModel("exponential", math.inf)
-        with pytest.raises(DomainError):
-            sample_exponential(math.inf, RandomStream(1))
+        for theta, gamma in ((math.inf, 1.0), (1.0, math.inf)):
+            with pytest.raises(DomainError):
+                Scenario.for_family("exponential", 1.0, 1.0, theta, gamma, horizon=10.0, warmup=0.0, replications=1)
 
     def test_exponential_sampler_mean(self):
-        samples = sample_exponential(2.0, RandomStream(17, 3), size=1_000_000)
+        # the seller patience draws of stream (17, 1) read substream (17, 3)
+        sc = Scenario.for_family("exponential", 1.0, 1.0, 2.0, 1.0, horizon=10.0, warmup=0.0, replications=1)
+        samples = des._samplers(sc, RandomStream(17, 1))[2](1_000_000)
         se = samples.std(ddof=1) / 1000.0
         assert samples.mean() == pytest.approx(0.5, abs=4.0 * se)
 
@@ -204,9 +206,9 @@ class TestRandomStream:
 
     def test_sampling_continues_across_calls(self):
         s = RandomStream(7, 0)
-        first = sample_exponential(1.0, s, 10)
-        second = sample_exponential(1.0, s, 10)
-        merged = sample_exponential(1.0, RandomStream(7, 0), 20)
+        first = s.rng.exponential(1.0, 10)
+        second = s.rng.exponential(1.0, 10)
+        merged = RandomStream(7, 0).rng.exponential(1.0, 20)
         assert np.array_equal(np.concatenate([first, second]), merged)
 
     def test_substream(self):
@@ -220,3 +222,11 @@ def test_tv_distance():
     assert tv_distance([0.5, 0.5], [0.5, 0.5]) == 0.0
     assert tv_distance([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
     assert tv_distance([0.7, 0.3], [0.5, 0.5]) == pytest.approx(0.2)
+
+
+def test_integer_past_the_float_range_breaks_the_rules():
+    # such an int compares as finite, but float() of it raises OverflowError
+    with pytest.raises(DomainError, match="alpha must be finite and > 0"):
+        QueueParams(10**400, 1, 1, 1)
+    with pytest.raises(DomainError, match="must be finite"):
+        finite(10**400, "x")

@@ -180,6 +180,24 @@ class TestGammaMomentSummary:
         assert got == pytest.approx(expected, rel=1e-9)
         assert summary.tail_mass_bound < 1e-12
 
+    @pytest.mark.parametrize("size", [1, 100, poisson_ctmc._DOT_BLOCK])
+    def test_half_line_sums_of_one_block_are_plain_dots(self, size):
+        probs = np.random.default_rng(size).random(size)
+        i = np.arange(1, size + 1, dtype=float)
+        expected = (float(probs.sum()), float(i @ probs), float((i * i) @ probs))
+        assert poisson_ctmc._half_line_sums(probs) == expected
+
+    def test_half_line_sums_across_blocks(self):
+        size = 2**17
+        probs = np.random.default_rng(7).random(size)
+        values = probs.tolist()
+        expected = (
+            math.fsum(values),
+            math.fsum(k * p for k, p in enumerate(values, 1)),
+            math.fsum(k * k * p for k, p in enumerate(values, 1)),
+        )
+        assert poisson_ctmc._half_line_sums(probs) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
     def test_overflow_names_ratio(self):
         # strong imbalance with tiny reneging: the half-line weight exceeds 1e300
         with pytest.raises(NumericalOverflowError, match="rate ratio"):
