@@ -31,6 +31,7 @@ from .errors import DomainError, positive, time_window, whole_number
 from .numerics import InterarrivalModel, RandomStream
 
 __all__ = [
+    "MAX_REPLICATIONS",
     "Scenario",
     "ScaledTemplate",
     "ReplicationResult",
@@ -60,12 +61,19 @@ _BLOCK = 256
 # and the grid benchmark 8% longer in 11% less peak memory (ROADMAP item 2).
 _LOCKSTEP_MIN_LANES = 128
 # At most this many lanes advance together; the rest wait for a free slot.
-# A slot holds 4 * _BLOCK draws (8 KB) and a histogram row of 2 B + 2
-# columns, B the batch's largest bound (16 KB at the default bound of 1000),
-# so the kernel's memory does not grow with the number of lanes.  On the
-# benchmark's grid workload (2-vCPU x86), 128 live lanes ran 15-20% slower.
-_LIVE_LANES = 256
+# A slot holds 4 * _BLOCK draws (8 KB) and a histogram row of 2 w + 2
+# columns, w the half-width the batch's paths have reached (_lockstep): about
+# 10 KB a slot on the benchmark's grid, where w ends at 128, against 24 KB
+# with rows over the whole default bound of 1000.  So the kernel's memory does
+# not grow with the number of lanes.  With 512 slots the grid's 360 lanes all
+# run at once, in 3 391 passes (the longest lane's events) against 4 396 with
+# 256 slots; on a 2-vCPU x86 box its wall_s fell 8-24% in each of seven
+# alternating runs against 256 slots with rows over the whole bound.
+_LIVE_LANES = 512
 _CI_Z90 = 1.6448536269514722  # two-sided 90% normal quantile
+# The most replications one Scenario takes.  The simulator walks and lists
+# them one by one, so a larger count would not end in any useful time.
+MAX_REPLICATIONS = 10**6
 
 
 @dataclass(frozen=True)
@@ -86,8 +94,12 @@ class Scenario:
         positive(self.theta, "theta")
         positive(self.gamma, "gamma")
         time_window(self.warmup, self.horizon)
-        for name, floor in (("replications", 1), ("initial_state", -math.inf), ("histogram_bound", 1)):
-            object.__setattr__(self, name, whole_number(getattr(self, name), name, floor))
+        for name, floor, ceiling in (
+            ("replications", 1, MAX_REPLICATIONS),
+            ("initial_state", -math.inf, math.inf),
+            ("histogram_bound", 1, math.inf),
+        ):
+            object.__setattr__(self, name, whole_number(getattr(self, name), name, floor, ceiling=ceiling))
 
     @classmethod
     def for_family(
@@ -381,14 +393,17 @@ def _lockstep(
 
     - four draw buffers, one per substream, of _BLOCK values each in one
       flat array, each refilled with the next of its substream's _blocks;
-    - a histogram row over the states -B..B, B the largest bound in the
-      batch, whose last column collects the overflow of a lane beyond its
-      own bound.
+    - a histogram row over the states -w..w, whose last column collects the
+      overflow of a lane beyond its own bound.  The half-width w is shared
+      by all rows.  It starts at 64, or at the batch's largest bound B if
+      that is smaller, and when a lane within its own bound steps past it,
+      w becomes min(B, max(2 w, |x|)) and one copy re-lays every row.  So
+      rows stay as narrow as the paths (|x| <= 94 on the benchmark's grid,
+      against a bound of 1000).
 
-    A finished lane's row is cropped to the states it visited (|x| <= 94 on
-    the benchmark's grid, against a bound of 1000) until its scenario's last
-    lane finishes; the scenario is then reduced to its estimate.  The
-    generator yields the estimates in scenario order.
+    A finished lane's row is cropped to the states it visited until its
+    scenario's last lane finishes; the scenario is then reduced to its
+    estimate.  The generator yields the estimates in scenario order.
     """
     # longest first: the lanes admitted last are short ones, so the batch does
     # not end with a few long lanes running on their own
@@ -403,7 +418,8 @@ def _lockstep(
     pos = np.zeros(4 * slots, dtype=np.int64)
     end = np.full(4 * slots, -1, dtype=np.int64)  # -1: no lane, never refilled
     blocks = [None] * (4 * slots)
-    width = max(sc.histogram_bound for sc in scenarios)
+    top_bound = max(sc.histogram_bound for sc in scenarios)
+    width = min(64, top_bound)
     hist = np.zeros((slots, 2 * width + 2))
     flat_hist = hist.reshape(-1)
     reps = [[None] * sc.replications for sc in scenarios]
@@ -458,6 +474,7 @@ def _lockstep(
         [admit(i, i) for i in range(slots)]
     )
     row = slot * hist.shape[1] + width
+    reach = np.minimum(bound, width)  # a lane past its reach adds to the last column
     base = 4 * slot
     for j in range(len(scenarios)):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -483,8 +500,20 @@ def _lockstep(
                 span = np.minimum(event, horizon) - np.maximum(now, tau)
                 np.maximum(span, 0.0, out=span)
                 column = row + x
-                beyond = ax > bound
+                beyond = ax > reach
                 if np.count_nonzero(beyond):
+                    top = int(np.minimum(ax, bound).max())
+                    if top > width:
+                        # a lane within its own bound is past the rows: widen them all in one copy
+                        wider = min(max(2 * width, top), top_bound)
+                        grown = np.zeros((slots, 2 * wider + 2))
+                        grown[:, wider - width : wider + width + 1] = hist[:, :-1]
+                        grown[:, -1] = hist[:, -1]
+                        hist, flat_hist, width = grown, grown.reshape(-1), wider
+                        row = slot * hist.shape[1] + width
+                        reach = np.minimum(bound, width)
+                        column = row + x
+                        beyond = ax > reach
                     column[beyond] = row[beyond] + width + 1
                 flat_hist[column] += span
 
@@ -513,6 +542,7 @@ def _lockstep(
                         live = [np.concatenate(pair) for pair in zip(live, as_arrays(admitted))]
                     now, next_seller, next_buyer, tau, horizon, x, bound, slot, lane = live
                     row = slot * hist.shape[1] + width
+                    reach = np.minimum(bound, width)
                     base = 4 * slot
                 exhausted = pos == end
                 if np.count_nonzero(exhausted):

@@ -83,15 +83,18 @@ def finite_result(compute, name: str):
     return finite(value, name)
 
 
-def whole_number(value, name: str, floor: float = -math.inf, error: type[DequeLabError] = DomainError) -> int:
-    """value as an int at or above floor: an integer, or a float with no fractional part such as 2.0."""
+def whole_number(
+    value, name: str, floor: float = -math.inf, error: type[DequeLabError] = DomainError, ceiling: float = math.inf
+) -> int:
+    """value as an int in [floor, ceiling]: an integer, or a float with no fractional part such as 2.0."""
     integral = isinstance(value, (float, np.floating)) and float(value).is_integer()
     try:
         number = None if isinstance(value, _TRUTH_VALUES) else int(value) if integral else operator.index(value)
     except TypeError:
         number = None
-    if number is None or number < floor:
-        raise error(f"{name} must be an integer >= {floor}, got {value!r}")
+    if number is None or not floor <= number <= ceiling:
+        limits = f">= {floor}" if ceiling == math.inf else f"in [{floor}, {ceiling}]"
+        raise error(f"{name} must be an integer {limits}, got {value!r}")
     return number
 
 

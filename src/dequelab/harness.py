@@ -86,8 +86,8 @@ class ComparisonConfig:
         }
         time_window(self.warmup, self.horizon, ConfigError)
         checked.update(warmup=float(self.warmup), horizon=float(self.horizon))
-        for name in ("replications", "histogram_bound"):
-            checked[name] = whole_number(getattr(self, name), name, 1, ConfigError)
+        for name, ceiling in (("replications", des.MAX_REPLICATIONS), ("histogram_bound", math.inf)):
+            checked[name] = whole_number(getattr(self, name), name, 1, ConfigError, ceiling)
         for name, value in checked.items():
             object.__setattr__(self, name, value)
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,17 @@ class TestScenario:
         kwargs = {"theta": 1.0, "gamma": 1.0, "horizon": 10.0, "warmup": 0.0, **changes}
         with pytest.raises(DomainError):
             Scenario.for_family("exponential", 1.0, 1.0, replications=1, **kwargs)
+
+    def test_replications_are_capped(self):
+        # the simulator walks its replications one by one, so a count past the cap would not end
+        def scenario(reps):
+            return Scenario.for_family("exponential", 1.0, 1.0, 1.0, 1.0, horizon=10.0, warmup=0.0,
+                                       replications=reps)
+
+        for reps in (des.MAX_REPLICATIONS + 1, 10**400):
+            with pytest.raises(DomainError, match=r"replications must be an integer in \[1, 1000000\]"):
+                scenario(reps)
+        assert scenario(des.MAX_REPLICATIONS).replications == des.MAX_REPLICATIONS
 
     @pytest.mark.parametrize("field", ["initial_state", "replications", "histogram_bound"])
     def test_integer_fields_take_whole_numbers(self, field):
@@ -381,6 +393,40 @@ class TestLockstep:
         monkeypatch.setattr(des, "_BLOCK", 128)
         jobs, bases = lockstep_batch()
         self.assert_lanes_match_scalar_loop(jobs, bases)
+
+    @pytest.mark.filterwarnings("ignore:overflow share")
+    def test_rows_widen_to_the_states_visited(self, monkeypatch):
+        # lanes that start far past the rows' first half-width of 64, with bounds below it (the
+        # lanes overflow) and above it, and fewer slots than lanes, so that lanes admitted later
+        # run on rows that earlier lanes widened
+        monkeypatch.setattr(des, "_LIVE_LANES", 8)
+        jobs = [
+            Scenario.for_family(
+                FAMILIES[i % 4], 1.0, 1.5, 0.2, 0.3, horizon=30.0 + 5.0 * (i % 3), warmup=(0.0, 2.0)[i % 2],
+                replications=1, initial_state=(300, -300, 0, 700)[i // 4 % 4],
+                histogram_bound=(5, 1000)[i // 16 % 2],
+            )
+            for i in range(72)
+        ]
+        bases = [i << 32 for i in range(len(jobs))]
+        assert len(jobs) >= des._LOCKSTEP_MIN_LANES
+        results = self.assert_lanes_match_scalar_loop(jobs, bases)
+        assert any(sc.histogram_bound == 5 and est.overflow > 0.0 for sc, est in zip(jobs, results))
+        assert max(int(np.abs(est.states[est.pmf > 0.0]).max(initial=0)) for est in results) > 600
+
+    def test_rows_do_not_grow_with_the_bound(self):
+        # the rows hold only the states visited, so a bound of 10 000 costs little more than one of 100
+        def peak_bytes(bound):
+            sc = Scenario.for_family("exponential", 1.0, 1.0, 1.0, 1.0, horizon=5.0, warmup=0.0,
+                                     replications=256, histogram_bound=bound)
+            tracemalloc.start()
+            try:
+                estimate_many([sc], 3, [0])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(10_000) <= 1.5 * peak_bytes(100)
 
     @pytest.mark.filterwarnings("ignore:overflow share")
     def test_batch_above_crossover_skips_the_scalar_loop(self, monkeypatch):

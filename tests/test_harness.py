@@ -118,11 +118,13 @@ class TestConfig:
             ({"rate_pairs": [[10**400, 1]]}, "arrival rate must be"),
             ({"reneging_multipliers": [10**400]}, "reneging multiplier must be"),
             ({"budget": {"replications": 2, "warmup": 0, "horizon": 10**400}}, "need 0 <= warmup < horizon"),
+            ({"budget": {"replications": 10**400, "warmup": 0, "horizon": 50}},
+             r"replications must be an integer in \[1, 1000000\]"),
         ],
         ids=["rate-string", "multiplier-string", "warmup-string", "horizon-string", "rate-true",
              "multiplier-true", "replications-true", "warmup-false", "bound-true", "budget-extra-key",
              "families-string", "rate-pairs-flat", "multipliers-number", "rate-past-float-range",
-             "multiplier-past-float-range", "horizon-past-float-range"],
+             "multiplier-past-float-range", "horizon-past-float-range", "replications-past-cap"],
     )
     def test_from_dict_takes_json_numbers_and_lists_only(self, raw, message):
         with pytest.raises(ConfigError, match=message):
