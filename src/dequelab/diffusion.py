@@ -18,13 +18,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .errors import (
     DomainError, equal_rates, euler_step, finite, finite_result, non_negative, positive, time_window, whole_number
 )
 from .fluid import FluidPath, discounted_source_integral, fluid_limit
-from .numerics import RandomStream, normal_logcdf, normal_logsf, truncated_normal_moments
+from .numerics import RandomStream, log_ndtr, normal_logcdf, normal_logsf, truncated_normal_moments
 from .params import QueueParams
 
 __all__ = [
@@ -101,15 +100,16 @@ class PsiDensity:
 
     def cdf(self, x):
         x_arr = np.asarray(x, dtype=float)
-        out = np.empty_like(x_arr)
         neg = x_arr < 0.0
-        # each side is its Gaussian's lower (upper) tail renormalized to the half line
-        m2, v2 = self._branch(positive=False)
-        sd2 = math.sqrt(v2)
-        out[neg] = self.d2 * np.exp(log_ndtr((x_arr[neg] - m2) / sd2) - log_ndtr(-m2 / sd2))
+        # each side is its Gaussian's lower (upper) tail renormalized to the half line:
+        # x < 0 gives d2 Phi((x - m2)/sd2) / Phi(-m2/sd2), x >= 0 gives
+        # 1 - d1 Phi((m1 - x)/sd1) / Phi(m1/sd1), both from one log_ndtr call
         m1, v1 = self._branch(positive=True)
-        sd1 = math.sqrt(v1)
-        out[~neg] = 1.0 - self.d1 * np.exp(log_ndtr((m1 - x_arr[~neg]) / sd1) - log_ndtr(m1 / sd1))
+        m2, v2 = self._branch(positive=False)
+        sd1, sd2 = math.sqrt(v1), math.sqrt(v2)
+        log_tail = log_ndtr((x_arr - np.where(neg, m2, m1)) / np.where(neg, sd2, -sd1))
+        log_norm = np.where(neg, normal_logcdf(-m2 / sd2), normal_logcdf(m1 / sd1))
+        out = np.where(neg, 0.0, 1.0) + np.where(neg, self.d2, -self.d1) * np.exp(log_tail - log_norm)
         return float(out) if np.ndim(x) == 0 else out
 
     def mean(self) -> float:

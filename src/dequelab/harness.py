@@ -317,7 +317,10 @@ def export_density_comparison(scenario: des.Scenario, simulated: des.SimulationE
 
     density = heavy_traffic_density(family, alpha, beta, scenario.theta, scenario.gamma)
     psi_vals = density.pdf(states.astype(float))
-    cell_mass = density.cdf(states + 0.5) - density.cdf(states - 0.5)
+    # cdf works elementwise and the edges k - 1/2 are exact floats, so each cell's mass has the bits of
+    # cdf(k + 1/2) - cdf(k - 1/2) from one evaluation per edge
+    cdf_at_edges = density.cdf(np.arange(-span, span + 2) - 0.5)
+    cell_mass = cdf_at_edges[1:] - cdf_at_edges[:-1]
 
     poisson_vals = np.array([pmf.prob(int(i)) for i in states])
     sim_vals = np.zeros(len(states))

@@ -1,9 +1,10 @@
 """Special functions, probability kernels, and reproducible random sampling.
 
 Everything downstream (chain analysis, diffusion moments, simulators) is built
-on the primitives collected here: Gaussian pdf/tails/hazard, truncated-normal
-moments, the registry of interarrival families, interarrival-time models, and
-counter-based random streams.
+on the primitives collected here: the scaled complementary error function,
+Gaussian pdf/tails/log-cdf/hazard, truncated-normal moments, the registry of
+interarrival families, interarrival-time models, and counter-based random
+streams.  The special functions need numpy alone.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfcx
 
 from .errors import DequeLabError, DomainError, finite_result, positive, whole_number
 
 __all__ = [
+    "erfcx",
+    "log_ndtr",
     "normal_pdf",
     "normal_sf",
     "normal_logcdf",
@@ -35,6 +37,109 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_3_OVER_2 = math.log(1.5)
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+
+# W. J. Cody's rational approximations for the error function (Math. Comp. 23,
+# 1969), in the Horner order of his CALERF: (numerator, denominator) by
+# descending powers, the denominator monic with its leading 1 left out.
+# erf(x) = x p/q in x^2 on |x| <= _ERF_NEAR, erfcx(x) = p/q in x on
+# (_ERF_NEAR, 4], and erfcx(x) = (1/sqrt(pi) - t p/q)/x in t = 1/x^2 past 4.
+_CODY_NEAR = (
+    (1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
+     3.20937758913846947e03),
+    (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03, 2.84423683343917062e03),
+)
+_CODY_MID = (
+    (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
+     2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03, 2.05107837782607147e03,
+     1.23033935479799725e03),
+    (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02, 1.62138957456669019e03,
+     3.29079923573345963e03, 4.36261909014324716e03, 3.43936767414372164e03, 1.23033935480374942e03),
+)
+_CODY_FAR = (
+    (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
+     1.60837851487422766e-2, 6.58749161529837803e-4),
+    (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1, 6.05183413124413191e-2,
+     2.33520497626869185e-3),
+)
+_ERF_NEAR = 0.46875
+# below this 2 exp(x^2), and so erfcx(x), is past the largest float
+_ERFCX_MIN = -26.628
+# exp(x^2) is taken as exp(h^2) exp((x - h)(x + h)), h = x rounded down to a
+# multiple of this, so that h^2, the large part of the exponent, is exact
+_SQUARE_SPLIT = 2.0**-16
+
+
+def _ratio(t, num, den):
+    """Cody's rational p(t)/q(t) by Horner's rule, for a float or an array t."""
+    p, q = num[0] * t, t
+    for a, b in zip(num[1:-1], den[:-1]):
+        p, q = (p + a) * t, (q + b) * t
+    return (p + num[-1]) / (q + den[-1])
+
+
+def _erfcx_near(x, exp):
+    t = x * x
+    return exp(t) * (1.0 - x * _ratio(t, *_CODY_NEAR))
+
+
+def _erfcx_far(y):
+    t = 1.0 / (y * y)
+    return (_INV_SQRT_PI - t * _ratio(t, *_CODY_FAR)) / y
+
+
+def _erfcx_reflect(x, r, exp):
+    """erfcx(x) = 2 exp(x^2) - erfcx(-x) for x < 0, given r = erfcx(-x)."""
+    h = x - x % _SQUARE_SPLIT
+    e = exp(h * h) * exp((x - h) * (x + h))
+    return (e + e) - r
+
+
+def _float_exp(t: float) -> float:
+    # numpy's exp, so that a float and an array element get the same bits
+    return float(np.exp(t))
+
+
+def erfcx(x):
+    """The scaled complementary error function exp(x^2) erfc(x), for a float or an array.
+
+    Cody's 1969 rational approximations in three ranges of |x|, with erfcx(x) = 2 exp(x^2) - erfcx(-x) for
+    x < -0.46875 and inf below -26.628, where the value passes the largest float.  The relative error is below
+    1e-15 on [-26.5, inf) (measured against mpmath).  A Python number (or numpy float64) takes a plain-float path
+    and gives a float; an array evaluates each range on every element and selects, and gives an array.
+    """
+    if isinstance(x, (int, float)):
+        x = float(x)
+        y = abs(x)
+        if y <= _ERF_NEAR:
+            return _erfcx_near(x, _float_exp)
+        r = _ratio(y, *_CODY_MID) if y <= 4.0 else _erfcx_far(y)
+        if not x < 0.0:
+            return r
+        return math.inf if x < _ERFCX_MIN else _erfcx_reflect(x, r, _float_exp)
+    x = np.asarray(x, dtype=float)
+    y = np.abs(x)
+    # the ranges an element is not in may divide by 0, overflow or give nan
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r = np.where(y <= 4.0, _ratio(y, *_CODY_MID), _erfcx_far(y))
+        negative = x < 0.0
+        if negative.any():
+            r = np.where(negative, np.where(x < _ERFCX_MIN, np.inf, _erfcx_reflect(x, r, np.exp)), r)
+        return np.where(y <= _ERF_NEAR, _erfcx_near(x, np.exp), r)
+
+
+def log_ndtr(z):
+    """log Phi(z), the standard normal log-cdf, elementwise on an array; one erfcx evaluation serves both signs.
+
+    With y = |z|/sqrt(2), Phi(z) = erfcx(y) exp(-z^2/2)/2 for z < 0 and 1 minus that for z >= 0.  The relative
+    error is below 2e-14 on [-1e5, 8] (measured against mpmath)."""
+    z = np.asarray(z, dtype=float)
+    # z^2 overflows only where log Phi is -inf or 0
+    with np.errstate(over="ignore", divide="ignore"):
+        half_sq = 0.5 * z * z
+        tail = 0.5 * erfcx(np.abs(z) / _SQRT2)
+        return np.where(z < 0.0, np.log(tail) - half_sq, np.log1p(-tail * np.exp(-half_sq)))
+
 
 def _check_variance(variance: float) -> float:
     return math.sqrt(positive(variance, "variance"))
@@ -59,8 +164,8 @@ def normal_logsf(x: float, mean: float = 0.0, variance: float = 1.0) -> float:
     z = finite_result(lambda: (x - mean) / sd, "the standardized point (x - mean)/sd")
     u = z / _SQRT2
     if u <= 0.0:
-        # survival is at least 1/2; plain erfc has no underflow here
-        return math.log(0.5 * math.erfc(u))
+        # survival is at least 1/2: log1p of the small lower tail keeps a log near 0 relatively exact
+        return math.log1p(-0.5 * math.erfc(-u))
     # erfc(u) = erfcx(u) exp(-u^2) keeps the upper tail on the log scale
     return math.log(0.5 * erfcx(u)) - u * u
 
@@ -72,7 +177,7 @@ def normal_logcdf(x: float, mean: float = 0.0, variance: float = 1.0) -> float:
 
 def normal_hazard(z: float) -> float:
     """Gaussian hazard (inverse Mills ratio) phi(z) / (1 - Phi(z)) for standard normal."""
-    return _SQRT_2_OVER_PI / float(erfcx(z / _SQRT2))
+    return _SQRT_2_OVER_PI / erfcx(z / _SQRT2)
 
 
 def truncated_normal_moments(mean: float, variance: float, side: str) -> tuple[float, float]:

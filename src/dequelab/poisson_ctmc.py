@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
-from scipy.special import gammaln, pdtrc, xlogy
 
 from .errors import (
     DomainError,
@@ -59,7 +58,8 @@ _SUMMARY_TAIL_TOL = 1e-18
 _TRANSIENT_SUPPORT_CAP = 2**16
 # Largest rate*t at the last grid time, about the series' step count K: the
 # tests and the benchmark reach K = 2 079, and past 10^6 steps a series takes
-# seconds even on the smallest box.
+# seconds even on the smallest box.  The series keeps six moment sums a step,
+# 48 MB at the cap.
 _SERIES_RATE_TIME_CAP = 1e6
 # Poisson upper-tail mass at which the uniformization series is cut, at the
 # last grid time; every earlier time's tail at that cut is smaller.
@@ -276,16 +276,41 @@ def _initial_items(initial_pmf) -> list[tuple[int, float]]:
     return items
 
 
-def _series_cut(lam: float, tol: float) -> int:
-    """The first K >= floor(lam) whose Poisson(lam) tail P(X > K) is at most tol, by bisection on the falling tail."""
-    width = int(10.0 * math.sqrt(lam)) + 40
-    lo, hi = math.floor(lam) - 1, math.floor(lam) + width
-    while pdtrc(hi, lam) > tol:
-        lo, hi = hi, hi + width
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if pdtrc(mid, lam) <= tol else (mid, hi)
-    return hi
+def _poisson_windows(lam: np.ndarray, reach: int = 1) -> tuple[np.ndarray, int, np.ndarray]:
+    """(mode, width, weights): row i of weights is the Poisson(lam[i]) pmf on the counts mode[i] + d,
+    d = -width .. reach * width, normalised on the row, with 0 at counts below 0.
+
+    mode = floor(lam) and width = int(10 sqrt(max lam)) + 40; the mass left out of a row past mode + width is
+    below 1e-22.  The weights relative to the mode are cumulative products of the ratios w(j)/w(j - 1) = lam/j
+    out from the mode on each side, which lose no more than a rounding a step and underflow only where they
+    are negligible."""
+    mode = np.floor(lam)[:, None]
+    width = int(10.0 * math.sqrt(lam.max())) + 40
+    d = np.arange(1.0, reach * width + 1)
+    up = np.cumprod(lam[:, None] / (mode + d), axis=1)
+    # below the mode w(j - 1)/w(j) = j/lam, 0 from j = 0 on; a mode of 0 has no count below it, so there
+    # lam < 1 may stand in as 1
+    down = np.cumprod(np.maximum(mode + 1.0 - d[:width], 0.0) / np.maximum(lam, 1.0)[:, None], axis=1)
+    weights = np.concatenate((down[:, ::-1], np.ones_like(mode), up), axis=1)
+    return mode[:, 0].astype(int), width, weights / weights.sum(axis=1, keepdims=True)
+
+
+def _poisson_cut(lam: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray]:
+    """(K, tail, mode, width, weights): K[i] is the first count >= floor(lam[i]) whose Poisson(lam[i]) tail
+    P(X > K[i]) is at most tol, tail[i] is that tail, and (mode, width, weights) are the _poisson_windows it
+    was read off.
+
+    The tails are each row's cumulative sums from the far end, and K is sought only where the row runs on at
+    least its width past it, so the mass beyond the row is negligible against the tail at K."""
+    reach = 2
+    while True:
+        mode, width, weights = _poisson_windows(lam, reach)
+        tails = np.cumsum(weights[:, :0:-1], axis=1)[:, ::-1]  # tails[i, k] = P(X_i > mode[i] - width + k)
+        passing = tails[:, width: reach * width + 1] <= tol
+        if passing.any(axis=1).all():
+            first = passing.argmax(axis=1)
+            return mode + first, tails[np.arange(lam.size), width + first], mode, width, weights
+        reach += 1
 
 
 def _transient_box(params: QueueParams, items: list[tuple[int, float]], tol: float) -> int:
@@ -303,10 +328,11 @@ def _transient_box(params: QueueParams, items: list[tuple[int, float]], tol: flo
     states = np.array([min(max(state, -cap - 1), cap + 1) for state, _ in items])
     masses = np.array([mass for _, mass in items])
     cut = 0
-    for birth, death, reneging in ((alpha, beta, theta), (beta, alpha, gamma)):
+    poisson_cuts = _poisson_cut(np.minimum([alpha / theta, beta / gamma], cap), tol / 4.0)[0]
+    for (birth, death), poisson_cut in zip(((alpha, beta), (beta, alpha)), poisson_cuts.tolist()):
         ratio = birth / death
         geometric = math.ceil((math.log(tol) - math.log(4.0)) / math.log(ratio)) if 0.0 < ratio < 1.0 else math.inf
-        cut = max(cut, min(_series_cut(min(birth / reneging, cap), tol / 4.0), geometric))
+        cut = max(cut, min(poisson_cut, geometric))
     span = min(2 * (int(np.abs(states).max()) + cut) + 1, cap)
     ratios = (alpha / (beta + (span + 1) * theta), beta / (alpha + (span + 1) * gamma))
     passing = []
@@ -335,13 +361,12 @@ def _uniformize(params: QueueParams, items: list[tuple[int, float]], t_grid: np.
     With rate = alpha + beta + bound max(theta, gamma), P = I + Q/rate is a nonnegative tridiagonal
     stochastic step, monotone on each half, and p(t) = sum_k Pois(rate*t; k) p0 P^k; start states past the box
     are folded onto its edge.  The iterates p0 P^k, k = 0..K, are computed once, K the cut of the last time,
-    into a buffer of _SERIES_ROWS zero-padded rows, and each full buffer is added into the moments of every
-    grid time.  The Poisson weights are built in log space relative to each time's mode, because e^-lam
-    underflows past lam ~ 745, and each time's weights are rescaled at the end to sum to 1 minus its own tail
-    (at most the last time's), which removes the rounding that the large, nearly cancelling log terms leave in
-    their total.  Returns the (time, 6) moment records (m, s, m+, m-, s+, s-), the largest edge mass over every
-    iterate, the last time's dropped tail and the number K of matrix-vector steps; an edge mass above leak_tol
-    raises TruncationError, and a rate*t past _SERIES_RATE_TIME_CAP raises ResourceLimitError before any step.
+    into a buffer of _SERIES_ROWS zero-padded rows, and each full buffer is reduced to the six moment sums of
+    each of its iterates.  Each grid time's moments weigh those sums by its Poisson weights from _poisson_windows,
+    at the counts up to K within a width of its mode (the mass further out is below 1e-22).  Returns the (time, 6) moment
+    records (m, s, m+, m-, s+, s-), the largest edge mass over every iterate, the last time's dropped tail and the
+    number K of matrix-vector steps; an edge mass above leak_tol raises TruncationError, and a rate*t past
+    _SERIES_RATE_TIME_CAP raises ResourceLimitError before any step.
     """
     states = np.arange(-bound, bound + 1, dtype=float)
     birth = params.alpha + np.maximum(-states, 0.0) * params.gamma
@@ -363,12 +388,11 @@ def _uniformize(params: QueueParams, items: list[tuple[int, float]], t_grid: np.
         axis=1,
     )
 
-    n_terms = _series_cut(rate * t_grid[-1], _SERIES_TAIL_TOL)
-    lam = rate * t_grid[:, None]
-    mode = np.floor(lam)
-    log_mode = xlogy(mode, lam) - gammaln(mode + 1.0)
-    moments = np.zeros((t_grid.size, 6))
-    sums = np.zeros((t_grid.size, 1))
+    blocks = range(0, t_grid.size, _SERIES_ROWS)
+    # the last block of times gives the cut from its last row, and its rows serve its moments after the series
+    cuts, tails, *last_block = _poisson_cut(rate * t_grid[blocks[-1]:], _SERIES_TAIL_TOL)
+    n_terms, series_tail = int(cuts[-1]), float(tails[-1])
+    term_moments = np.empty((n_terms + 1, 6))
 
     buf = np.zeros((_SERIES_ROWS, 2 * bound + 3))
     for state, mass in items:
@@ -392,21 +416,18 @@ def _uniformize(params: QueueParams, items: list[tuple[int, float]], t_grid: np.
             advance(r, r + 1)
         block = buf[:rows]
         max_edge = max(max_edge, float(block[:, 1].max()), float(block[:, -2].max()))
-        block_moments = block[:, 1:-1] @ functionals
-        k = np.arange(first, first + rows, dtype=float)
-        log_fact = gammaln(k + 1.0)
-        # a block of times at a time keeps the weights at most rows x rows
-        for lo in range(0, t_grid.size, _SERIES_ROWS):
-            part = slice(lo, lo + _SERIES_ROWS)
-            weights = np.exp(xlogy(k, lam[part]) - log_fact - log_mode[part])
-            moments[part] += weights @ block_moments
-            sums[part] += weights.sum(axis=1, keepdims=True)
+        np.matmul(block[:, 1:-1], functionals, out=term_moments[first:first + rows])
     if max_edge > leak_tol:
         raise TruncationError(f"boundary mass {max_edge:.3e} exceeds leak_tol {leak_tol:.1e} "
                               f"on the box [-{bound}, {bound}]")
-    tails = pdtrc(n_terms, lam)
-    moments *= (1.0 - tails) / sums
-    return moments, max_edge, float(tails[-1, 0]), n_terms
+    moments = np.empty((t_grid.size, 6))
+    # a block of times at a time keeps the weights at most rows x (3 width + 1)
+    for lo in blocks:
+        mode, width, weights = last_block if lo == blocks[-1] else _poisson_windows(rate * t_grid[lo:lo + _SERIES_ROWS])
+        for row, m, w in zip(moments[lo:], mode, weights):
+            first, stop = max(m - width, 0), min(m + width, n_terms) + 1
+            row[:] = w[first - m + width: stop - m + width] @ term_moments[first:stop]
+    return moments, max_edge, series_tail, n_terms
 
 
 def transient_moments(

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -190,6 +191,26 @@ class TestModelOne:
         result = model_one(params)
         assert result.L1 == pytest.approx(-0.3178, abs=5e-5)
         assert result.L2 == pytest.approx(1.7014, abs=5e-5)
+
+    @pytest.mark.parametrize("family", ["exponential", "uniform", "erlang", "hyperexponential"])
+    @pytest.mark.parametrize("multiplier", [1.0, 0.1])
+    def test_moments_within_four_ulp_of_quadrature(self, family, multiplier):
+        # psi is proportional to exp((2 mu x - theta x^2)/a^2) on x >= 0, with gamma for theta on x < 0
+        params = QueueParams.for_family(family, 1.0, 1.5, multiplier, 1.5 * multiplier)
+        result = model_one(params)
+        with mpmath.workdps(30):
+            mu, a_sq = mpmath.mpf(params.drift_offset), mpmath.mpf(params.diffusion_coeff) ** 2
+
+            def moment(k):
+                return sum(
+                    mpmath.quad(lambda x: x**k * mpmath.exp((2 * mu * x - rate * x * x) / a_sq), ends)
+                    for rate, ends in ((params.theta, [0, mpmath.inf]), (params.gamma, [-mpmath.inf, 0]))
+                )
+
+            mass = moment(0)
+            expected = (float(moment(1) / mass), float(moment(2) / mass))
+        for value, exact in zip((result.L1, result.L2), expected):
+            assert abs(value - exact) <= 4 * math.ulp(exact)
 
 
 class TestModelTwo:

@@ -333,6 +333,9 @@ class TestDensityComparison:
         )
         comp = export_density_comparison(sc, estimate(sc, 4))
         assert comp.psi_cell_mass.sum() == pytest.approx(1.0, abs=1e-6)
+        # one cdf evaluation per cell edge gives the bits of the two-sided difference
+        density = heavy_traffic_density("exponential", 1.0, 1.5, 0.1, 0.15)
+        assert np.array_equal(comp.psi_cell_mass, density.cdf(comp.states + 0.5) - density.cdf(comp.states - 0.5))
         assert comp.poisson_pmf.sum() == pytest.approx(1.0, abs=1e-6)
         assert comp.simulated_pmf.sum() == pytest.approx(1.0, abs=1e-6)
 

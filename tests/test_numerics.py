@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -11,6 +12,8 @@ from dequelab.numerics import (
     FAMILY_ALIASES,
     InterarrivalModel,
     RandomStream,
+    erfcx,
+    log_ndtr,
     normal_hazard,
     normal_logcdf,
     normal_logsf,
@@ -78,6 +81,72 @@ class TestNormalKernels:
         # interior agreement with the plain cdf
         for z in [-3.0, -0.4, 0.0, 1.2, 4.0]:
             assert normal_logsf(z) == pytest.approx(math.log(normal_sf(z)), rel=1e-12)
+
+    @pytest.mark.parametrize("z", [-8.0, -5.2, -1.0, -1e-9, 0.0, 0.7, 6.0, 37.0, 1e5])
+    def test_log_sf_relative_error(self, z):
+        # for z well below 0 the log is as small as the lower tail P(X <= z) it measures
+        assert normal_logsf(z) == pytest.approx(mp_log_ndtr(-z), rel=2e-14, abs=0.0)
+        assert normal_logcdf(-z) == normal_logsf(z)
+
+
+def mp_erfcx(x: float) -> float:
+    with mpmath.workdps(40):
+        return float(mpmath.exp(mpmath.mpf(x) ** 2) * mpmath.erfc(x))
+
+
+def mp_log_ndtr(z: float) -> float:
+    with mpmath.workdps(40):
+        # log1p of the upper tail where Phi(z) is near 1
+        return float(mpmath.log1p(-mpmath.ncdf(-z)) if z > 0 else mpmath.log(mpmath.ncdf(z)))
+
+
+ERFCX_POINTS = np.concatenate((np.linspace(-26.5, 30.0, 1131), np.geomspace(1e-8, 1e6, 281),
+                               -np.geomspace(1e-8, 26.5, 221), [-0.46875, 0.46875, -4.0, 4.0]))
+LOG_NDTR_POINTS = np.concatenate((np.linspace(-40.0, 8.0, 961), -np.geomspace(1e-8, 1e5, 261),
+                                  np.geomspace(1e-8, 8.0, 181), [-1e5, 0.0]))
+
+
+class TestSpecialFunctions:
+    """Cody's erfcx and the log-cdf built on it, against mpmath at 40 digits."""
+
+    def test_erfcx_relative_error(self):
+        values = erfcx(ERFCX_POINTS)
+        expected = np.array([mp_erfcx(x) for x in ERFCX_POINTS.tolist()])
+        assert np.all(np.abs(values - expected) <= 1e-15 * expected)
+
+    def test_erfcx_float_path_agrees_with_array_path(self):
+        values = erfcx(ERFCX_POINTS)
+        for x, value in zip(ERFCX_POINTS.tolist(), values.tolist()):
+            scalar = erfcx(x)
+            assert isinstance(scalar, float)
+            assert abs(scalar - value) <= math.ulp(value), x
+
+    def test_erfcx_limits(self):
+        # below -26.628 erfcx passes the largest float; no overflow warning or error either way
+        for x, expected in [(math.inf, 0.0), (-math.inf, math.inf), (-27.0, math.inf), (-1e300, math.inf), (0.0, 1.0)]:
+            assert erfcx(x) == expected
+            assert erfcx(np.array([x]))[0] == expected
+        # erfcx(x) ~ 1/(x sqrt(pi)) for large x, where x^2 overflows
+        assert erfcx(1e300) == pytest.approx(1e-300 / math.sqrt(math.pi), rel=1e-15)
+        assert erfcx(np.array([1e300]))[0] == erfcx(1e300)
+        assert math.isnan(erfcx(math.nan)) and np.isnan(erfcx(np.array([math.nan]))[0])
+        assert erfcx(2) == erfcx(2.0)
+
+    def test_log_ndtr_relative_error(self):
+        values = log_ndtr(LOG_NDTR_POINTS)
+        expected = np.array([mp_log_ndtr(z) for z in LOG_NDTR_POINTS.tolist()])
+        assert np.all(np.abs(values - expected) <= 2e-14 * np.abs(expected))
+
+    def test_log_ndtr_limits(self):
+        values = log_ndtr(np.array([math.inf, 1e300, 40.0, -1e300, -math.inf, math.nan]))
+        assert values[:3].tolist() == [0.0, 0.0, 0.0]
+        assert values[3:5].tolist() == [-math.inf, -math.inf]
+        assert math.isnan(values[5])
+
+    def test_hazard_in_the_far_lower_tail(self):
+        # phi(z)/(1 - Phi(z)) -> 0 as z -> -inf; past -37.7 it is below the smallest float
+        assert normal_hazard(-40.0) == 0.0
+        assert normal_hazard(-30.0) == pytest.approx(float(mpmath.npdf(-30.0) / mpmath.ncdf(30.0)), rel=1e-14)
 
 
 class TestTruncatedNormalMoments:

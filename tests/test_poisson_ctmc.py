@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.special import pdtrc
@@ -390,8 +392,10 @@ def reflecting_box_pmfs(params, start, bound, times):
 
 
 def series_cut(lam):
-    """The first K whose Poisson(lam) upper tail is at most 1e-14."""
-    return int(np.argmax(pdtrc(np.arange(10 * int(lam) + 100), lam) <= 1e-14))
+    """The first K whose Poisson(lam) upper tail is at most 1e-14, scanned out to 20 standard deviations."""
+    below = pdtrc(np.arange(int(lam + 20.0 * math.sqrt(lam)) + 100), lam) <= 1e-14
+    assert below[-1]
+    return int(np.argmax(below))
 
 
 def tail_ratio_box(params, items, tol, far=2000):
@@ -463,6 +467,48 @@ def check_box(params, start, t_grid, leak_tol):
         assert np.all(np.abs(value - column) <= 1e-12 * np.maximum(np.abs(column), 1.0)), name
     extent = max(abs(state) for state, mass in items if mass > 0.0)
     assert b <= extent + stationary_distribution(params, 1e-10).support_bound + 16
+
+
+POISSON_RATES = [0.0, 1e-3, 0.37, 1.0, 2.5, 17.2, 100.0, 1234.5, 1e4, 1e5, 1e6]
+
+
+class TestPoissonWindow:
+    """The uniformization weights and tails, numpy only, against scipy's pdtrc."""
+
+    @pytest.mark.parametrize("lam", POISSON_RATES)
+    def test_series_cut_matches_pdtrc(self, lam):
+        cut, tail = (v.item() for v in poisson_ctmc._poisson_cut(np.array([lam]), 1e-14)[:2])
+        assert cut == series_cut(lam)
+        # mpmath for the tail itself: pdtrc is off by 2.6e-8 relative at lam = 1e6
+        with mpmath.workdps(30):
+            expected = float(mpmath.gammainc(cut + 1, 0, lam, regularized=True)) if lam else 0.0
+        assert tail == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("lam", POISSON_RATES[:-1])
+    def test_window_tails_match_pdtrc(self, lam):
+        # the tails up to one width past the mode, where the window runs on another width beyond
+        mode, width, weights = poisson_ctmc._poisson_windows(np.array([lam]), reach=2)
+        counts = np.arange(-width, width + 1) + mode[0]
+        tails = np.cumsum(weights[0, :0:-1])[::-1][: 2 * width + 1]
+        expected = pdtrc(counts, lam)
+        kept = (counts >= 0) & (expected >= 1e-300)
+        assert np.all(np.abs(tails[kept] - expected[kept]) <= 1e-12 * expected[kept])
+        assert np.all(weights[0, : 2 * width + 1][counts < 0] == 0.0)
+
+    def test_cut_past_the_first_window(self):
+        # a tail tolerance far below the window's reach makes the cut search run further out
+        cut, tail = (v.item() for v in poisson_ctmc._poisson_cut(np.array([5000.0]), 1e-200)[:2])
+        assert pdtrc(cut, 5000.0) <= 1e-200 < pdtrc(cut - 1, 5000.0)
+        assert tail == pytest.approx(pdtrc(cut, 5000.0), rel=1e-10, abs=0.0)
+
+    def test_rows_share_one_width(self):
+        lam = np.array([0.0, 3.0, 250.0])
+        mode, width, weights = poisson_ctmc._poisson_windows(lam)
+        assert width == int(10.0 * math.sqrt(250.0)) + 40
+        assert weights[0].tolist() == [1.0 if d == 0 else 0.0 for d in range(-width, width + 1)]
+        for row, m, rate in zip(weights, mode.tolist(), lam.tolist()):
+            expected = stats.poisson.pmf(np.arange(m - width, m + width + 1), rate)
+            assert np.allclose(row, expected, rtol=1e-12, atol=1e-300)
 
 
 class TestUniformization:
