@@ -71,11 +71,16 @@ _SQUARE_SPLIT = 2.0**-16
 
 
 def _ratio(t, num, den):
-    """Cody's rational p(t)/q(t) by Horner's rule, for a float or an array t."""
-    p, q = num[0] * t, t
-    for a, b in zip(num[1:-1], den[:-1]):
-        p, q = (p + a) * t, (q + b) * t
-    return (p + num[-1]) / (q + den[-1])
+    """Cody's rational p(t)/q(t) by Horner's rule, for a float or an array t.
+
+    The updates are in place, which spares an array its temporaries and rebinds a float."""
+    p, q = num[0] * t, t + den[0]
+    for a, b in zip(num[1:-1], den[1:]):
+        p += a
+        p *= t
+        q *= t
+        q += b
+    return (p + num[-1]) / q
 
 
 def _erfcx_near(x, exp):
