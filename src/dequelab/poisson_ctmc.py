@@ -362,11 +362,11 @@ def _uniformize(params: QueueParams, items: list[tuple[int, float]], t_grid: np.
     stochastic step, monotone on each half, and p(t) = sum_k Pois(rate*t; k) p0 P^k; start states past the box
     are folded onto its edge.  The iterates p0 P^k, k = 0..K, are computed once, K the cut of the last time,
     into a buffer of _SERIES_ROWS zero-padded rows, and each full buffer is reduced to the six moment sums of
-    each of its iterates.  Each grid time's moments weigh those sums by its Poisson weights from _poisson_windows,
-    at the counts up to K within a width of its mode (the mass further out is below 1e-22).  Returns the (time, 6) moment
-    records (m, s, m+, m-, s+, s-), the largest edge mass over every iterate, the last time's dropped tail and the
-    number K of matrix-vector steps; an edge mass above leak_tol raises TruncationError, and a rate*t past
-    _SERIES_RATE_TIME_CAP raises ResourceLimitError before any step.
+    each of its iterates.  Each grid time's moments weigh those sums by its Poisson weights from
+    _poisson_windows, at the counts up to K within a width of its mode (the mass further out is below 1e-22).
+    Returns the (time, 6) moment records (m, s, m+, m-, s+, s-), the largest edge mass over every iterate, the
+    last time's dropped tail and the number K of matrix-vector steps; an edge mass above leak_tol raises
+    TruncationError, and a rate*t past _SERIES_RATE_TIME_CAP raises ResourceLimitError before any step.
     """
     states = np.arange(-bound, bound + 1, dtype=float)
     birth = params.alpha + np.maximum(-states, 0.0) * params.gamma
