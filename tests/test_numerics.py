@@ -144,7 +144,8 @@ class TestSpecialFunctions:
         assert math.isnan(values[5])
 
     def test_hazard_in_the_far_lower_tail(self):
-        # phi(z)/(1 - Phi(z)) -> 0 as z -> -inf; past -37.7 it is below the smallest float
+        # phi(z)/(1 - Phi(z)) -> 0 as z -> -inf; past about -37.7 it is below the smallest normal float, and
+        # erfcx(z/sqrt(2)) passes the largest one, so the hazard is 0
         assert normal_hazard(-40.0) == 0.0
         assert normal_hazard(-30.0) == pytest.approx(float(mpmath.npdf(-30.0) / mpmath.ncdf(30.0)), rel=1e-14)
 

@@ -473,7 +473,7 @@ POISSON_RATES = [0.0, 1e-3, 0.37, 1.0, 2.5, 17.2, 100.0, 1234.5, 1e4, 1e5, 1e6]
 
 
 class TestPoissonWindow:
-    """The uniformization weights and tails, numpy only, against scipy's pdtrc."""
+    """The uniformization weights and tails, numpy only, against scipy's pdtrc and mpmath."""
 
     @pytest.mark.parametrize("lam", POISSON_RATES)
     def test_series_cut_matches_pdtrc(self, lam):
