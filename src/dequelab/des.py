@@ -43,22 +43,23 @@ __all__ = [
     "scaled_stationary_histogram",
 ]
 
-# Draws come in blocks of 64 doubling to this size (_blocks), in
-# run_replication's loop and in each lockstep lane's four buffers.  Small
-# blocks keep short replications from drawing variates they never read.  On a
-# 2-vCPU x86 box the heavy benchmark's 18 scaled_stationary_histogram calls
-# took a median 1.15 s with this cap and 1.14 s with a cap of 4096 (six
-# interleaved rounds).
+# Draws come in blocks doubling from 64 to this size (_blocks), in
+# run_replication's loop and in each lockstep lane's four buffers; a lockstep
+# lane that expects at least 4 blocks of arrivals starts on a full block
+# (_lockstep).  Small first blocks keep short replications from drawing
+# variates they never read.  On a 2-vCPU x86 box the heavy benchmark's 18
+# scaled_stationary_histogram calls took a median 1.15 s with this cap and
+# 1.14 s with a cap of 4096 (six interleaved rounds).
 _BLOCK = 256
 # Batches of fewer replications than this run each one on run_replication's
 # loop.  On a 2-vCPU x86 box, lockstep lanes of one exponential cell (1, 1.5,
-# 0.1, 0.15; horizon 700, warmup 200; four alternating rounds in one process)
-# ran at 0.45-0.67x the speed of the scalar loop with 64 lanes, 0.92-1.04x
-# with 128, 1.16-1.26x with 192 and 1.26-1.39x with 256; the grid
-# benchmark's 360-lane batch ran at 0.92-1.06x.  So the crossover lies near
-# 128 lanes.  The lockstep kernel stays: without it, configs/full-grid.json
-# took 1.3-1.4x as long at the paper budget and 1.15-1.3x at the desk budget,
-# and the grid benchmark 8% longer in 11% less peak memory (ROADMAP item 2).
+# 0.1, 0.15; horizon 700, warmup 200; six alternating rounds in one process)
+# ran at 0.60-0.82x the speed of the scalar loop with 64 lanes, 0.85-1.33x
+# with 128, 1.30-1.53x with 192 and 1.45-2.17x with 256; the grid
+# benchmark's 360-lane batch ran at 1.22-1.81x.  So the crossover lies
+# between 64 and 128 lanes, too near 128 to move it.  The lockstep kernel
+# stays: without it, configs/full-grid.json took 1.3-1.4x as long at the
+# paper budget and 1.15-1.3x at the desk budget (ROADMAP item 2).
 _LOCKSTEP_MIN_LANES = 128
 # At most this many lanes advance together; the rest wait for a free slot.
 # A slot holds 4 * _BLOCK draws (8 KB) and a histogram row of 2 w + 2
@@ -163,9 +164,8 @@ def _samplers(scenario: Scenario, stream: RandomStream) -> tuple:
     )
 
 
-def _blocks(sample):
-    """Arrays from sample(size) calls, in blocks doubling from 64 to _BLOCK."""
-    size = 64
+def _blocks(sample, size: int = 64):
+    """Arrays from sample(size) calls, in blocks doubling from size to _BLOCK."""
     while True:
         yield sample(size)
         size = min(2 * size, _BLOCK)
@@ -389,10 +389,12 @@ def _lockstep(
     lane by exactly one event, under the rules of run_replication, so each
     lane reproduces run_replication on its own stream bit for bit.  Lanes
     start in order of expected arrivals, most first, at most _LIVE_LANES at
-    once; a finished lane hands its slot to the next one.  Each slot owns
+    once; a finished lane hands its slot to the next one and drops its
+    generators.  Each slot owns
 
     - four draw buffers, one per substream, of _BLOCK values each in one
-      flat array, each refilled with the next of its substream's _blocks;
+      flat array, each refilled with the next of its substream's _blocks.
+      A lane that expects to read several blocks starts on a full one;
     - a histogram row over the states -w..w, whose last column collects the
       overflow of a lane beyond its own bound.  The half-width w is shared
       by all rows.  It starts at 64, or at the batch's largest bound B if
@@ -400,6 +402,11 @@ def _lockstep(
       w becomes min(B, max(2 w, |x|)) and one copy re-lays every row.  So
       rows stay as narrow as the paths (|x| <= 94 on the benchmark's grid,
       against a bound of 1000).
+
+    A lane also keeps its time clipped to its window, clip(t) = min(max(t,
+    warmup), horizon).  A segment adds clip(event) - clip(now), which is the
+    length run_replication adds: 0.0 before the warmup, event - warmup
+    across it and horizon - now across the horizon.
 
     A finished lane's row is cropped to the states it visited until its
     scenario's last lane finishes; the scenario is then reduced to its
@@ -438,13 +445,17 @@ def _lockstep(
         j, k = lanes[lane]
         sc = scenarios[j]
         flat = 4 * slot
-        blocks[flat : flat + 4] = map(_blocks, _samplers(sc, RandomStream(base_seed, stream_bases[j] + 4 * k)))
+        # the blocks of 64 and 128 spare a short lane draws it would not read; a long
+        # lane reads about expected_arrivals / 2 draws a buffer and skips them
+        first = _BLOCK if expected_arrivals[j] >= 4 * _BLOCK else 64
+        samplers = _samplers(sc, RandomStream(base_seed, stream_bases[j] + 4 * k))
+        blocks[flat : flat + 4] = (_blocks(sample, first) for sample in samplers)
         for i in range(4):
             refill(flat + i)
-        # residual arrival clocks start fresh at time zero
+        # residual arrival clocks start fresh at time zero, whose clip is the warmup
         first_seller, first_buyer = buf[pos[flat : flat + 2]]
         pos[flat : flat + 2] += 1
-        return (0.0, first_seller, first_buyer, sc.warmup, sc.horizon,
+        return (0.0, sc.warmup, first_seller, first_buyer, sc.warmup, sc.horizon,
                 sc.initial_state, sc.histogram_bound, slot, lane)
 
     def finish(slot: int, lane: int) -> None:
@@ -457,6 +468,7 @@ def _lockstep(
         reps[j][k] = (hist[slot, width - c : width + c + 1] / total, float(hist[slot, -1] / total))
         hist[slot] = 0.0
         end[4 * slot : 4 * slot + 4] = -1
+        blocks[4 * slot : 4 * slot + 4] = (None,) * 4
         remaining[j] -= 1
         if remaining[j] == 0:
             results[j] = _reduce(sc, base_seed, (
@@ -467,15 +479,17 @@ def _lockstep(
 
     def as_arrays(states: list[tuple]) -> list[np.ndarray]:
         """One array per field of the lane states that admit returns."""
-        return [np.array(field, dtype=float if i < 5 else np.int64) for i, field in enumerate(zip(*states))]
+        return [np.array(field, dtype=float if i < 6 else np.int64) for i, field in enumerate(zip(*states))]
 
     next_lane = slots
-    now, next_seller, next_buyer, tau, horizon, x, bound, slot, lane = as_arrays(
+    # since is clip(now), the time from which the lane's current segment counts
+    now, since, next_seller, next_buyer, tau, horizon, x, bound, slot, lane = as_arrays(
         [admit(i, i) for i in range(slots)]
     )
     row = slot * hist.shape[1] + width
     reach = np.minimum(bound, width)  # a lane past its reach adds to the last column
-    base = 4 * slot
+    arrivals = 4 * slot  # the seller buffer; the buyer's follows it
+    patience = arrivals + 2  # the seller patience buffer; the buyer's follows it
     for j in range(len(scenarios)):
         with np.errstate(divide="ignore", invalid="ignore"):
             while remaining[j]:
@@ -483,11 +497,11 @@ def _lockstep(
                 # memoryless patience: a fresh clock after every event has the
                 # same law.  A lane at x = 0 reads a draw it does not consume
                 # and divides it by zero: its clock is inf, or nan, which the
-                # tests below read as "no expiry".
-                sub = base + 2 + (x < 0)
+                # tests below read as "no expiry".  x >> 63 is -1 where x < 0.
+                sub = patience - (x >> 63)
                 at = pos[sub]
                 next_expiry = now + buf[at] / ax
-                pos[sub] = at + (ax > 0)
+                pos[sub] = at + np.minimum(ax, 1)
 
                 # arrivals win ties against expiries; sellers win ties against buyers
                 first = np.minimum(next_seller, next_buyer)
@@ -497,8 +511,8 @@ def _lockstep(
                 seller = arrived & (next_seller <= next_buyer)
                 buyer = arrived ^ seller
 
-                span = np.minimum(event, horizon) - np.maximum(now, tau)
-                np.maximum(span, 0.0, out=span)
+                clipped = np.minimum(np.maximum(event, tau), horizon)
+                span = clipped - since
                 column = row + x
                 beyond = ax > reach
                 if np.count_nonzero(beyond):
@@ -517,15 +531,17 @@ def _lockstep(
                     column[beyond] = row[beyond] + width + 1
                 flat_hist[column] += span
 
-                sub = base + buyer
+                sub = arrivals + buyer
                 at = pos[sub]
                 redrawn = event + buf[at]
                 pos[sub] = at + arrived
                 next_seller = np.where(seller, redrawn, next_seller)
                 next_buyer = np.where(buyer, redrawn, next_buyer)
-                np.subtract(x, np.sign(x), out=x, where=expired)
-                x += seller.view(np.int8) - buyer.view(np.int8)
-                now = event
+                # an expiry steps x toward zero, a seller arrival up, a buyer arrival down
+                x -= np.sign(x) * expired
+                x += seller
+                x -= buyer
+                now, since = event, clipped
 
                 done = event >= horizon
                 if np.count_nonzero(done):
@@ -533,17 +549,18 @@ def _lockstep(
                     for s, finished in zip(freed, lane[done].tolist()):
                         finish(s, finished)
                     keep = ~done
-                    live = [a[keep] for a in (now, next_seller, next_buyer, tau, horizon, x, bound, slot, lane)]
+                    live = [a[keep] for a in (now, since, next_seller, next_buyer, tau, horizon, x, bound, slot, lane)]
                     admitted = []
                     while freed and next_lane < len(lanes):
                         admitted.append(admit(freed.pop(), next_lane))
                         next_lane += 1
                     if admitted:
                         live = [np.concatenate(pair) for pair in zip(live, as_arrays(admitted))]
-                    now, next_seller, next_buyer, tau, horizon, x, bound, slot, lane = live
+                    now, since, next_seller, next_buyer, tau, horizon, x, bound, slot, lane = live
                     row = slot * hist.shape[1] + width
                     reach = np.minimum(bound, width)
-                    base = 4 * slot
+                    arrivals = 4 * slot
+                    patience = arrivals + 2
                 exhausted = pos == end
                 if np.count_nonzero(exhausted):
                     for flat in np.flatnonzero(exhausted).tolist():
@@ -601,10 +618,9 @@ class ScaledHistogram:
         Cell k covers ((k - 1/2)/sqrt(n), (k + 1/2)/sqrt(n)]; mass outside the
         histogram range is compared against the overflow bucket.
         """
-        half = 0.5 / math.sqrt(self.n)
-        edges_lo = self.lattice - half
-        edges_hi = self.lattice + half
-        cell_mass = density.cdf(edges_hi) - density.cdf(edges_lo)
+        # one cdf call on the 2 bound + 2 cell edges (k - 1/2)/sqrt(n)
+        edges = (np.arange(-self.bound, self.bound + 2) - 0.5) / math.sqrt(self.n)
+        cell_mass = np.diff(density.cdf(edges))
         tv = 0.5 * float(np.abs(self.pmf - cell_mass).sum())
         tv += 0.5 * abs(self.overflow - (1.0 - float(cell_mass.sum())))
         return tv

@@ -9,6 +9,7 @@ and an integer too large for a float.
 
 import math
 import operator
+import sys
 
 import numpy as np
 
@@ -95,6 +96,9 @@ def whole_number(
     if number is None or not floor <= number <= ceiling:
         limits = f">= {floor}" if ceiling == math.inf else f"in [{floor}, {ceiling}]"
         raise error(f"{name} must be an integer {limits}, got {value!r}")
+    # like every rule, it fails an integer too large for a float
+    if abs(number) > sys.float_info.max:
+        raise error(f"{name} must be an integer that fits a float, got {value!r}")
     return number
 
 

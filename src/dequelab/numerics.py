@@ -258,6 +258,9 @@ class InterarrivalModel:
     def __post_init__(self):
         object.__setattr__(self, "family", canonical_family(self.family))
         positive(self.rate, "rate")
+        if self.family == "uniform":
+            # numpy draws on [0, 2/rate] only when the end is finite
+            finite_result(lambda: 2.0 / self.rate, "the uniform interarrival end 2/rate")
         if self.family == "erlang":
             whole_number(self.stages, "erlang stages", 1)
 
@@ -314,8 +317,10 @@ class RandomStream:
     @property
     def rng(self) -> np.random.Generator:
         if self._rng is None:
-            key = np.array([self.seed % 2**64, self.stream_id % 2**64], dtype=np.uint64)
-            self._rng = np.random.Generator(np.random.Philox(key=key))
+            from ._philox import PhiloxKey
+
+            # the generator of np.random.Philox(key=[seed mod 2^64, stream_id mod 2^64])
+            self._rng = np.random.Generator(np.random.Philox(PhiloxKey(self.seed, self.stream_id)))
         return self._rng
 
     def substream(self, offset: int) -> "RandomStream":

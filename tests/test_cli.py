@@ -7,6 +7,8 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -92,16 +94,28 @@ def test_non_finite_grid_end_is_a_config_error(capsys, grid):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_import_loads_no_scipy_module():
-    # a fresh interpreter: this test process imports scipy itself, for its oracles
+def modules_loaded_by_import(package: str) -> str:
+    """The modules of package that importing dequelab.cli loads, listed by a fresh interpreter.
+
+    A fresh one, because this test process imports scipy itself, for its oracles.
+    """
     src = str(Path(dequelab.__file__).resolve().parents[1])
-    code = "import sys, dequelab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = f"import sys, dequelab.cli; print(sorted(m for m in sys.modules if m.startswith({package!r})))"
     done = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_import_loads_no_scipy_module():
+    assert modules_loaded_by_import("scipy") == "[]"
+
+
+def test_import_loads_no_numpy_random_module():
+    # RandomStream imports numpy.random when it first builds a generator, which keeps 10-15 ms out of every import
+    assert modules_loaded_by_import("numpy.random") == "[]"
 
 
 class TestAnalytic:
@@ -219,6 +233,105 @@ def test_diffusion_answers_or_fails_cleanly_at_extreme_inputs(mode, flags, value
             assert all(math.isfinite(v) for v in json.loads(out).values())
     else:
         assert_clean_failure(code, out, err)
+
+
+def assert_finite_json(value):
+    """Every number in a JSON value is finite; None stands for a CI of one replication."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            assert_finite_json(item)
+    elif isinstance(value, float):
+        assert math.isfinite(value)
+    else:
+        # an int, such as the seed echoed back, is exact; strings name the family
+        assert value is None or isinstance(value, (int, str))
+
+
+# an integer past the float range, as the CLI and a JSON config take it
+HUGE = 10**400
+# a call sets up to three flags of a short valid run to other values: ordinary ones, the
+# extremes of the input rules and integers past the float range.  Every valid value keeps the
+# run short: rates and horizons small, few replications, small |x0|.
+SIMULATE_ARGS = {"--alpha": "1", "--beta": "1.5", "--theta": "0.5", "--gamma": "0.75", "--reps": "2",
+                 "--horizon": "20", "--warmup": "2", "--seed": "7", "--x0": "0", "--bound": "40"}
+SIMULATE_VALUES = [(flag, value) for flag, values in {
+    "--alpha": ("2", "5e-324", "0", "-1", "nan", "1e400", str(HUGE)),
+    "--beta": ("0.5", "5e-324", "inf", str(HUGE)),
+    "--theta": ("1e300", "5e-324", "0", "nan", str(HUGE)),
+    "--gamma": ("1e300", "-1", "inf"),
+    "--reps": ("1", "3", "0", "-1", "1000001", str(HUGE)),
+    "--horizon": ("5", "5e-324", "0", "inf", "nan", str(HUGE)),
+    "--warmup": ("0", "20", "-1", "nan", str(HUGE)),
+    "--seed": ("0", "-1", str(HUGE)),
+    "--x0": ("4", "-4", str(HUGE), str(-HUGE)),
+    "--bound": ("1", "0", str(HUGE)),
+}.items() for value in values]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(
+    dist=st.sampled_from(["exp", "uniform", "erlang2", "hyperexp"]),
+    changes=st.lists(st.sampled_from(SIMULATE_VALUES), max_size=3),
+)
+def test_simulate_answers_or_fails_cleanly_at_extreme_inputs(dist, changes):
+    args = {**SIMULATE_ARGS, **dict(changes)}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_redirected(["simulate", "--dist", dist, *itertools.chain.from_iterable(args.items())])
+    # the one warning a run may give: time outside the histogram box
+    assert all(str(w.message).startswith("overflow share") for w in caught)
+    if code == 0:
+        assert err == ""
+        assert_finite_json(json.loads(out))
+    else:
+        assert_clean_failure(code, out, err)
+
+
+# one cell: alpha, beta, multiplier, budget and histogram_bound of a short valid run, and the seed
+COMPARE_FIELDS = {"alpha": 1, "beta": 1.5, "multiplier": 0.5, "replications": 2, "warmup": 2.0, "horizon": 20,
+                  "histogram_bound": 40, "seed": "3"}
+COMPARE_VALUES = [(key, value) for key, values in {
+    "alpha": (2.0, 0, -1, HUGE, math.inf),
+    "beta": (1, 5e-324, HUGE, math.nan),
+    "multiplier": (1, 0, -0.5, HUGE, math.nan),
+    "replications": (1, 3, 0, 10**6 + 1, HUGE),
+    "warmup": (0, 20, -1, HUGE),
+    "horizon": (5.0, 0, HUGE, math.inf),
+    "histogram_bound": (1, 0, HUGE),
+    "seed": ("-1", str(HUGE)),
+}.items() for value in values]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    family=st.sampled_from(["exp", "uniform", "erlang2", "hyperexp"]),
+    changes=st.lists(st.sampled_from(COMPARE_VALUES), max_size=3),
+)
+def test_compare_answers_or_fails_cleanly_at_extreme_configs(family, changes):
+    fields = {**COMPARE_FIELDS, **dict(changes)}
+    config = {
+        "families": [family],
+        "rate_pairs": [[fields["alpha"], fields["beta"]]],
+        "reneging_multipliers": [fields["multiplier"]],
+        "budget": {key: fields[key] for key in ("replications", "warmup", "horizon")},
+        "histogram_bound": fields["histogram_bound"],
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out_dir = Path(tmp) / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_redirected(["compare", "--config", str(cfg_path), "--seed", fields["seed"],
+                                             "--out", str(out_dir)])
+        assert all(str(w.message).startswith("overflow share") for w in caught)
+        if code == 0:
+            assert err == ""
+            assert_finite_json(json.loads((out_dir / "comparison.json").read_text()))
+        else:
+            assert_clean_failure(code, out, err)
 
 
 @pytest.mark.parametrize("mode", [[], ["--integrate"]], ids=["closed-form", "integrate"])

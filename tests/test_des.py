@@ -15,6 +15,7 @@ from dequelab.des import (
     run_replication,
     scaled_stationary_histogram,
 )
+from dequelab.diffusion import psi_density
 from dequelab.errors import DomainError
 from dequelab.numerics import (
     InterarrivalModel,
@@ -82,7 +83,8 @@ class TestScenario:
             kwargs = {**whole, field: value}
             return Scenario.for_family("exponential", 1.0, 1.5, 0.5, 0.5, horizon=20.0, warmup=5.0, **kwargs)
 
-        for value in (whole[field] + 0.5, str(whole[field]), None):
+        # an integer past the float range fails like every rule
+        for value in (whole[field] + 0.5, str(whole[field]), None, 10**400, -(10**400)):
             with pytest.raises(DomainError):
                 scenario(value)
         # an integral float is the integer it equals
@@ -414,6 +416,28 @@ class TestLockstep:
         assert any(sc.histogram_bound == 5 and est.overflow > 0.0 for sc, est in zip(jobs, results))
         assert max(int(np.abs(est.states[est.pmf > 0.0]).max(initial=0)) for est in results) > 600
 
+    @pytest.mark.filterwarnings("ignore:overflow share")
+    def test_long_lanes_start_on_a_full_block(self, monkeypatch):
+        # 16 lanes expect more than 4 _BLOCK arrivals and start on a full block, 48 short ones on
+        # 64 draws; with 16 slots, the short lanes run in the slots the long ones leave
+        monkeypatch.setattr(des, "_LIVE_LANES", 16)
+        requested = counting_samplers(monkeypatch)
+        jobs = [
+            Scenario.for_family(
+                FAMILIES[i % 4], 4.0, 5.0, 0.5, 0.6, horizon=120.0 if i % 4 == 1 else 15.0,
+                warmup=(0.0, 5.0)[i % 2], replications=1, initial_state=(0, 7, -3)[i % 3],
+            )
+            for i in range(64)
+        ]
+        bases = [i << 32 for i in range(len(jobs))]
+        assert len(jobs) >= des._LOCKSTEP_MIN_LANES
+        long_lanes = sum(sc.horizon == 120.0 for sc in jobs)
+        assert all((sc.seller_model.rate + sc.buyer_model.rate) * 120.0 > 4 * des._BLOCK for sc in jobs)
+        estimate_many(jobs, 13, bases)
+        assert requested[: 4 * long_lanes] == [des._BLOCK] * (4 * long_lanes)
+        assert requested.count(64) == 4 * (len(jobs) - long_lanes)
+        self.assert_lanes_match_scalar_loop(jobs, bases)
+
     def test_rows_do_not_grow_with_the_bound(self):
         # the rows hold only the states visited, so a bound of 10 000 costs little more than one of 100
         def peak_bytes(bound):
@@ -539,6 +563,30 @@ class TestScaledHistogram:
         assert hist.lattice[0] == pytest.approx(-10.0)
         assert hist.lattice[-1] == pytest.approx(10.0)
         assert hist.pmf.sum() + hist.overflow == pytest.approx(1.0, abs=1e-9)
+
+    def test_tv_takes_cell_masses_from_one_cdf_call(self):
+        tpl = ScaledTemplate(
+            family="exponential", alpha=1.0, beta=1.0, c=0.0, theta=1.0, gamma=1.0,
+            horizon=120.0, warmup=20.0, replications=2, histogram_bound=60,
+        )
+        hist = scaled_stationary_histogram(tpl, 25, base_seed=3)
+        density = psi_density(0.0, 0.0, math.sqrt(2.0), 1.0, 1.0)
+        calls = []
+
+        class Counting:
+            def cdf(self, x):
+                calls.append(len(x))
+                return density.cdf(x)
+
+        tv = hist.tv_distance_to(Counting())
+        assert calls == [2 * hist.bound + 2]
+        # the formula with a cdf call on each side of the cells
+        half = 0.5 / math.sqrt(hist.n)
+        cell_mass = density.cdf(hist.lattice + half) - density.cdf(hist.lattice - half)
+        two_calls = 0.5 * float(np.abs(hist.pmf - cell_mass).sum())
+        two_calls += 0.5 * abs(hist.overflow - (1.0 - float(cell_mass.sum())))
+        assert 0.0 < tv < 1.0
+        assert tv == pytest.approx(two_calls, rel=0.0, abs=1e-15)
 
     def test_requires_positive_index(self):
         tpl = ScaledTemplate(

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -249,6 +251,10 @@ class TestInterarrivalModels:
         # an infinite rate draws zero interarrival times, so a path never leaves time zero
         with pytest.raises(DomainError):
             InterarrivalModel("exponential", math.inf)
+        # a uniform law on [0, 2/rate] needs a finite end, which numpy's sampler asks for
+        with pytest.raises(DomainError, match="uniform interarrival end"):
+            InterarrivalModel("uniform", 5e-324)
+        assert InterarrivalModel("uniform", 1.2e-308).sample(RandomStream(1, 0).rng, 2).max() < math.inf
         for theta, gamma in ((math.inf, 1.0), (1.0, math.inf)):
             with pytest.raises(DomainError):
                 Scenario.for_family("exponential", 1.0, 1.0, theta, gamma, horizon=10.0, warmup=0.0, replications=1)
@@ -280,6 +286,30 @@ class TestRandomStream:
         second = s.rng.exponential(1.0, 10)
         merged = RandomStream(7, 0).rng.exponential(1.0, 20)
         assert np.array_equal(np.concatenate([first, second]), merged)
+
+    @staticmethod
+    def draws(rng):
+        return np.concatenate([rng.standard_normal(7), rng.exponential(2.0, 7), rng.gamma(2.5, 0.5, 7),
+                               rng.uniform(0.0, 3.0, 7)])
+
+    @pytest.mark.parametrize("seed", [0, 29, -1, 2**64 + 3])
+    @pytest.mark.parametrize("stream_id", [0, 5, 2**40, 2**64 - 1])
+    def test_generator_is_philox_keyed_by_seed_and_stream(self, seed, stream_id):
+        key = np.array([seed % 2**64, stream_id % 2**64], dtype=np.uint64)
+        keyed = np.random.Generator(np.random.Philox(key=key))
+        assert np.array_equal(self.draws(RandomStream(seed, stream_id).rng), self.draws(keyed))
+
+    @pytest.mark.parametrize("duplicate", [lambda rng: pickle.loads(pickle.dumps(rng)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_used_generator_duplicates_continue_the_sequence(self, duplicate):
+        rng = RandomStream(29, 5).rng
+        rng.standard_normal(3)
+        twin = duplicate(rng)
+        reference = RandomStream(29, 5).rng
+        reference.standard_normal(3)
+        expected = self.draws(reference)
+        assert np.array_equal(self.draws(twin), expected)
+        assert np.array_equal(self.draws(rng), expected)
 
     def test_substream(self):
         s = RandomStream(9, 100)
