@@ -32,6 +32,7 @@ from .numerics import InterarrivalModel, RandomStream
 
 __all__ = [
     "MAX_REPLICATIONS",
+    "MAX_START_STATE",
     "Scenario",
     "ScaledTemplate",
     "ReplicationResult",
@@ -75,6 +76,12 @@ _CI_Z90 = 1.6448536269514722  # two-sided 90% normal quantile
 # The most replications one Scenario takes.  The simulator walks and lists
 # them one by one, so a larger count would not end in any useful time.
 MAX_REPLICATIONS = 10**6
+# The largest |initial_state|.  A lockstep batch widens every histogram row
+# to the states its lanes reach, so a start at the cap widens the rows to at
+# least 2 * 10^4 + 2 columns, 82 MB over _LIVE_LANES slots.  A path leaves a
+# far start one customer an event, so it also takes about |initial_state|
+# events to reach the body of the law.
+MAX_START_STATE = 10**4
 
 
 @dataclass(frozen=True)
@@ -97,7 +104,7 @@ class Scenario:
         time_window(self.warmup, self.horizon)
         for name, floor, ceiling in (
             ("replications", 1, MAX_REPLICATIONS),
-            ("initial_state", -math.inf, math.inf),
+            ("initial_state", -MAX_START_STATE, MAX_START_STATE),
             ("histogram_bound", 1, math.inf),
         ):
             object.__setattr__(self, name, whole_number(getattr(self, name), name, floor, ceiling=ceiling))

@@ -360,9 +360,9 @@ def stationary_samples(
 
     Drift and diffusion are frozen at the left endpoint of every step, and
     the paths are advanced together (vectorized across paths).  Every
-    thin-th state from step ceil(warmup/step) on is kept, so memory stays
-    bounded by the number of retained samples.  A run that would keep no
-    state raises DomainError.
+    thin-th state from step ceil(warmup/step) on is kept, each written into
+    one (kept, n_paths) array, so memory stays bounded by the retained
+    samples.  A run that would keep no state raises DomainError.
     """
     euler_step(step, ou.theta, ou.gamma)
     time_window(warmup, horizon)
@@ -370,22 +370,22 @@ def stationary_samples(
     n_paths = whole_number(n_paths, "n_paths", 1)
     thin = whole_number(thin, "thin", 1)
     n_steps = int(round(horizon / step))
-    first_kept = int(math.ceil(warmup / step))
     # with no warmup the first kept state is the thin-th, since state 0 is x0
-    if (first_kept or thin) > n_steps:
-        raise DomainError(f"no state kept: {n_steps} steps of {step} end before step {first_kept or thin}")
+    kept_steps = range(int(math.ceil(warmup / step)) or thin, n_steps + 1, thin)
+    if not kept_steps:
+        raise DomainError(f"no state kept: {n_steps} steps of {step} end before step {kept_steps.start}")
     t_grid = step * np.arange(n_steps + 1)
     # frozen at the left endpoint of every step
     coeff = ou.diffusion_at(t_grid[:-1])
     rng = stream.rng
     sqrt_step = math.sqrt(step)
     x = np.full(n_paths, float(x0))
-    kept = []
+    kept = np.empty((len(kept_steps), n_paths))
+    rows = iter(kept)
     offset = ou.drift_offset
     for k in range(n_steps):
         drift = offset - ou.theta * np.maximum(x, 0.0) + ou.gamma * np.maximum(-x, 0.0)
         x = x + drift * step + coeff[k] * sqrt_step * rng.standard_normal(n_paths)
-        idx = k + 1
-        if idx >= first_kept and (idx - first_kept) % thin == 0:
-            kept.append(x.copy())
-    return np.concatenate(kept)
+        if k + 1 in kept_steps:
+            next(rows)[:] = x
+    return kept.reshape(-1)

@@ -107,44 +107,60 @@ class StationaryPmf:
         return float(np.dot(self.states.astype(float) ** 2, self.probs))
 
 
-def _log_weights(params: QueueParams, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized log pi_i relative to pi_0 for i = 1..bound and i = -1..-bound."""
+def _log_weights(params: QueueParams, bound: int) -> np.ndarray:
+    """Unnormalized log pi_i relative to pi_0 for i = -bound..bound, in one array.
+
+    The positive half is built in place; the negative half is built outward from 0 in the scratch array that first
+    holds j = 1..bound, then mirrored into place."""
+    logs = np.empty(2 * bound + 1)
+    logs[bound] = 0.0
     j = np.arange(1, bound + 1, dtype=float)
-    log_pos = np.cumsum(math.log(params.alpha) - np.log(params.beta + j * params.theta))
-    log_neg = np.cumsum(math.log(params.beta) - np.log(params.alpha + j * params.gamma))
-    return log_pos, log_neg
+    for half, birth, death, rate in (
+        (logs[bound + 1:], params.alpha, params.beta, params.theta),
+        (j, params.beta, params.alpha, params.gamma),
+    ):
+        np.multiply(j, rate, out=half)
+        half += death
+        np.log(half, out=half)
+        np.subtract(math.log(birth), half, out=half)
+        np.cumsum(half, out=half)
+    logs[:bound] = j[::-1]
+    return logs
 
 
 def stationary_distribution(params: QueueParams, tail_tol: float = 1e-12) -> StationaryPmf:
     """Stationary distribution of the birth-death chain, normalized over a box.
 
-    The support bound doubles until the one-step weight ratios r just outside
-    the box are below 1 and the geometric tail bound w r/(1 - r) of each edge
-    weight w is below tail_tol; the ratios fall with the distance from 0, so
-    the bound holds for any r < 1.  Products are accumulated as log sums so
-    large alpha/theta ratios cannot overflow.
+    The support bound doubles from 16 until the one-step weight ratios r just
+    outside the box are below 1 and the geometric tail bound w r/(1 - r) of
+    each edge weight w is below tail_tol; the ratios fall with the distance
+    from 0, so the bound holds for any r < 1.  Only a rung whose two ratios
+    are below 1 builds weights: as log sums, so large alpha/theta ratios
+    cannot overflow, in one array of 2 b + 1 values that is shifted,
+    exponentiated and normalized in place into probs.  A call holds at most
+    that array and one scratch array of b values.
     """
     if not (0.0 < tail_tol <= 1e-3):
         raise DomainError(f"tail_tol must lie in (0, 1e-3], got {tail_tol}")
 
     bound = 16
     while True:
-        log_pos, log_neg = _log_weights(params, bound)
         r_pos = params.alpha / (params.beta + (bound + 1) * params.theta)
         r_neg = params.beta / (params.alpha + (bound + 1) * params.gamma)
         if r_pos < 1.0 and r_neg < 1.0:
-            all_logs = np.concatenate((log_neg[::-1], [0.0], log_pos))
-            shift = all_logs.max()
-            weights = np.exp(all_logs - shift)
+            weights = _log_weights(params, bound)
+            weights -= weights.max()
+            np.exp(weights, out=weights)
             total = weights.sum()
             tail = (
                 weights[-1] * r_pos / (1.0 - r_pos)
                 + weights[0] * r_neg / (1.0 - r_neg)
             )
             if tail / total < tail_tol:
+                weights /= total
                 return StationaryPmf(
                     support_bound=bound,
-                    probs=weights / total,
+                    probs=weights,
                     tail_mass_bound=tail / total,
                     boundary_ratio_pos=r_pos,
                     boundary_ratio_neg=r_neg,
@@ -189,11 +205,16 @@ class GammaMomentSummary:
 def _half_line_sums(probs: np.ndarray) -> tuple[float, float, float]:
     """(sum p_i, sum i p_i, sum i^2 p_i) over i = 1..len(probs), probs[i-1] the mass at distance i from 0.
 
-    The weighted sums add one dot product per block of at most _DOT_BLOCK values.
+    The weighted sums add one dot product per block of at most _DOT_BLOCK values, with the block's distances
+    built for it alone.
     """
-    i = np.arange(1, probs.size + 1, dtype=float)
-    blocks = [(i[lo : lo + _DOT_BLOCK], probs[lo : lo + _DOT_BLOCK]) for lo in range(0, probs.size, _DOT_BLOCK)]
-    return float(probs.sum()), sum(float(k @ p) for k, p in blocks), sum(float((k * k) @ p) for k, p in blocks)
+    first = second = 0.0
+    for lo in range(0, probs.size, _DOT_BLOCK):
+        p = probs[lo : lo + _DOT_BLOCK]
+        k = np.arange(lo + 1, lo + 1 + p.size, dtype=float)
+        first += float(k @ p)
+        second += float((k * k) @ p)
+    return float(probs.sum()), first, second
 
 
 def gamma_moment_summary(params: QueueParams) -> GammaMomentSummary:
@@ -338,7 +359,8 @@ def _transient_box(params: QueueParams, items: list[tuple[int, float]], tol: flo
     passing = []
     if max(ratios) < 1.0:
         bound = np.zeros(span + 1)
-        sides = zip(_log_weights(params, span), ratios, (np.maximum(states, 0), np.maximum(-states, 0)))
+        logs = _log_weights(params, span)
+        sides = zip((logs[span + 1:], logs[span - 1::-1]), ratios, (np.maximum(states, 0), np.maximum(-states, 0)))
         for log_w, ratio, dist in sides:
             rest = log_w[-1] + math.log(ratio / (1.0 - ratio))
             log_tail = np.logaddexp.accumulate(np.concatenate(([rest], log_w[::-1], [0.0])))[:0:-1]

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dequelab
+from dequelab import des
 from dequelab.cli import main
 
 
@@ -265,7 +266,8 @@ SIMULATE_VALUES = [(flag, value) for flag, values in {
     "--horizon": ("5", "5e-324", "0", "inf", "nan", str(HUGE)),
     "--warmup": ("0", "20", "-1", "nan", str(HUGE)),
     "--seed": ("0", "-1", str(HUGE)),
-    "--x0": ("4", "-4", str(HUGE), str(-HUGE)),
+    "--x0": ("4", "-4", str(2**63), str(des.MAX_START_STATE + 1), str(-des.MAX_START_STATE - 1), str(HUGE),
+             str(-HUGE)),
     "--bound": ("1", "0", str(HUGE)),
 }.items() for value in values]
 

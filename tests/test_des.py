@@ -75,6 +75,18 @@ class TestScenario:
                 scenario(reps)
         assert scenario(des.MAX_REPLICATIONS).replications == des.MAX_REPLICATIONS
 
+    def test_start_state_is_capped(self):
+        # the lockstep rows widen to the start, and a path leaves it one customer an event
+        def scenario(x0):
+            return Scenario.for_family("exponential", 1.0, 1.0, 1.0, 1.0, horizon=1.0, warmup=0.0,
+                                       replications=1, initial_state=x0)
+
+        for x0 in (des.MAX_START_STATE + 1, -des.MAX_START_STATE - 1, 2**63):
+            with pytest.raises(DomainError, match=r"initial_state must be an integer in \[-10000, 10000\]"):
+                scenario(x0)
+        for x0 in (des.MAX_START_STATE, -des.MAX_START_STATE):
+            assert scenario(x0).initial_state == x0
+
     @pytest.mark.parametrize("field", ["initial_state", "replications", "histogram_bound"])
     def test_integer_fields_take_whole_numbers(self, field):
         whole = {"initial_state": 2, "replications": 2, "histogram_bound": 20}

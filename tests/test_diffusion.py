@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -392,6 +393,33 @@ class TestSDESimulation:
         samples = stationary_samples(ou, -0.4, 0.005, 10.0, 0.0, RandomStream(13, 2), n_paths=1)
         assert np.array_equal(path.x, np.concatenate(([-0.4], samples)))
         assert np.array_equal(path.t, 0.005 * np.arange(2001))
+
+    @pytest.mark.parametrize("warmup, thin", [(0.0, 1), (0.0, 3), (0.0123, 3), (0.5, 7)])
+    def test_kept_states_are_every_thin_th_from_the_warmup(self, warmup, thin):
+        ou = PiecewiseOUParams(theta=1.0, gamma=2.0, drift_offset=0.1, diffusion=1.0)
+        # reference: every state of the two paths' 400 Euler steps, one row a step
+        rng, x, every = RandomStream(4, 1).rng, np.full(2, 0.2), []
+        for _ in range(400):
+            drift = 0.1 - np.maximum(x, 0.0) + 2.0 * np.maximum(-x, 0.0)
+            x = x + drift * 0.005 + 1.0 * math.sqrt(0.005) * rng.standard_normal(2)
+            every.append(x)
+        samples = stationary_samples(ou, 0.2, 0.005, 2.0, warmup, RandomStream(4, 1), n_paths=2, thin=thin)
+        # with no warmup the first kept state is the thin-th
+        first = math.ceil(warmup / 0.005) or thin
+        assert np.array_equal(samples, np.array(every[first - 1::thin]).reshape(-1))
+
+    def test_samples_are_written_into_one_array(self):
+        ou = PiecewiseOUParams(theta=1.0, gamma=2.0, drift_offset=0.0, diffusion=1.0)
+        stationary_samples(ou, 0.0, 0.005, 0.1, 0.0, RandomStream(1, 0), n_paths=2)
+        tracemalloc.start()
+        try:
+            samples = stationary_samples(ou, 0.0, 0.005, 15.0, 10.0, RandomStream(1, 0), n_paths=1024, thin=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 101 kept rows of 1024 paths; the rest is one step's temporaries and the step grid
+        assert samples.size == 101 * 1024
+        assert peak <= 1.5 * samples.nbytes
 
     @pytest.mark.parametrize(
         "fields",

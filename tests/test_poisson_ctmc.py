@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -80,7 +81,73 @@ def ctmc_second_moment_mc(alpha, beta, theta, gamma, t_end, n_paths, seed):
     return values.mean(), values.std(ddof=1) / math.sqrt(n_paths)
 
 
+def doubling_ladder(params, tail_tol):
+    """Reference: the first doubling ladder, which builds full log weights at every rung.
+
+    Returns (support_bound, probs, tail_mass_bound, boundary_ratio_pos, boundary_ratio_neg)."""
+    alpha, beta, theta, gamma = params.alpha, params.beta, params.theta, params.gamma
+    bound = 16
+    while True:
+        j = np.arange(1, bound + 1, dtype=float)
+        log_pos = np.cumsum(math.log(alpha) - np.log(beta + j * theta))
+        log_neg = np.cumsum(math.log(beta) - np.log(alpha + j * gamma))
+        r_pos, r_neg = alpha / (beta + (bound + 1) * theta), beta / (alpha + (bound + 1) * gamma)
+        if r_pos < 1.0 and r_neg < 1.0:
+            all_logs = np.concatenate((log_neg[::-1], [0.0], log_pos))
+            weights = np.exp(all_logs - all_logs.max())
+            total = weights.sum()
+            tail = weights[-1] * r_pos / (1.0 - r_pos) + weights[0] * r_neg / (1.0 - r_neg)
+            if tail / total < tail_tol:
+                return bound, weights / total, tail / total, r_pos, r_neg
+        bound *= 2
+
+
+# the heavy-traffic sweep: theta = gamma from 1e-1 down to 1e-5
+SWEEP_THETAS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 5e-4, 4e-4, 3e-4, 2e-4, 1e-4, 5e-5, 3e-5, 1e-5)
+
+
 class TestStationaryDistribution:
+    @pytest.mark.parametrize("tail_tol", [1e-12, 1e-18])
+    @pytest.mark.parametrize(
+        "laws",
+        [
+            [(2.0, 1.0, theta, theta) for theta in SWEEP_THETAS],
+            [(1.0, 1.5, theta, theta) for theta in SWEEP_THETAS],
+            [(1.0, 1.0, theta, theta) for theta in SWEEP_THETAS],
+            [(1.0, 1.5, theta, 0.5) for theta in (1e-2, 1e-4, 1e-6, 1e-8)],
+            [(1.5, 1.0, 0.5, theta) for theta in (1e-2, 1e-4, 1e-6, 1e-8)],
+        ],
+        ids=["sweep-2-1", "sweep-1-1.5", "sweep-1-1", "slow-positive", "slow-negative"],
+    )
+    def test_bit_identical_to_the_doubling_ladder(self, laws, tail_tol):
+        for rates in laws:
+            params = QueueParams(*rates)
+            pmf = stationary_distribution(params, tail_tol)
+            bound, probs, tail, r_pos, r_neg = doubling_ladder(params, tail_tol)
+            assert (pmf.support_bound, pmf.tail_mass_bound, pmf.boundary_ratio_pos, pmf.boundary_ratio_neg) == (
+                bound, tail, r_pos, r_neg), rates
+            assert pmf.probs.tobytes() == probs.tobytes(), rates
+
+    def test_only_a_rung_that_can_stop_builds_weights(self, monkeypatch):
+        # both edge ratios stay at or above 1 up to 10^5 states, so rungs 16 .. 65 536 build nothing
+        bounds = []
+        log_weights = poisson_ctmc._log_weights
+        monkeypatch.setattr(poisson_ctmc, "_log_weights", lambda p, bound: bounds.append(bound) or log_weights(p, bound))
+        pmf = stationary_distribution(QueueParams(2.0, 1.0, 1e-5, 1e-5))
+        assert bounds == [131_072] == [pmf.support_bound]
+
+    def test_peak_memory_is_within_twice_the_pmf(self):
+        params = QueueParams(2.0, 1.0, 1e-5, 1e-5)
+        stationary_distribution(params)
+        tracemalloc.start()
+        try:
+            pmf = stationary_distribution(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the pmf of 2 * 131 072 + 1 states and one scratch array of half its size
+        assert peak <= 2 * pmf.probs.nbytes
+
     def test_balanced_unit_case(self):
         # pi_0 = (1 + 2 sum 1/(i+1)!)^-1 = 1/(2e - 3); oracle agrees
         pmf = stationary_distribution(QueueParams(1, 1, 1, 1))
