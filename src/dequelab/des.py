@@ -160,9 +160,14 @@ class ReplicationResult:
 def _samplers(scenario: Scenario, stream: RandomStream) -> tuple:
     """The sample(size) callables of substreams 0-3: seller and buyer arrivals, seller and buyer patience.
 
-    One substream per kind of draw keeps a result independent of how the draws interleave.
+    One substream per kind of draw keeps a result independent of how the draws interleave.  Substream k is the
+    generator of RandomStream(stream.seed, stream.stream_id + k), built from its key with no stream object.
     """
-    seller, buyer, seller_patience, buyer_patience = (stream.substream(k).rng for k in range(4))
+    from ._philox import philox_generator
+
+    seller, buyer, seller_patience, buyer_patience = (
+        philox_generator(stream.seed, stream.stream_id + k) for k in range(4)
+    )
     return (
         partial(scenario.seller_model.sample, seller),
         partial(scenario.buyer_model.sample, buyer),
@@ -355,15 +360,18 @@ def _reduce(scenario: Scenario, base_seed: int, reps: Iterable[ReplicationResult
 
     The histograms are added one at a time in replication order, which is
     how np.mean(rows, axis=0) sums them, so the pmf has its bits without
-    holding n rows at once.
+    holding n rows at once.  Each replication's moments are the dots of
+    ReplicationResult.first_moment and second_moment, against state arrays
+    built once for the scenario.
     """
     states = np.arange(-scenario.histogram_bound, scenario.histogram_bound + 1)
+    squares = states.astype(float) ** 2
     total = np.zeros(len(states))
     l1s, l2s, overflows = [], [], []
     for rep in reps:
         total += rep.probs
-        l1s.append(rep.first_moment())
-        l2s.append(rep.second_moment())
+        l1s.append(float(np.dot(states, rep.probs)))
+        l2s.append(float(np.dot(squares, rep.probs)))
         overflows.append(rep.overflow)
     n = scenario.replications
     pmf = total / n
@@ -377,7 +385,7 @@ def _reduce(scenario: Scenario, base_seed: int, reps: Iterable[ReplicationResult
         pmf=pmf,
         overflow=float(np.mean(overflows)),
         L1=float(np.dot(states, pmf)),
-        L2=float(np.dot(states.astype(float) ** 2, pmf)),
+        L2=float(np.dot(squares, pmf)),
         ci_halfwidth_L1=ci1,
         ci_halfwidth_L2=ci2,
         replication_count=n,
@@ -478,11 +486,15 @@ def _lockstep(
         blocks[4 * slot : 4 * slot + 4] = (None,) * 4
         remaining[j] -= 1
         if remaining[j] == 0:
-            results[j] = _reduce(sc, base_seed, (
-                ReplicationResult(bound=bound, probs=np.pad(probs, bound - len(probs) // 2), overflow=overflow)
-                for probs, overflow in reps[j]
-            ))
+            results[j] = _reduce(sc, base_seed, (uncrop(probs, bound, overflow) for probs, overflow in reps[j]))
             reps[j] = None
+
+    def uncrop(probs: np.ndarray, bound: int, overflow: float) -> ReplicationResult:
+        """The replication of a row cropped to the states -c..c, written into zeros over -bound..bound."""
+        c = len(probs) // 2
+        full = np.zeros(2 * bound + 1)
+        full[bound - c : bound + c + 1] = probs
+        return ReplicationResult(bound=bound, probs=full, overflow=overflow)
 
     def as_arrays(states: list[tuple]) -> list[np.ndarray]:
         """One array per field of the lane states that admit returns."""

@@ -5,8 +5,9 @@ are piecewise exponential: a path starting on the "wrong" side of zero decays
 at the opposite side's rate until it hits zero at an explicit time, then
 relaxes toward the fixed point.  Both the closed form and an independent RK4
 integrator are provided so they can cross-check each other; the integrator
-takes one call per step to a plain-float RK4 step with the drift written out
-in each stage, reading the rates once per path.
+takes one call per step to a plain-float RK4 step whose stages each write
+out the drift of the side of zero they are on, reading the rates once per
+path and building the sampled path's array once.
 """
 
 from __future__ import annotations
@@ -147,14 +148,19 @@ def discounted_source_integral(
 
 
 def _rk4_step(delta: float, theta: float, gamma: float, x: float, h: float) -> float:
-    """One RK4 step of x' = delta - theta x^+ + gamma x^- on plain floats, the drift written out per stage."""
-    k1 = delta - theta * (x if x > 0.0 else 0.0) + gamma * (-x if -x > 0.0 else 0.0)
+    """One RK4 step of x' = delta - theta x^+ + gamma x^- on plain floats, the drift written out per stage.
+
+    Each stage evaluates only the side of zero its point is on.  The other side would add a zero, which leaves any
+    value but -0.0 as it is, so the stages have the bits of the full drift delta - theta x^+ + gamma x^- whenever
+    delta is not -0.0; delta = alpha - beta never is.
+    """
+    k1 = delta - theta * x if x > 0.0 else delta + gamma * -x
     y = x + 0.5 * h * k1
-    k2 = delta - theta * (y if y > 0.0 else 0.0) + gamma * (-y if -y > 0.0 else 0.0)
+    k2 = delta - theta * y if y > 0.0 else delta + gamma * -y
     y = x + 0.5 * h * k2
-    k3 = delta - theta * (y if y > 0.0 else 0.0) + gamma * (-y if -y > 0.0 else 0.0)
+    k3 = delta - theta * y if y > 0.0 else delta + gamma * -y
     y = x + h * k3
-    k4 = delta - theta * (y if y > 0.0 else 0.0) + gamma * (-y if -y > 0.0 else 0.0)
+    k4 = delta - theta * y if y > 0.0 else delta + gamma * -y
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -172,13 +178,12 @@ def fluid_integrate(params: QueueParams, x0: float, step: float, horizon: float)
     euler_step(step, theta, gamma)
     finite(x0, "x0")
     t_grid = _time_grid(step, horizon)
-    xs = np.empty_like(t_grid)
-    xs[0] = x0
+    xs = [x0]
     x = x0
     hitting = None
     for k in range(1, len(t_grid)):
         x_new = _rk4_step(delta, theta, gamma, x, step)
-        if (x_new < 0.0 < x or x < 0.0 < x_new) and hitting is None:
+        if hitting is None and (x_new < 0.0 < x or x < 0.0 < x_new):
             # bisect the substep length at which the path reaches zero
             lo, hi = 0.0, step
             for _ in range(80):
@@ -192,5 +197,5 @@ def fluid_integrate(params: QueueParams, x0: float, step: float, horizon: float)
             hitting = float(t_grid[k - 1]) + h_cross
             x_new = _rk4_step(delta, theta, gamma, 0.0, step - h_cross)
         x = x_new
-        xs[k] = x
-    return FluidPath(t=t_grid, x=xs, hitting_time=hitting)
+        xs.append(x)
+    return FluidPath(t=t_grid, x=np.array(xs, dtype=float), hitting_time=hitting)

@@ -175,15 +175,6 @@ def relative_error_pct(analytic: float, simulated: float, ci_halfwidth: float | 
     return abs(analytic - simulated) / abs(simulated) * 100.0
 
 
-def _analytic_columns(family: str, alpha: float, beta: float, theta: float, gamma: float):
-    poisson = QueueParams(alpha, beta, theta, gamma)
-    l1_p, l2_p = poisson_ctmc.poisson_moment_estimates(poisson)
-    diffused = QueueParams.for_family(family, alpha, beta, theta, gamma)
-    m1 = diffusion.model_one(diffused)
-    m2 = diffusion.model_two(diffused)
-    return l1_p, l2_p, m1, m2
-
-
 def _cells(config: ComparisonConfig):
     cell = 0
     for family in config.families:
@@ -197,12 +188,22 @@ def _simulate_grid(config: ComparisonConfig, base_seed: int):
     """(rows, scenarios, estimates) of every cell, in config order.
 
     The analytic columns come first, so a cell they cannot answer fails
-    before any simulation.  All cells' replications are then simulated in one
-    batch; cell c reads the streams from c << 32 on, so cells stay
-    independent and each estimate equals a des.estimate call of its own.
+    before any simulation.  The Poisson chain depends on the rates alone, so
+    cells with the same (alpha, beta, theta, gamma), one per family, share
+    one chain, solved at the first of them.  All cells' replications are
+    then simulated in one batch; cell c reads the streams from c << 32 on,
+    so cells stay independent and each estimate equals a des.estimate call
+    of its own.
     """
     cells = list(_cells(config))
-    analytic = [_analytic_columns(*cell[1:]) for cell in cells]
+    chains = {}
+    analytic = []
+    for _, family, *rates in cells:
+        rates = tuple(rates)
+        if rates not in chains:
+            chains[rates] = poisson_ctmc.poisson_moment_estimates(QueueParams(*rates))
+        diffused = QueueParams.for_family(family, *rates)
+        analytic.append((*chains[rates], diffusion.model_one(diffused), diffusion.model_two(diffused)))
     scenarios = [
         des.Scenario.for_family(
             family,
@@ -322,18 +323,21 @@ def export_density_comparison(scenario: des.Scenario, simulated: des.SimulationE
     cdf_at_edges = density.cdf(np.arange(-span, span + 2) - 0.5)
     cell_mass = cdf_at_edges[1:] - cdf_at_edges[:-1]
 
-    poisson_vals = np.array([pmf.prob(int(i)) for i in states])
-    sim_vals = np.zeros(len(states))
-    inside = np.abs(states) <= simulated.bound
-    sim_vals[inside] = simulated.pmf[states[inside] + simulated.bound]
-
     return DensityComparison(
         states=states,
         psi=np.asarray(psi_vals),
         psi_cell_mass=np.asarray(cell_mass),
-        poisson_pmf=poisson_vals,
-        simulated_pmf=sim_vals,
+        poisson_pmf=_on_lattice(pmf.probs, pmf.support_bound, span),
+        simulated_pmf=_on_lattice(simulated.pmf, simulated.bound, span),
     )
+
+
+def _on_lattice(probs: np.ndarray, bound: int, span: int) -> np.ndarray:
+    """probs over the states -bound..bound, read on -span..span by one slice, with zeros outside -bound..bound."""
+    c = min(bound, span)
+    out = np.zeros(2 * span + 1)
+    out[span - c : span + c + 1] = probs[bound - c : bound + c + 1]
+    return out
 
 
 def psi_density_grid(

@@ -316,11 +316,11 @@ class RandomStream:
 
     @property
     def rng(self) -> np.random.Generator:
+        """The stream's generator, built on first use by _philox.philox_generator, where every stream is keyed."""
         if self._rng is None:
-            from ._philox import PhiloxKey
+            from ._philox import philox_generator
 
-            # the generator of np.random.Philox(key=[seed mod 2^64, stream_id mod 2^64])
-            self._rng = np.random.Generator(np.random.Philox(PhiloxKey(self.seed, self.stream_id)))
+            self._rng = philox_generator(self.seed, self.stream_id)
         return self._rng
 
     def substream(self, offset: int) -> "RandomStream":

@@ -1,11 +1,13 @@
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from dequelab.errors import DomainError, ResourceLimitError
 from dequelab.fluid import (
+    _rk4_step,
     discounted_source_integral,
     fluid_closed_form,
     fluid_closed_form_path,
@@ -51,6 +53,50 @@ PINNED_DIGESTS = {
     "workload-from-zero": "3dbe31009544d67fa876d933b2afd38439e517e15d6d3870a5411db1ad27b058",
     "workload-small-reneging": "6ba205ded303ea9ad662a67276bb9c203ba52f5c1d085448c5abd2e781b2a91f",
 }
+
+
+def full_drift(delta, theta, gamma, y):
+    """delta - theta y^+ + gamma y^- with both sides written out, the oracle's stage formula."""
+    return delta - theta * (y if y > 0.0 else 0.0) + gamma * (-y if -y > 0.0 else 0.0)
+
+
+def oracle_rk4_step(delta, theta, gamma, x, h):
+    """One RK4 step whose stages each evaluate the full drift."""
+    k1 = full_drift(delta, theta, gamma, x)
+    k2 = full_drift(delta, theta, gamma, x + 0.5 * h * k1)
+    k3 = full_drift(delta, theta, gamma, x + 0.5 * h * k2)
+    k4 = full_drift(delta, theta, gamma, x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def oracle_integrate(params, x0, step, horizon):
+    """fluid_integrate's path and hitting time on oracle_rk4_step, stored in a preallocated array."""
+    delta, theta, gamma = params.alpha - params.beta, params.theta, params.gamma
+    t_grid = np.arange(0.0, horizon + 0.5 * step, step)
+    xs = np.empty_like(t_grid)
+    xs[0] = x = x0
+    hitting = None
+    for k in range(1, len(t_grid)):
+        x_new = oracle_rk4_step(delta, theta, gamma, x, step)
+        if (x_new < 0.0 < x or x < 0.0 < x_new) and hitting is None:
+            lo, hi = 0.0, step
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                y = oracle_rk4_step(delta, theta, gamma, x, mid)
+                if (y > 0.0) if x > 0.0 else (y < 0.0):
+                    lo = mid
+                else:
+                    hi = mid
+            h_cross = 0.5 * (lo + hi)
+            hitting = float(t_grid[k - 1]) + h_cross
+            x_new = oracle_rk4_step(delta, theta, gamma, 0.0, step - h_cross)
+        x = x_new
+        xs[k] = x
+    return xs, hitting
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
 
 
 def case_params(rng):
@@ -185,6 +231,59 @@ class TestIntegratorOracle:
         path = fluid_integrate(QueueParams(*rates), x0, step, horizon)
         digest = hashlib.sha256(path.x.tobytes() + repr(path.hitting_time).encode()).hexdigest()
         assert digest == PINNED_DIGESTS[name]
+
+    def test_step_has_the_bits_of_the_full_drift(self):
+        rng = np.random.default_rng(2024)
+        cases = []
+        for _ in range(12_000):
+            delta = rng.choice([0.0, float(rng.uniform(-3.0, 3.0))])
+            theta, gamma = (float(v) for v in 10.0 ** rng.uniform(-3.0, 0.5, 2))
+            h = float(10.0 ** rng.uniform(-4.0, 0.3))
+            kind = rng.integers(4)
+            if kind == 0:
+                x = float(rng.choice([0.0, -0.0]))
+            elif kind == 1:
+                # a subnormal x: k times the smallest one, k < 2^52
+                x = float(rng.integers(1, 2**52)) * 5e-324 * rng.choice([1.0, -1.0])
+            elif kind == 2:
+                # within a step of zero, on the side the drift leaves: the stages cross zero
+                x = -math.copysign(float(rng.uniform(0.0, 1.0)) * h * max(abs(delta), 1e-3), delta or 1.0)
+            else:
+                x = float(rng.uniform(-5.0, 5.0))
+            cases.append((delta, theta, gamma, x, h))
+        crossing = sum(
+            (x + 0.5 * h * full_drift(delta, theta, gamma, x) > 0.0) != (x > 0.0)
+            for delta, theta, gamma, x, h in cases
+        )
+        assert crossing >= 2_000
+        assert sum(x == 0.0 for _, _, _, x, _ in cases) >= 2_000
+        assert sum(0.0 < abs(x) < 2.2250738585072014e-308 for _, _, _, x, _ in cases) >= 2_000
+        mismatched = [case for case in cases if bits(_rk4_step(*case)) != bits(oracle_rk4_step(*case))]
+        assert mismatched == []
+
+    def test_paths_have_the_bits_of_the_full_drift(self):
+        rng = np.random.default_rng(2025)
+        crossed = 0
+        for i in range(2_000):
+            alpha = float(rng.uniform(0.5, 2.0))
+            beta = alpha if i % 10 == 0 else float(rng.uniform(0.5, 2.0))
+            params = QueueParams(alpha, beta, *(float(v) for v in rng.uniform(0.05, 1.5, 2)))
+            delta = alpha - beta
+            step = 0.01 / max(params.theta, params.gamma)
+            horizon = float(rng.integers(5, 30)) * step
+            if i % 3 == 0:
+                # on the side the drift leaves and close enough to reach zero before the horizon
+                x0 = -math.copysign(float(rng.uniform(0.0, 1.0)) * abs(delta) * horizon, delta or 1.0)
+            elif i % 3 == 1:
+                x0 = float(rng.choice([0.0, -0.0, 5e-324, -5e-324, float(rng.uniform(-1e-300, 1e-300))]))
+            else:
+                x0 = float(rng.uniform(-3.0, 3.0))
+            path = fluid_integrate(params, x0, step, horizon)
+            xs, hitting = oracle_integrate(params, x0, step, horizon)
+            assert path.x.tobytes() == xs.tobytes()
+            assert repr(path.hitting_time) == repr(hitting)
+            crossed += hitting is not None
+        assert crossed >= 500
 
     @pytest.mark.parametrize("x0", [5e-324, 1e-300], ids=["subnormal", "tiny"])
     def test_crossing_next_to_zero_is_found(self, x0):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dequelab import des
+from dequelab import des, poisson_ctmc
 from dequelab.des import Scenario, estimate
 from dequelab.diffusion import model_one, model_two, psi_density
 from dequelab.errors import ConfigError, DomainError
@@ -25,6 +25,7 @@ from dequelab.harness import (
 from dequelab.numerics import InterarrivalModel
 from dequelab.params import QueueParams
 from dequelab.poisson_ctmc import poisson_moment_estimates
+from test_cli import PINNED_COMPARE_CONFIG
 
 TINY_BUDGET = {"replications": 2, "warmup": 10.0, "horizon": 60.0}
 
@@ -227,6 +228,22 @@ class TestRunComparison:
             assert row == dataclasses.replace(
                 row, L1_s=sim.L1, L1_s_ci=sim.ci_halfwidth_L1, L2_s=sim.L2, L2_s_ci=sim.ci_halfwidth_L2
             )
+
+    def test_cells_with_the_same_rates_share_one_chain(self, monkeypatch, tmp_path):
+        # 4 families x 1 rate pair x 2 multipliers: 8 cells, 2 rate tuples
+        solved = []
+        summary = poisson_ctmc.gamma_moment_summary
+
+        def spy(params):
+            solved.append((params.alpha, params.beta, params.theta, params.gamma))
+            return summary(params)
+
+        monkeypatch.setattr(poisson_ctmc, "gamma_moment_summary", spy)
+        config = ComparisonConfig.from_dict(PINNED_COMPARE_CONFIG)
+        written = run_compare_command(config, 5, tmp_path)
+        assert len(written) == 2 + 8
+        (alpha, beta), = config.rate_pairs
+        assert solved == [(alpha, beta, m * alpha, m * beta) for m in config.reneging_multipliers]
 
     def test_table_anchor_rows(self):
         cfg = ComparisonConfig.from_dict(
