@@ -28,7 +28,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DomainError, positive, time_window, whole_number
-from .numerics import InterarrivalModel, RandomStream
+from .numerics import InterarrivalModel, LatticeLaw, RandomStream
 
 __all__ = [
     "MAX_REPLICATIONS",
@@ -134,27 +134,12 @@ class Scenario:
         )
 
 
-@dataclass(frozen=True)
-class ReplicationResult:
-    """Time-average occupancy over [warmup, horizon] for one replication.
+class ReplicationResult(LatticeLaw):
+    """Time-average occupancy over [warmup, horizon] for one replication, at scale 1.
 
     probs covers states -bound..bound; occupancy outside is accumulated in
     overflow.  probs.sum() + overflow == 1 up to roundoff.
     """
-
-    bound: int
-    probs: np.ndarray
-    overflow: float
-
-    @property
-    def states(self) -> np.ndarray:
-        return np.arange(-self.bound, self.bound + 1)
-
-    def first_moment(self) -> float:
-        return float(np.dot(self.states, self.probs))
-
-    def second_moment(self) -> float:
-        return float(np.dot(self.states.astype(float) ** 2, self.probs))
 
 
 def _samplers(scenario: Scenario, stream: RandomStream) -> tuple:
@@ -266,23 +251,19 @@ def run_replication(scenario: Scenario, stream: RandomStream) -> ReplicationResu
             overflow += end - now
 
     total = horizon - tau
-    return ReplicationResult(bound=bound, probs=np.array(hist) / total, overflow=overflow / total)
+    return ReplicationResult(bound, np.array(hist) / total, overflow / total, 1.0)
 
 
 @dataclass(frozen=True)
-class SimulationEstimate:
-    """Across-replication estimates of the stationary pmf and its first two moments.
+class SimulationEstimate(LatticeLaw):
+    """Across-replication estimates of the stationary pmf and its first two moments, at scale 1.
 
-    The moment estimates are the histogram-weighted sums over the in-range
-    states; CI half-widths are normal-theory 90% intervals computed from the
-    across-replication spread, None when only one replication ran.
+    The moment estimates L1 and L2 are the law's mean and second moment,
+    summed over the in-range states; CI half-widths are normal-theory 90%
+    intervals computed from the across-replication spread, None when only one
+    replication ran.
     """
 
-    bound: int
-    pmf: np.ndarray
-    overflow: float
-    L1: float
-    L2: float
     ci_halfwidth_L1: float | None
     ci_halfwidth_L2: float | None
     replication_count: int
@@ -290,9 +271,8 @@ class SimulationEstimate:
     per_replication_L1: np.ndarray = field(repr=False, default=None)
     per_replication_L2: np.ndarray = field(repr=False, default=None)
 
-    @property
-    def states(self) -> np.ndarray:
-        return np.arange(-self.bound, self.bound + 1)
+    L1 = property(LatticeLaw.mean)
+    L2 = property(LatticeLaw.second_moment)
 
 
 def estimate(
@@ -360,18 +340,14 @@ def _reduce(scenario: Scenario, base_seed: int, reps: Iterable[ReplicationResult
 
     The histograms are added one at a time in replication order, which is
     how np.mean(rows, axis=0) sums them, so the pmf has its bits without
-    holding n rows at once.  Each replication's moments are the dots of
-    ReplicationResult.first_moment and second_moment, against state arrays
-    built once for the scenario.
+    holding n rows at once.
     """
-    states = np.arange(-scenario.histogram_bound, scenario.histogram_bound + 1)
-    squares = states.astype(float) ** 2
-    total = np.zeros(len(states))
+    total = np.zeros(2 * scenario.histogram_bound + 1)
     l1s, l2s, overflows = [], [], []
     for rep in reps:
         total += rep.probs
-        l1s.append(float(np.dot(states, rep.probs)))
-        l2s.append(float(np.dot(squares, rep.probs)))
+        l1s.append(rep.mean())
+        l2s.append(rep.second_moment())
         overflows.append(rep.overflow)
     n = scenario.replications
     pmf = total / n
@@ -382,10 +358,9 @@ def _reduce(scenario: Scenario, base_seed: int, reps: Iterable[ReplicationResult
         ci1 = ci2 = None
     return SimulationEstimate(
         bound=scenario.histogram_bound,
-        pmf=pmf,
+        probs=pmf,
         overflow=float(np.mean(overflows)),
-        L1=float(np.dot(states, pmf)),
-        L2=float(np.dot(squares, pmf)),
+        scale=1.0,
         ci_halfwidth_L1=ci1,
         ci_halfwidth_L2=ci2,
         replication_count=n,
@@ -494,7 +469,7 @@ def _lockstep(
         c = len(probs) // 2
         full = np.zeros(2 * bound + 1)
         full[bound - c : bound + c + 1] = probs
-        return ReplicationResult(bound=bound, probs=full, overflow=overflow)
+        return ReplicationResult(bound, full, overflow, 1.0)
 
     def as_arrays(states: list[tuple]) -> list[np.ndarray]:
         """One array per field of the lane states that admit returns."""
@@ -610,39 +585,10 @@ class ScaledTemplate:
 
 
 @dataclass(frozen=True)
-class ScaledHistogram:
-    """Empirical pmf of X(nt)/sqrt(n) on the lattice i/sqrt(n)."""
+class ScaledHistogram(LatticeLaw):
+    """Empirical pmf of X(nt)/sqrt(n) on the lattice i/sqrt(n): a law at scale sqrt(n)."""
 
     n: int
-    bound: int
-    pmf: np.ndarray
-    overflow: float
-
-    @property
-    def lattice(self) -> np.ndarray:
-        return np.arange(-self.bound, self.bound + 1) / math.sqrt(self.n)
-
-    def mean(self) -> float:
-        return float(np.dot(self.lattice, self.pmf))
-
-    def second_moment(self) -> float:
-        return float(np.dot(self.lattice**2, self.pmf))
-
-    def variance(self) -> float:
-        return self.second_moment() - self.mean() ** 2
-
-    def tv_distance_to(self, density) -> float:
-        """Total variation distance to a density discretized over the lattice cells.
-
-        Cell k covers ((k - 1/2)/sqrt(n), (k + 1/2)/sqrt(n)]; mass outside the
-        histogram range is compared against the overflow bucket.
-        """
-        # one cdf call on the 2 bound + 2 cell edges (k - 1/2)/sqrt(n)
-        edges = (np.arange(-self.bound, self.bound + 2) - 0.5) / math.sqrt(self.n)
-        cell_mass = np.diff(density.cdf(edges))
-        tv = 0.5 * float(np.abs(self.pmf - cell_mass).sum())
-        tv += 0.5 * abs(self.overflow - (1.0 - float(cell_mass.sum())))
-        return tv
 
 
 def scaled_stationary_histogram(
@@ -662,9 +608,4 @@ def scaled_stationary_histogram(
         histogram_bound=template.histogram_bound,
     )
     result = estimate(scenario, base_seed, stream_base)
-    return ScaledHistogram(
-        n=n,
-        bound=scenario.histogram_bound,
-        pmf=result.pmf,
-        overflow=result.overflow,
-    )
+    return ScaledHistogram(bound=result.bound, probs=result.probs, overflow=result.overflow, scale=root, n=n)

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DomainError, equal_rates, euler_step, finite, finite_result, non_negative, positive, time_window, whole_number
+    DomainError, NumericalOverflowError, equal_rates, euler_step, finite, finite_result, non_negative, positive,
+    time_window, whole_number,
 )
 from .fluid import FluidPath, discounted_source_integral, fluid_limit
 from .numerics import RandomStream, log_ndtr, normal_logcdf, normal_logsf, truncated_normal_moments
@@ -111,6 +112,44 @@ class PsiDensity:
         log_norm = np.where(neg, normal_logcdf(-m2 / sd2), normal_logcdf(m1 / sd1))
         out = np.where(neg, 0.0, 1.0) + np.where(neg, self.d2, -self.d1) * np.exp(log_tail - log_norm)
         return float(out) if np.ndim(x) == 0 else out
+
+    def cell_masses(self, edges: np.ndarray) -> np.ndarray:
+        """The masses of the cells (edges[k], edges[k + 1]], for increasing edges.
+
+        A side's piece of a cell is a difference of two tails of that side's Gaussian, in log space: the lower
+        tails for a piece below the Gaussian's mean and the upper tails above it, so a small mass keeps its
+        relative precision where a difference of two cdf values near 1 would not.  A piece across the mean is all
+        but its two outer tails, and the cell that straddles 0 adds one piece from each side.  The total is
+        checked against the cdf's mass between the end edges, to 1e-9: a piece from the wrong tail or side would
+        miss it, and raises NumericalOverflowError.
+        """
+        edges = np.asarray(edges, dtype=float)
+        masses = np.zeros(edges.size - 1)
+        # the cells before neg reach below 0, those from pos on above it; each side reads only its own edges
+        neg = min(int(np.searchsorted(edges, 0.0)), masses.size)
+        pos = max(int(np.searchsorted(edges, 0.0, "right")) - 1, 0)
+        for cells, x, positive, weight in (
+            (slice(0, neg), np.minimum(edges[:neg + 1], 0.0), False, self.d2),
+            (slice(pos, None), np.maximum(edges[pos:], 0.0), True, self.d1),
+        ):
+            mean, var = self._branch(positive)
+            sd = math.sqrt(var)
+            z = (x - mean) / sd
+            # at each edge the log of the Gaussian's tail beyond it, away from the mean: the smaller tail
+            tail = log_ndtr(-np.abs(z))
+            near, far = np.maximum(tail[:-1], tail[1:]), np.minimum(tail[:-1], tail[1:])
+            log_norm = normal_logcdf(mean / sd if positive else -mean / sd)
+            # both tails are -inf only past the float range of z^2, where a piece holds no mass
+            with np.errstate(invalid="ignore"):
+                piece = np.exp(near - log_norm) * -np.expm1(np.fmin(far - near, 0.0))
+            # a piece across the mean holds all but the tails beyond its two edges
+            across = (z[:-1] < 0.0) & (z[1:] > 0.0)
+            piece[across] = -np.expm1(np.logaddexp(tail[:-1], tail[1:])[across]) / np.exp(log_norm)
+            masses[cells] += weight * piece
+        below, above = self.cdf(edges[[0, -1]])
+        if not abs(float(masses.sum()) - (above - below)) <= 1e-9:
+            raise NumericalOverflowError(f"cell masses add up to {masses.sum()!r}, the cdf gives {above - below!r}")
+        return masses
 
     def mean(self) -> float:
         e1, _ = truncated_normal_moments(*self._branch(True), "positive")

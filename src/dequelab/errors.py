@@ -109,12 +109,16 @@ def time_window(warmup, horizon, error: type[DequeLabError] = DomainError) -> No
 
 
 def times(t, name: str = "t") -> np.ndarray:
-    """t as a float array (0-d for a scalar) when every time in it is finite and >= 0."""
+    """t as a float array (0-d for a scalar) when every time in it is finite and >= 0.
+
+    A truth value is no time, alone, in a sequence or as a bool array; an array of numbers is not scanned for one."""
     try:
         arr = np.asarray(t, dtype=float)
+        held = t if isinstance(t, np.ndarray) and t.dtype != object else np.asarray(t, dtype=object)
     except (TypeError, ValueError):
-        arr = np.array(math.nan)
-    if not np.all((0.0 <= arr) & (arr < math.inf)):
+        arr = held = np.array(math.nan)
+    truth = held.dtype == bool or (held.dtype == object and any(isinstance(v, _TRUTH_VALUES) for v in held.flat))
+    if truth or not np.all((0.0 <= arr) & (arr < math.inf)):
         raise DomainError(f"{name} must hold finite times >= 0, got {t!r}")
     return arr
 

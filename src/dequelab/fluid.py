@@ -64,6 +64,7 @@ def zero_hitting_time(params: QueueParams, x0: float) -> float | None:
     alpha - beta.  With alpha == beta the decay is purely exponential and
     zero is only reached in the limit.
     """
+    finite(x0, "x0")
     delta = params.alpha - params.beta
     if x0 < 0.0 and delta > 0.0:
         return math.log((delta - params.gamma * x0) / delta) / params.gamma

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import des, diffusion, poisson_ctmc
 from .errors import ConfigError, finite, finite_result, positive, time_window, whole_number
-from .numerics import FAMILIES, canonical_family
+from .numerics import FAMILIES, LatticeLaw, canonical_family
 from .params import QueueParams
 
 __all__ = [
@@ -312,31 +312,25 @@ def export_density_comparison(scenario: des.Scenario, simulated: des.SimulationE
     family = scenario.seller_model.family
     params = QueueParams(alpha, beta, scenario.theta, scenario.gamma)
     pmf = poisson_ctmc.stationary_distribution(params, 1e-10)
-    sd = math.sqrt(max(pmf.second_moment() - pmf.mean() ** 2, 1.0))
+    sd = math.sqrt(max(pmf.variance(), 1.0))
     span = int(math.ceil(abs(pmf.mean()) + 6.0 * sd))
     states = np.arange(-span, span + 1)
 
     density = heavy_traffic_density(family, alpha, beta, scenario.theta, scenario.gamma)
-    psi_vals = density.pdf(states.astype(float))
-    # cdf works elementwise and the edges k - 1/2 are exact floats, so each cell's mass has the bits of
-    # cdf(k + 1/2) - cdf(k - 1/2) from one evaluation per edge
-    cdf_at_edges = density.cdf(np.arange(-span, span + 2) - 0.5)
-    cell_mass = cdf_at_edges[1:] - cdf_at_edges[:-1]
-
     return DensityComparison(
         states=states,
-        psi=np.asarray(psi_vals),
-        psi_cell_mass=np.asarray(cell_mass),
-        poisson_pmf=_on_lattice(pmf.probs, pmf.support_bound, span),
-        simulated_pmf=_on_lattice(simulated.pmf, simulated.bound, span),
+        psi=density.pdf(states.astype(float)),
+        psi_cell_mass=density.cell_masses(np.arange(-span, span + 2) - 0.5),
+        poisson_pmf=_on_lattice(pmf, span),
+        simulated_pmf=_on_lattice(simulated, span),
     )
 
 
-def _on_lattice(probs: np.ndarray, bound: int, span: int) -> np.ndarray:
-    """probs over the states -bound..bound, read on -span..span by one slice, with zeros outside -bound..bound."""
-    c = min(bound, span)
+def _on_lattice(law: LatticeLaw, span: int) -> np.ndarray:
+    """The law's probs read on the states -span..span by one slice, with zeros outside its box."""
+    c = min(law.bound, span)
     out = np.zeros(2 * span + 1)
-    out[span - c : span + c + 1] = probs[bound - c : bound + c + 1]
+    out[span - c : span + c + 1] = law.probs[law.bound - c : law.bound + c + 1]
     return out
 
 

@@ -1,8 +1,9 @@
-"""Special functions, probability kernels, and reproducible random sampling.
+"""Special functions, probability kernels, lattice laws, and reproducible random sampling.
 
 Everything downstream (chain analysis, diffusion moments, simulators) is built
 on the primitives collected here: the scaled complementary error function,
-Gaussian pdf/tails/log-cdf/hazard, truncated-normal moments, the registry of
+Gaussian log-tails and hazard, truncated-normal moments, the law on a box
+of the integer lattice that every pmf of the package is, the registry of
 interarrival families, interarrival-time models, and counter-based random
 streams.  The special functions need numpy alone.
 """
@@ -19,13 +20,11 @@ from .errors import DequeLabError, DomainError, finite_result, positive, whole_n
 __all__ = [
     "erfcx",
     "log_ndtr",
-    "normal_pdf",
-    "normal_sf",
     "normal_logcdf",
     "normal_logsf",
     "normal_hazard",
     "truncated_normal_moments",
-    "tv_distance",
+    "LatticeLaw",
     "FAMILY_ALIASES",
     "FAMILIES",
     "canonical_family",
@@ -35,7 +34,6 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_3_OVER_2 = math.log(1.5)
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
@@ -150,19 +148,6 @@ def _check_variance(variance: float) -> float:
     return math.sqrt(positive(variance, "variance"))
 
 
-def normal_pdf(x: float, mean: float = 0.0, variance: float = 1.0) -> float:
-    sd = _check_variance(variance)
-    z = (x - mean) / sd
-    return math.exp(-0.5 * z * z - _LOG_SQRT_2PI) / sd
-
-
-def normal_sf(x: float, mean: float = 0.0, variance: float = 1.0) -> float:
-    """Upper tail P(X > x)."""
-    sd = _check_variance(variance)
-    z = (x - mean) / sd
-    return 0.5 * math.erfc(z / _SQRT2)
-
-
 def normal_logsf(x: float, mean: float = 0.0, variance: float = 1.0) -> float:
     """log P(X > x), stable in both tails."""
     sd = _check_variance(variance)
@@ -207,11 +192,52 @@ def truncated_normal_moments(mean: float, variance: float, side: str) -> tuple[f
     return first, second
 
 
-def tv_distance(p, q) -> float:
-    """Total variation distance between two pmfs on a common support: half the l1 gap."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return 0.5 * float(np.abs(p - q).sum())
+@dataclass(frozen=True)
+class LatticeLaw:
+    """A law on the box of states -bound..bound of the integer lattice, state i at the point i/scale.
+
+    probs[k] is the mass of states[k] and overflow the mass outside the box (0.0 for a chain law).  scale is 1.0,
+    or sqrt(n) for the diffusion-scaled histogram of X(nt)/sqrt(n).
+    """
+
+    bound: int
+    probs: np.ndarray
+    overflow: float
+    scale: float
+
+    @property
+    def states(self) -> np.ndarray:
+        return np.arange(-self.bound, self.bound + 1)
+
+    @property
+    def lattice(self) -> np.ndarray:
+        return self.states / self.scale
+
+    @property
+    def pmf(self) -> np.ndarray:
+        """probs, under the name that the simulators' callers read."""
+        return self.probs
+
+    def prob(self, i: int) -> float:
+        return float(self.probs[i + self.bound]) if abs(i) <= self.bound else 0.0
+
+    def mean(self) -> float:
+        return float(np.dot(self.lattice, self.probs))
+
+    def second_moment(self) -> float:
+        return float(np.dot(self.lattice**2, self.probs))
+
+    def variance(self) -> float:
+        return self.second_moment() - self.mean() ** 2
+
+    def tv_distance_to(self, density) -> float:
+        """Total variation distance to a density, taken as its masses on the lattice cells.
+
+        Cell k covers ((k - 1/2)/scale, (k + 1/2)/scale]; the mass outside the box is compared against overflow.
+        """
+        cell_mass = density.cell_masses((np.arange(-self.bound, self.bound + 2) - 0.5) / self.scale)
+        tv = 0.5 * float(np.abs(self.probs - cell_mass).sum())
+        return tv + 0.5 * abs(self.overflow - (1.0 - float(cell_mass.sum())))
 
 
 # Interarrival family names accepted on input, each mapped to its canonical name.

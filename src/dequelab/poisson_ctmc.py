@@ -31,6 +31,7 @@ from .errors import (
     whole_number,
 )
 from .fluid import discounted_source_integral
+from .numerics import LatticeLaw
 from .params import QueueParams
 
 __all__ = [
@@ -76,35 +77,20 @@ _DOT_BLOCK = 8192
 
 
 @dataclass(frozen=True)
-class StationaryPmf:
-    """Stationary pmf of the chain, truncated to [-support_bound, support_bound].
+class StationaryPmf(LatticeLaw):
+    """Stationary pmf of the chain, truncated to [-support_bound, support_bound], with no overflow and scale 1.
 
-    probs[k] is the probability of state states[k]; the neglected tail is at
-    most tail_mass_bound.  boundary_ratio_pos/neg are the one-step weight
-    ratios just outside the box (both < 1), which bound how fast the true
-    tail decays.
+    The neglected tail is at most tail_mass_bound.  boundary_ratio_pos/neg are the one-step weight ratios just
+    outside the box (both < 1), which bound how fast the true tail decays.
     """
 
-    support_bound: int
-    probs: np.ndarray
     tail_mass_bound: float
     boundary_ratio_pos: float
     boundary_ratio_neg: float
 
     @property
-    def states(self) -> np.ndarray:
-        return np.arange(-self.support_bound, self.support_bound + 1)
-
-    def prob(self, i: int) -> float:
-        if abs(i) > self.support_bound:
-            return 0.0
-        return float(self.probs[i + self.support_bound])
-
-    def mean(self) -> float:
-        return float(np.dot(self.states, self.probs))
-
-    def second_moment(self) -> float:
-        return float(np.dot(self.states.astype(float) ** 2, self.probs))
+    def support_bound(self) -> int:
+        return self.bound
 
 
 def _log_weights(params: QueueParams, bound: int) -> np.ndarray:
@@ -159,8 +145,10 @@ def stationary_distribution(params: QueueParams, tail_tol: float = 1e-12) -> Sta
             if tail / total < tail_tol:
                 weights /= total
                 return StationaryPmf(
-                    support_bound=bound,
+                    bound=bound,
                     probs=weights,
+                    overflow=0.0,
+                    scale=1.0,
                     tail_mass_bound=tail / total,
                     boundary_ratio_pos=r_pos,
                     boundary_ratio_neg=r_neg,
@@ -422,23 +410,20 @@ def _uniformize(params: QueueParams, items: list[tuple[int, float]], t_grid: np.
     mid, left, right = list(buf[:, 1:-1]), list(buf[:, :-2]), list(buf[:, 2:])
     scratch = np.empty(2 * bound + 1)
 
-    def advance(src: int, dst: int) -> None:
-        np.multiply(stay, mid[src], out=mid[dst])
-        np.multiply(up, left[src], out=scratch)
-        mid[dst] += scratch
-        np.multiply(down, right[src], out=scratch)
-        mid[dst] += scratch
-
     max_edge = 0.0
-    for first in range(0, n_terms + 1, _SERIES_ROWS):
-        rows = min(_SERIES_ROWS, n_terms + 1 - first)
-        if first:
-            advance(_SERIES_ROWS - 1, 0)
-        for r in range(rows - 1):
-            advance(r, r + 1)
-        block = buf[:rows]
-        max_edge = max(max_edge, float(block[:, 1].max()), float(block[:, -2].max()))
-        np.matmul(block[:, 1:-1], functionals, out=term_moments[first:first + rows])
+    for k in range(n_terms + 1):
+        row = k % _SERIES_ROWS
+        if k:
+            # term k from term k - 1 in row - 1, which is the last row when row is 0
+            np.multiply(stay, mid[row - 1], out=mid[row])
+            np.multiply(up, left[row - 1], out=scratch)
+            mid[row] += scratch
+            np.multiply(down, right[row - 1], out=scratch)
+            mid[row] += scratch
+        if row == _SERIES_ROWS - 1 or k == n_terms:
+            block = buf[:row + 1]
+            max_edge = max(max_edge, float(block[:, 1].max()), float(block[:, -2].max()))
+            np.matmul(block[:, 1:-1], functionals, out=term_moments[k - row:k + 1])
     if max_edge > leak_tol:
         raise TruncationError(f"boundary mass {max_edge:.3e} exceeds leak_tol {leak_tol:.1e} "
                               f"on the box [-{bound}, {bound}]")

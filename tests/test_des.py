@@ -17,11 +17,7 @@ from dequelab.des import (
 )
 from dequelab.diffusion import psi_density
 from dequelab.errors import DomainError
-from dequelab.numerics import (
-    InterarrivalModel,
-    RandomStream,
-    tv_distance,
-)
+from dequelab.numerics import InterarrivalModel, RandomStream
 from dequelab.params import QueueParams
 from dequelab.poisson_ctmc import poisson_moment_estimates, stationary_distribution, transient_moments
 
@@ -38,7 +34,7 @@ def chain_tv(sim_estimate, params):
     pmf = stationary_distribution(params, 1e-10)
     b = pmf.support_bound
     inner = sim_estimate.pmf[sim_estimate.bound - b : sim_estimate.bound + b + 1]
-    tv = tv_distance(inner, pmf.probs)
+    tv = 0.5 * float(np.abs(inner - pmf.probs).sum())
     sim_rest = 1.0 - inner.sum()
     chain_rest = 1.0 - pmf.probs.sum()
     return tv + 0.5 * abs(sim_rest - chain_rest)
@@ -326,7 +322,7 @@ class TestEstimate:
         est = estimate(sc, base_seed=21, stream_base=base)
         for k in range(sc.replications):
             rep = run_replication(sc, RandomStream(21, base + 4 * k))
-            assert est.per_replication_L1[k] == rep.first_moment()
+            assert est.per_replication_L1[k] == rep.mean()
 
     def test_overflow_warns(self):
         # the queue drifts to about -500, far outside a histogram bound of 100
@@ -376,7 +372,7 @@ class TestLockstep:
             rep = run_replication(sc, RandomStream(seed, base))
             assert np.array_equal(est.pmf, rep.probs)
             assert est.overflow == rep.overflow
-            assert est.per_replication_L1[0] == rep.first_moment()
+            assert est.per_replication_L1[0] == rep.mean()
             assert est.per_replication_L2[0] == rep.second_moment()
         return results
 
@@ -576,7 +572,7 @@ class TestScaledHistogram:
         assert hist.lattice[-1] == pytest.approx(10.0)
         assert hist.pmf.sum() + hist.overflow == pytest.approx(1.0, abs=1e-9)
 
-    def test_tv_takes_cell_masses_from_one_cdf_call(self):
+    def test_tv_takes_cell_masses_from_one_call(self):
         tpl = ScaledTemplate(
             family="exponential", alpha=1.0, beta=1.0, c=0.0, theta=1.0, gamma=1.0,
             horizon=120.0, warmup=20.0, replications=2, histogram_bound=60,
@@ -586,9 +582,9 @@ class TestScaledHistogram:
         calls = []
 
         class Counting:
-            def cdf(self, x):
-                calls.append(len(x))
-                return density.cdf(x)
+            def cell_masses(self, edges):
+                calls.append(len(edges))
+                return density.cell_masses(edges)
 
         tv = hist.tv_distance_to(Counting())
         assert calls == [2 * hist.bound + 2]

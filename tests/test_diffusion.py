@@ -21,8 +21,9 @@ from dequelab.diffusion import (
 )
 from dequelab.errors import DomainError, UnsupportedCaseError
 from dequelab.fluid import fluid_closed_form_path, fluid_limit, zero_hitting_time
-from dequelab.numerics import RandomStream, normal_logcdf, normal_logsf, normal_pdf
+from dequelab.numerics import RandomStream, normal_logcdf, normal_logsf
 from dequelab.params import QueueParams
+from test_numerics import normal_pdf
 
 PARAM_GRID = [
     # (mu, sigma, theta, gamma)
@@ -39,7 +40,45 @@ PARAM_GRID = [
 ]
 
 
+def mp_cell_masses(d, edges) -> list:
+    """The masses of the cells (edges[k], edges[k + 1]] under d, in mpmath at 60 digits from its parameters:
+    on a side with rate r the density is proportional to exp(kappa/r) phi(x; mu/r, sigma^2/2r) / sqrt(r)."""
+    with mpmath.workdps(60):
+        sides = []
+        for rate, sign in ((d.gamma, -1), (d.theta, 1)):
+            r = mpmath.mpf(rate)
+            mean, sd = mpmath.mpf(d.mu) / r, mpmath.mpf(d.sigma) / mpmath.sqrt(2 * r)
+            scale = mpmath.exp(mpmath.mpf(d.kappa) / r) / mpmath.sqrt(r)
+            sides.append((sign, mean, sd, scale, scale * mpmath.ncdf(sign * mean / sd)))
+        total = sides[0][4] + sides[1][4]
+        masses = []
+        for a, b in zip(edges[:-1], edges[1:]):
+            mass = mpmath.mpf(0)
+            for sign, mean, sd, scale, _ in sides:
+                lo, hi = (min(a, 0.0), min(b, 0.0)) if sign < 0 else (max(a, 0.0), max(b, 0.0))
+                # the tails on the far side of the mean from the piece, so nothing cancels
+                if lo + hi > 2 * mean:
+                    mass += scale * (mpmath.ncdf((mean - lo) / sd) - mpmath.ncdf((mean - hi) / sd))
+                else:
+                    mass += scale * (mpmath.ncdf((hi - mean) / sd) - mpmath.ncdf((lo - mean) / sd))
+            masses.append(mass / total)
+        return masses
+
+
 class TestPsiDensity:
+    # the last law is uniform arrivals at (1, 1.5, 0.01, 0.015), whose negative half line holds all but about
+    # 1e-10 of the mass
+    @pytest.mark.parametrize("mu, sigma, theta, gamma", PARAM_GRID + [(-0.5, math.sqrt(5.0 / 6.0), 0.01, 0.015)])
+    def test_cell_masses_keep_relative_precision(self, mu, sigma, theta, gamma):
+        d = psi_density(mu * mu / sigma**2, mu, sigma, theta, gamma)
+        sd = math.sqrt(max(d.second_moment() - d.mean() ** 2, 1e-12))
+        # cells of 0.37 sd over mean +- 12 sd, and cells with an edge at 0 and on each side of it
+        edges = np.concatenate((d.mean() + sd * np.arange(-12.0, 12.0, 0.37), [-0.3, 0.0, 0.2, 0.45]))
+        edges = np.unique(edges)
+        got = d.cell_masses(edges)
+        for k, (mass, ref) in enumerate(zip(got.tolist(), mp_cell_masses(d, edges.tolist()))):
+            assert abs(mass - ref) <= 1e-12 * ref + 1e-300, (k, edges[k], mass, ref)
+
     def test_normalization_and_weights(self):
         for mu, sigma, theta, gamma in PARAM_GRID:
             d = psi_density(mu * mu / sigma**2, mu, sigma, theta, gamma)
@@ -98,6 +137,12 @@ class TestPsiDensity:
             scalar = d.cdf(float(xs[7]))
             assert isinstance(scalar, float)
             assert scalar == pytest.approx(expected[7], rel=1e-13, abs=1e-15)
+
+    def test_cell_masses_past_the_float_range_of_z_squared(self):
+        # with sd 7e-151 both tails of a cell beyond 1e5 are -inf in log space; such a cell holds no mass
+        d = psi_density(0.0, 0.0, 1e-150, 1.0, 1.0)
+        masses = d.cell_masses(np.array([-2e5, -1e5, -1.0, 1.0, 1e5, 2e5]))
+        assert masses.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -16,6 +16,7 @@ from dequelab.fluid import (
     zero_hitting_time,
 )
 from dequelab.params import QueueParams
+from dequelab.poisson_ctmc import second_moment_lower_bound, transient_moments
 
 
 # (rates, x0, step, horizon) of fluid_integrate calls whose bits are pinned; the
@@ -176,6 +177,23 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             fluid_closed_form(QueueParams(2, 1, 1, 1), 0.0, t)
 
+    @pytest.mark.parametrize(
+        "t",
+        [True, False, np.True_, [True], [0.5, True], (0.5, np.True_), np.array([True, False]), np.array(True),
+         np.array([0.5, True], dtype=object)],
+        ids=["True", "False", "np.True_", "list", "mixed-list", "mixed-tuple", "bool-array", "bool-0d", "object-array"],
+    )
+    def test_truth_value_time_rejected(self, t):
+        # np.asarray(True, dtype=float) is 1.0; a truth value is no time
+        params = QueueParams(1, 1.5, 0.5, 0.5)
+        for call in (
+            lambda: transient_moments(params, {0: 1.0}, t),
+            lambda: fluid_closed_form(params, 1.0, t),
+            lambda: second_moment_lower_bound(params, 0.0, 0.0, t),
+        ):
+            with pytest.raises(DomainError, match="finite times"):
+                call()
+
     @pytest.mark.parametrize("x0", [math.inf, -math.inf, math.nan])
     def test_non_finite_start_rejected(self, x0):
         params = QueueParams(2, 1, 1, 1)
@@ -185,6 +203,8 @@ class TestClosedForm:
             fluid_closed_form_path(params, x0, 0.1, 0.2)
         with pytest.raises(DomainError):
             fluid_integrate(params, x0, 0.01, 0.2)
+        with pytest.raises(DomainError, match="x0 must be finite"):
+            zero_hitting_time(params, x0)
 
 
     @pytest.mark.parametrize(

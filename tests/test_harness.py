@@ -26,6 +26,7 @@ from dequelab.numerics import InterarrivalModel
 from dequelab.params import QueueParams
 from dequelab.poisson_ctmc import poisson_moment_estimates
 from test_cli import PINNED_COMPARE_CONFIG
+from test_diffusion import mp_cell_masses
 
 TINY_BUDGET = {"replications": 2, "warmup": 10.0, "horizon": 60.0}
 
@@ -338,7 +339,7 @@ class TestDensityComparison:
             horizon=60.0, warmup=10.0, replications=1,
         )
         comp = export_density_comparison(sc, estimate(sc, 9))
-        from dequelab.numerics import normal_pdf
+        from test_numerics import normal_pdf
 
         for x, value in zip(comp.states, comp.psi):
             assert value == pytest.approx(normal_pdf(float(x)), rel=1e-9)
@@ -350,11 +351,21 @@ class TestDensityComparison:
         )
         comp = export_density_comparison(sc, estimate(sc, 4))
         assert comp.psi_cell_mass.sum() == pytest.approx(1.0, abs=1e-6)
-        # one cdf evaluation per cell edge gives the bits of the two-sided difference
-        density = heavy_traffic_density("exponential", 1.0, 1.5, 0.1, 0.15)
-        assert np.array_equal(comp.psi_cell_mass, density.cdf(comp.states + 0.5) - density.cdf(comp.states - 0.5))
         assert comp.poisson_pmf.sum() == pytest.approx(1.0, abs=1e-6)
         assert comp.simulated_pmf.sum() == pytest.approx(1.0, abs=1e-6)
+
+    def test_cell_masses_near_zero_keep_relative_precision(self):
+        # uniform arrivals at (1, 1.5, 0.01, 0.015): the negative half line holds all but about 1e-10 of psi's
+        # mass, so a cell near 0 holds about 5e-10 of it, where a difference of two cdf values near 1 kept only
+        # six digits (5.37124456e-10 at x = -1, against 5.371243683e-10)
+        sc = Scenario.for_family("uniform", 1.0, 1.5, 0.01, 0.015, horizon=60.0, warmup=10.0, replications=1)
+        comp = export_density_comparison(sc, estimate(sc, 4))
+        density = heavy_traffic_density("uniform", 1.0, 1.5, 0.01, 0.015)
+        near = np.flatnonzero(np.abs(comp.states) <= 3)
+        reference = mp_cell_masses(density, (comp.states[near[0]:near[-1] + 2] - 0.5).tolist())
+        for x, mass, ref in zip(comp.states[near], comp.psi_cell_mass[near], reference):
+            assert abs(mass - ref) <= 1e-12 * ref, (x, mass, ref)
+        assert "%.10g" % comp.psi_cell_mass[comp.states.tolist().index(-1)] == "5.371243683e-10"
 
     def test_csv_render(self):
         sc = Scenario.for_family(

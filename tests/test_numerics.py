@@ -13,53 +13,33 @@ from dequelab.errors import DomainError, finite
 from dequelab.numerics import (
     FAMILY_ALIASES,
     InterarrivalModel,
+    LatticeLaw,
     RandomStream,
     erfcx,
     log_ndtr,
     normal_hazard,
     normal_logcdf,
     normal_logsf,
-    normal_pdf,
-    normal_sf,
     truncated_normal_moments,
-    tv_distance,
 )
 from dequelab.params import QueueParams
 
 
-def erf_series(x: float) -> float:
-    """Independent erf oracle: Taylor series, adequate for |x| <= 4."""
-    total = 0.0
-    term = x
-    n = 0
-    while abs(term) > 1e-18:
-        total += term / (2 * n + 1)
-        n += 1
-        term *= -x * x / n
-    return 2.0 / math.sqrt(math.pi) * total
+def normal_pdf(x: float, mean: float = 0.0, variance: float = 1.0) -> float:
+    """Gaussian density, a test oracle from the math module."""
+    return math.exp(-0.5 * (x - mean) ** 2 / variance) / math.sqrt(2.0 * math.pi * variance)
+
+
+def normal_sf(x: float, mean: float = 0.0, variance: float = 1.0) -> float:
+    """Gaussian upper tail P(X > x), a test oracle from the math module."""
+    return 0.5 * math.erfc((x - mean) / math.sqrt(2.0 * variance))
 
 
 class TestNormalKernels:
-    def test_pdf_cdf_basics(self):
-        assert normal_pdf(0.0) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-12)
-        assert normal_sf(0.0) == pytest.approx(0.5, abs=1e-15)
-        assert normal_sf(1.0, 2.0, 4.0) == pytest.approx(normal_sf(-0.5), abs=1e-14)
-
-    def test_cdf_against_series_oracle(self):
-        for z in [-3.0, -1.2, -0.5, 0.3, 1.7, 2.9]:
-            expected = 0.5 * (1.0 + erf_series(z / math.sqrt(2.0)))
-            assert 1.0 - normal_sf(z) == pytest.approx(expected, abs=1e-10)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            normal_pdf(0.0, 0.0, 0.0)
-        with pytest.raises(DomainError):
-            normal_sf(0.0, 0.0, -1.0)
-
     @pytest.mark.parametrize("variance", [math.inf, math.nan], ids=["inf", "nan"])
     def test_non_finite_variance_is_a_domain_error(self, variance):
         # sigma^2/(2 theta) at theta = 5e-324 is inf; every kernel must refuse it
-        for kernel in (normal_pdf, normal_sf, normal_logsf, normal_logcdf):
+        for kernel in (normal_logsf, normal_logcdf):
             with pytest.raises(DomainError, match="variance must be finite"):
                 kernel(0.0, 0.0, variance)
         with pytest.raises(DomainError, match="variance must be finite"):
@@ -318,10 +298,55 @@ class TestRandomStream:
             RandomStream(1, -1)
 
 
-def test_tv_distance():
-    assert tv_distance([0.5, 0.5], [0.5, 0.5]) == 0.0
-    assert tv_distance([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
-    assert tv_distance([0.7, 0.3], [0.5, 0.5]) == pytest.approx(0.2)
+class _TabulatedCdf:
+    """A density given by a cdf, a logistic curve; its cell masses are the cdf's differences at the edges."""
+
+    def cdf(self, x):
+        return 1.0 / (1.0 + np.exp(-1.7 * (np.asarray(x, dtype=float) - 0.3)))
+
+    def cell_masses(self, edges):
+        return np.diff(self.cdf(edges))
+
+
+class TestLatticeLaw:
+    @staticmethod
+    def old_moments(bound, probs, overflow, n, density):
+        """The holders' own moment and TV code before they shared LatticeLaw: the chain pmf's and a
+        replication's at scale 1 (n None), the scaled histogram's at scale sqrt(n)."""
+        if n is None:
+            states = np.arange(-bound, bound + 1)
+            mean = float(np.dot(states, probs))
+            second = float(np.dot(states.astype(float) ** 2, probs))
+            edges = np.arange(-bound, bound + 2) - 0.5
+        else:
+            lattice = np.arange(-bound, bound + 1) / math.sqrt(n)
+            mean = float(np.dot(lattice, probs))
+            second = float(np.dot(lattice**2, probs))
+            edges = (np.arange(-bound, bound + 2) - 0.5) / math.sqrt(n)
+        cell_mass = np.diff(density.cdf(edges))
+        tv = 0.5 * float(np.abs(probs - cell_mass).sum())
+        tv += 0.5 * abs(overflow - (1.0 - float(cell_mass.sum())))
+        return mean, second, second - mean**2, tv
+
+    def test_matches_the_holders_old_code_bit_for_bit(self):
+        rng = np.random.default_rng(27)
+        density = _TabulatedCdf()
+        for k in range(1200):
+            bound = int(rng.integers(1, 400))
+            probs = rng.dirichlet(np.full(2 * bound + 1, 0.3)) * rng.uniform(0.5, 1.0)
+            probs[rng.random(probs.size) < 0.2] = 0.0
+            overflow = float(rng.choice([0.0, rng.uniform(0.0, 0.5)]))
+            n = None if k % 2 else int(rng.integers(1, 10_000))
+            law = LatticeLaw(bound, probs, overflow, 1.0 if n is None else math.sqrt(n))
+            got = (law.mean(), law.second_moment(), law.variance(), law.tv_distance_to(density))
+            assert got == self.old_moments(bound, probs, overflow, n, density)
+
+    def test_states_and_prob(self):
+        law = LatticeLaw(2, np.array([0.1, 0.2, 0.3, 0.25, 0.15]), 0.0, 2.0)
+        assert law.states.tolist() == [-2, -1, 0, 1, 2]
+        assert law.lattice.tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
+        assert law.pmf is law.probs
+        assert [law.prob(i) for i in (-3, -2, 0, 2, 3)] == [0.0, 0.1, 0.3, 0.15, 0.0]
 
 
 def test_integer_past_the_float_range_breaks_the_rules():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -578,7 +579,41 @@ class TestPoissonWindow:
             assert np.allclose(row, expected, rtol=1e-12, atol=1e-300)
 
 
+# The benchmark's five transient cases, (rates, start, t_end, leak_tol), each on
+# the grid 0, t_end * (0.05, 0.1, 0.2, 0.4, 0.7), t_end; "stationary" starts at
+# stationary_distribution(params, 1e-12)
+PINNED_TRANSIENT_CASES = {
+    "balanced-from-zero": ((1.0, 1.0, 0.5, 0.5), 0, 14.0, 1e-8),
+    "far-side": ((1.0, 1.5, 0.5, 0.5), 3, 8.0, 1e-8),
+    "stationary": ((1.0, 1.5, 0.1, 0.15), "stationary", 10.0, 1e-8),
+    "theta-ne-gamma-from-zero": ((2.0, 1.0, 1.0, 0.5), 0, 12.0, 1e-8),
+    "small-reneging-growing-box": ((1.0, 1.0, 0.02, 0.02), 0, 30.0, 1e-30),
+}
+# sha256 of the six curves' bytes (m, s, m+, m-, s+, s-) and the repr of
+# (support_bound, series_terms, max_boundary_mass, series_tail_mass)
+PINNED_TRANSIENT_DIGESTS = {
+    "balanced-from-zero": "182da06781c9c65c88c4f3040085da03e8de4dd185a1098ef2f2af87138051b1",
+    "far-side": "4975373a92890437ee5e0911745439e4c414d3be2395d5fce8456ef090225e65",
+    "stationary": "399ba9b2dbf02ed4df61d19ebdbf2a0ad65fba6edd799c1c64c5df51b0b82ef9",
+    "theta-ne-gamma-from-zero": "13534ff961bb1989f9168d831e90c5cefb6cd85ef51bb7c58a7b07bf6d0d13da",
+    "small-reneging-growing-box": "b4cda498f312a5a38ae5c55e8180a90399d2fd575b49b53a99d77fe5fe74d9d9",
+}
+
+
 class TestUniformization:
+    @pytest.mark.parametrize("name", list(PINNED_TRANSIENT_CASES))
+    def test_pinned_bits(self, name):
+        rates, start, t_end, leak_tol = PINNED_TRANSIENT_CASES[name]
+        params = QueueParams(*rates)
+        initial = stationary_distribution(params, 1e-12) if start == "stationary" else {start: 1.0}
+        grid = [0.0] + [t_end * f for f in (0.05, 0.1, 0.2, 0.4, 0.7)] + [t_end]
+        tm = transient_moments(params, initial, grid, leak_tol=leak_tol)
+        digest = hashlib.sha256()
+        for curve in (tm.m, tm.s, tm.m_plus, tm.m_minus, tm.s_plus, tm.s_minus):
+            digest.update(curve.tobytes())
+        digest.update(repr((tm.support_bound, tm.series_terms, tm.max_boundary_mass, tm.series_tail_mass)).encode())
+        assert digest.hexdigest() == PINNED_TRANSIENT_DIGESTS[name]
+
     def test_matches_dense_expm_on_small_box(self):
         # a box small enough that reflection at its edges shapes the moments; at
         # the out-rate 5.3 the second grid's last time needs 265 steps, five
