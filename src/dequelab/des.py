@@ -340,14 +340,20 @@ def _reduce(scenario: Scenario, base_seed: int, reps: Iterable[ReplicationResult
 
     The histograms are added one at a time in replication order, which is
     how np.mean(rows, axis=0) sums them, so the pmf has its bits without
-    holding n rows at once.
+    holding n rows at once.  The states -B..B and their squares are built
+    once per scenario, and each replication's L1 and L2 are np.dot against
+    them: the dots that its mean() and second_moment() make at scale 1, with
+    their bits.
     """
-    total = np.zeros(2 * scenario.histogram_bound + 1)
+    bound = scenario.histogram_bound
+    states = np.arange(-bound, bound + 1, dtype=float)
+    squares = states * states
+    total = np.zeros(2 * bound + 1)
     l1s, l2s, overflows = [], [], []
     for rep in reps:
         total += rep.probs
-        l1s.append(rep.mean())
-        l2s.append(rep.second_moment())
+        l1s.append(float(np.dot(states, rep.probs)))
+        l2s.append(float(np.dot(squares, rep.probs)))
         overflows.append(rep.overflow)
     n = scenario.replications
     pmf = total / n
@@ -454,7 +460,7 @@ def _lockstep(
         bound = sc.histogram_bound
         total = sc.horizon - sc.warmup
         # held cropped to the states visited until the scenario's last lane finishes
-        c = int(np.abs(np.flatnonzero(hist[slot, :-1]) - width).max(initial=0))
+        c = int(np.abs(hist[slot, :-1].nonzero()[0] - width).max(initial=0))
         reps[j][k] = (hist[slot, width - c : width + c + 1] / total, float(hist[slot, -1] / total))
         hist[slot] = 0.0
         end[4 * slot : 4 * slot + 4] = -1
@@ -557,7 +563,7 @@ def _lockstep(
                     patience = arrivals + 2
                 exhausted = pos == end
                 if np.count_nonzero(exhausted):
-                    for flat in np.flatnonzero(exhausted).tolist():
+                    for flat in exhausted.nonzero()[0].tolist():
                         refill(flat)
         yield results[j]
         results[j] = None

@@ -46,6 +46,14 @@ _TRUTH_VALUES = (bool, np.bool_)
 
 
 def _holds(test, *values) -> bool:
+    for v in values:
+        if type(v) is not float:
+            return _holds_any(test, values)
+    # a Python float, the common case, is no truth value and needs no float()
+    return bool(test(*values)) and all(map(math.isfinite, values))
+
+
+def _holds_any(test, values: tuple) -> bool:
     if any(isinstance(v, _TRUTH_VALUES) for v in values):
         return False
     try:

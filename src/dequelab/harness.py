@@ -305,13 +305,24 @@ def heavy_traffic_density(family: str, alpha: float, beta: float, theta: float, 
     return diffusion.tilted_psi_density(params.drift_offset, params.diffusion_coeff, theta, gamma)
 
 
-def export_density_comparison(scenario: des.Scenario, simulated: des.SimulationEstimate) -> DensityComparison:
-    """Tabulate psi, the Poisson pmf, and the simulated pmf on the integer lattice of the chain's mean +- 6 sd."""
+def export_density_comparison(
+    scenario: des.Scenario, simulated: des.SimulationEstimate, *, _chains: dict | None = None
+) -> DensityComparison:
+    """Tabulate psi, the Poisson pmf, and the simulated pmf on the integer lattice of the chain's mean +- 6 sd.
+
+    The chain's law depends on the rates alone.  run_compare_command passes
+    _chains, one dict for all its cells, which holds the law of each rate
+    tuple solved so far; a call solves the law only when its rates are not
+    in it yet, and adds it.
+    """
     alpha = scenario.seller_model.rate
     beta = scenario.buyer_model.rate
     family = scenario.seller_model.family
     params = QueueParams(alpha, beta, scenario.theta, scenario.gamma)
-    pmf = poisson_ctmc.stationary_distribution(params, 1e-10)
+    chains = {} if _chains is None else _chains
+    if params not in chains:
+        chains[params] = poisson_ctmc.stationary_distribution(params, 1e-10)
+    pmf = chains[params]
     sd = math.sqrt(max(pmf.variance(), 1.0))
     span = int(math.ceil(abs(pmf.mean()) + 6.0 * sd))
     states = np.arange(-span, span + 1)
@@ -358,7 +369,13 @@ def psi_density_grid(
 
 
 def run_compare_command(config: ComparisonConfig, base_seed: int, out_dir: str | Path) -> list[Path]:
-    """Produce comparison tables and per-cell density grids under out_dir."""
+    """Produce comparison tables and per-cell density grids under out_dir.
+
+    Each piece of set-up runs once per thing it depends on: the chain of a
+    density table once per distinct (alpha, beta, theta, gamma), shared by
+    the cells of every family (export_density_comparison's _chains), and the
+    simulation's state lattice once per scenario (des._reduce).
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     density_dir = out / "density"
@@ -366,8 +383,9 @@ def run_compare_command(config: ComparisonConfig, base_seed: int, out_dir: str |
 
     rows, scenarios, sims = _simulate_grid(config, base_seed)
     written = []
+    chains = {}
     for row, scenario, sim in zip(rows, scenarios, sims):
-        comparison = export_density_comparison(scenario, sim)
+        comparison = export_density_comparison(scenario, sim, _chains=chains)
         mult = row.theta / row.alpha
         name = f"{row.family}_a{row.alpha:g}_b{row.beta:g}_m{mult:g}.csv"
         path = density_dir / name

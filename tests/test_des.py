@@ -323,6 +323,7 @@ class TestEstimate:
         for k in range(sc.replications):
             rep = run_replication(sc, RandomStream(21, base + 4 * k))
             assert est.per_replication_L1[k] == rep.mean()
+            assert est.per_replication_L2[k] == rep.second_moment()
 
     def test_overflow_warns(self):
         # the queue drifts to about -500, far outside a histogram bound of 100

@@ -1,5 +1,7 @@
 import math
+import struct
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -21,7 +23,8 @@ from dequelab.diffusion import (
 )
 from dequelab.errors import DomainError, UnsupportedCaseError
 from dequelab.fluid import fluid_closed_form_path, fluid_limit, zero_hitting_time
-from dequelab.numerics import RandomStream, normal_logcdf, normal_logsf
+from dequelab import diffusion
+from dequelab.numerics import RandomStream, log_ndtr, normal_logcdf, normal_logsf
 from dequelab.params import QueueParams
 from test_numerics import normal_pdf
 
@@ -63,6 +66,37 @@ def mp_cell_masses(d, edges) -> list:
                     mass += scale * (mpmath.ncdf((hi - mean) / sd) - mpmath.ncdf((lo - mean) / sd))
             masses.append(mass / total)
         return masses
+
+
+def two_call_cell_masses(d, edges) -> np.ndarray:
+    """PsiDensity.cell_masses without its cdf cross-check, as it stood with one log_ndtr call a side."""
+    edges = np.asarray(edges, dtype=float)
+    masses = np.zeros(edges.size - 1)
+    neg = min(int(np.searchsorted(edges, 0.0)), masses.size)
+    pos = max(int(np.searchsorted(edges, 0.0, "right")) - 1, 0)
+    for cells, x, positive, weight in (
+        (slice(0, neg), np.minimum(edges[:neg + 1], 0.0), False, d.d2),
+        (slice(pos, None), np.maximum(edges[pos:], 0.0), True, d.d1),
+    ):
+        rate = d.theta if positive else d.gamma
+        mean, sd = d.mu / rate, math.sqrt(d.sigma**2 / (2.0 * rate))
+        z = (x - mean) / sd
+        tail = log_ndtr(-np.abs(z))
+        near, far = np.maximum(tail[:-1], tail[1:]), np.minimum(tail[:-1], tail[1:])
+        log_norm = normal_logcdf(mean / sd if positive else -mean / sd)
+        with np.errstate(invalid="ignore"):
+            piece = np.exp(near - log_norm) * -np.expm1(np.fmin(far - near, 0.0))
+        across = (z[:-1] < 0.0) & (z[1:] > 0.0)
+        piece[across] = -np.expm1(np.logaddexp(tail[:-1], tail[1:])[across]) / np.exp(log_norm)
+        masses[cells] += weight * piece
+    return masses
+
+
+def random_edges(rng, where: str) -> np.ndarray:
+    """Sorted edges, 2 to 300 of them, all below 0, all above it, across it, or across it between infinite ends."""
+    lo, hi = {"below": (-12.0, -1e-3), "above": (1e-3, 12.0)}.get(where, (-12.0, 12.0))
+    edges = np.sort(rng.uniform(lo, hi, int(rng.integers(2, 301))))
+    return np.concatenate(([-np.inf], edges, [np.inf])) if where == "infinite ends" else edges
 
 
 class TestPsiDensity:
@@ -143,6 +177,43 @@ class TestPsiDensity:
         d = psi_density(0.0, 0.0, 1e-150, 1.0, 1.0)
         masses = d.cell_masses(np.array([-2e5, -1e5, -1.0, 1.0, 1e5, 2e5]))
         assert masses.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("where", ["below", "above", "across", "infinite ends"])
+    def test_cell_masses_keep_the_bits_of_a_call_a_side(self, where):
+        # both sides' tails come from one log_ndtr call, which works element by element
+        rng = np.random.default_rng(["below", "above", "across", "infinite ends"].index(where))
+        for _ in range(40):
+            mu, sigma = rng.uniform(-3.0, 3.0), rng.uniform(0.3, 3.0)
+            d = psi_density(mu * mu / sigma**2, mu, sigma, *rng.uniform(0.01, 3.0, 2))
+            edges = random_edges(rng, where)
+            got, expected = d.cell_masses(edges), two_call_cell_masses(d, edges)
+            assert struct.pack(f"{got.size}d", *got) == struct.pack(f"{expected.size}d", *expected)
+        # sd 7e-151: z^2 overflows and both tails of a far cell are -inf
+        d = psi_density(0.0, 0.0, 1e-150, 1.0, 1.0)
+        for edges in ([-2e5, -1e5, -1.0, 1.0, 1e5, 2e5], [-np.inf, -1e-150, 0.0, 3e-151, np.inf], [1e-200, 1e-150]):
+            got, expected = d.cell_masses(edges), two_call_cell_masses(d, edges)
+            assert struct.pack(f"{got.size}d", *got) == struct.pack(f"{expected.size}d", *expected)
+
+    @pytest.mark.parametrize("edges", [[1.0, 0.0, -1.0], [-1.0, math.nan, 1.0], [math.nan], [0.0, 2.0, 1.0, 3.0],
+                                       [math.inf, -math.inf], [], [[0.0, 1.0]]])
+    def test_cell_masses_reject_nan_or_decreasing_edges(self, monkeypatch, edges):
+        def unreachable(z):
+            raise AssertionError("evaluated edges that should have been rejected")
+
+        monkeypatch.setattr(diffusion, "log_ndtr", unreachable)
+        d = psi_density(0.3, -0.7, 1.1, 0.4, 1.7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="edges"):
+                d.cell_masses(edges)
+
+    def test_cell_masses_take_infinite_ends_and_equal_edges(self):
+        d = psi_density(0.3, -0.7, 1.1, 0.4, 1.7)
+        below, above = d.cell_masses([-math.inf, 0.0, math.inf]).tolist()
+        assert below == pytest.approx(d.d2, rel=1e-14) and above == pytest.approx(d.d1, rel=1e-14)
+        masses = d.cell_masses([-1.0, -1.0, 0.0, 0.0, 2.0, 2.0])
+        assert masses[[0, 2, 4]].tolist() == [0.0, 0.0, 0.0]
+        assert masses[[1, 3]].tolist() == pytest.approx(d.cdf(np.array([0.0, 2.0])) - d.cdf(np.array([-1.0, 0.0])))
 
     def test_validation(self):
         with pytest.raises(DomainError):

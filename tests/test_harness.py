@@ -246,6 +246,23 @@ class TestRunComparison:
         (alpha, beta), = config.rate_pairs
         assert solved == [(alpha, beta, m * alpha, m * beta) for m in config.reneging_multipliers]
 
+    def test_density_tables_share_one_chain_per_rate_tuple(self, monkeypatch, tmp_path):
+        # the density tables' chains (tail_tol 1e-10) of 8 cells: one per rate tuple, in cell order
+        solved = []
+        stationary = poisson_ctmc.stationary_distribution
+
+        def spy(params, tail_tol=1e-12):
+            if tail_tol == 1e-10:
+                solved.append((params.alpha, params.beta, params.theta, params.gamma))
+            return stationary(params, tail_tol)
+
+        monkeypatch.setattr(poisson_ctmc, "stationary_distribution", spy)
+        config = ComparisonConfig.from_dict(PINNED_COMPARE_CONFIG)
+        written = run_compare_command(config, 5, tmp_path)
+        assert len(written) == 2 + 8
+        (alpha, beta), = config.rate_pairs
+        assert solved == [(alpha, beta, m * alpha, m * beta) for m in config.reneging_multipliers]
+
     def test_table_anchor_rows(self):
         cfg = ComparisonConfig.from_dict(
             {
