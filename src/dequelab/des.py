@@ -23,12 +23,12 @@ import warnings
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
 from .errors import DomainError, positive, time_window, whole_number
-from .numerics import InterarrivalModel, LatticeLaw, RandomStream
+from .numerics import InterarrivalModel, LatticeLaw, RandomStream, _blocked_dot, _on_box
 
 __all__ = [
     "MAX_REPLICATIONS",
@@ -338,12 +338,13 @@ def _simulate(
 def _reduce(scenario: Scenario, base_seed: int, reps: Iterable[ReplicationResult]) -> SimulationEstimate:
     """The estimate from the results of replications 0..n-1 of scenario, read once, in order.
 
-    The histograms are added one at a time in replication order, which is
-    how np.mean(rows, axis=0) sums them, so the pmf has its bits without
-    holding n rows at once.  The states -B..B and their squares are built
-    once per scenario, and each replication's L1 and L2 are np.dot against
-    them: the dots that its mean() and second_moment() make at scale 1, with
-    their bits.
+    A result may be cropped to the states its path visited; its probs are
+    read on the scenario's box -B..B.  The histograms are added one at a time
+    in replication order, which is how np.mean(rows, axis=0) sums them, so
+    the pmf has its bits without holding n rows at once.  The states -B..B
+    and their squares are built once per scenario, and each replication's L1
+    and L2 are blocked dots against them: the sums that its mean() and
+    second_moment() take at scale 1, with their bits.
     """
     bound = scenario.histogram_bound
     states = np.arange(-bound, bound + 1, dtype=float)
@@ -351,9 +352,10 @@ def _reduce(scenario: Scenario, base_seed: int, reps: Iterable[ReplicationResult
     total = np.zeros(2 * bound + 1)
     l1s, l2s, overflows = [], [], []
     for rep in reps:
-        total += rep.probs
-        l1s.append(float(np.dot(states, rep.probs)))
-        l2s.append(float(np.dot(squares, rep.probs)))
+        probs = _on_box(rep.probs, bound)
+        total += probs
+        l1s.append(_blocked_dot(states.__getitem__, probs))
+        l2s.append(_blocked_dot(squares.__getitem__, probs))
         overflows.append(rep.overflow)
     n = scenario.replications
     pmf = total / n
@@ -385,8 +387,8 @@ def _lockstep(
     lane by exactly one event, under the rules of run_replication, so each
     lane reproduces run_replication on its own stream bit for bit.  Lanes
     start in order of expected arrivals, most first, at most _LIVE_LANES at
-    once; a finished lane hands its slot to the next one and drops its
-    generators.  Each slot owns
+    once: a pass starts by admitting waiting lanes to the free slots, and a
+    finished lane frees its slot and drops its generators.  Each slot owns
 
     - four draw buffers, one per substream, of _BLOCK values each in one
       flat array, each refilled with the next of its substream's _blocks.
@@ -436,9 +438,8 @@ def _lockstep(
         pos[flat] = start
         end[flat] = start + len(block)
 
-    def admit(slot: int, lane: int) -> tuple:
-        """Give lane the slot and fill its buffers; returns the lane's state."""
-        j, k = lanes[lane]
+    def admit(slot: int, j: int, k: int) -> tuple:
+        """Give lane (j, k) the slot and fill its buffers; returns the lane's state, one value per field."""
         sc = scenarios[j]
         flat = 4 * slot
         # the blocks of 64 and 128 spare a short lane draws it would not read; a long
@@ -451,48 +452,45 @@ def _lockstep(
         # residual arrival clocks start fresh at time zero, whose clip is the warmup
         first_seller, first_buyer = buf[pos[flat : flat + 2]]
         pos[flat : flat + 2] += 1
-        return (0.0, sc.warmup, first_seller, first_buyer, sc.warmup, sc.horizon,
-                sc.initial_state, sc.histogram_bound, slot, lane)
+        lane_of[slot] = j, k
+        return (0.0, sc.warmup, first_seller, first_buyer, sc.warmup, sc.horizon, sc.initial_state,
+                sc.histogram_bound, slot, slot * hist.shape[1] + width, min(sc.histogram_bound, width), flat, flat + 2)
 
-    def finish(slot: int, lane: int) -> None:
-        j, k = lanes[lane]
+    def finish(slot: int) -> None:
+        """Take the result of the slot's lane and free the slot."""
+        j, k = lane_of[slot]
         sc = scenarios[j]
-        bound = sc.histogram_bound
         total = sc.horizon - sc.warmup
         # held cropped to the states visited until the scenario's last lane finishes
         c = int(np.abs(hist[slot, :-1].nonzero()[0] - width).max(initial=0))
-        reps[j][k] = (hist[slot, width - c : width + c + 1] / total, float(hist[slot, -1] / total))
+        visited = hist[slot, width - c : width + c + 1] / total
+        reps[j][k] = ReplicationResult(c, visited, float(hist[slot, -1] / total), 1.0)
         hist[slot] = 0.0
         end[4 * slot : 4 * slot + 4] = -1
         blocks[4 * slot : 4 * slot + 4] = (None,) * 4
+        free.append(slot)
         remaining[j] -= 1
         if remaining[j] == 0:
-            results[j] = _reduce(sc, base_seed, (uncrop(probs, bound, overflow) for probs, overflow in reps[j]))
+            results[j] = _reduce(sc, base_seed, reps[j])
             reps[j] = None
 
-    def uncrop(probs: np.ndarray, bound: int, overflow: float) -> ReplicationResult:
-        """The replication of a row cropped to the states -c..c, written into zeros over -bound..bound."""
-        c = len(probs) // 2
-        full = np.zeros(2 * bound + 1)
-        full[bound - c : bound + c + 1] = probs
-        return ReplicationResult(bound, full, overflow, 1.0)
-
-    def as_arrays(states: list[tuple]) -> list[np.ndarray]:
-        """One array per field of the lane states that admit returns."""
-        return [np.array(field, dtype=float if i < 6 else np.int64) for i, field in enumerate(zip(*states))]
-
-    next_lane = slots
-    # since is clip(now), the time from which the lane's current segment counts
-    now, since, next_seller, next_buyer, tau, horizon, x, bound, slot, lane = as_arrays(
-        [admit(i, i) for i in range(slots)]
-    )
-    row = slot * hist.shape[1] + width
-    reach = np.minimum(bound, width)  # a lane past its reach adds to the last column
-    arrivals = 4 * slot  # the seller buffer; the buyer's follows it
-    patience = arrivals + 2  # the seller patience buffer; the buyer's follows it
+    # The state of the live lanes, one array per field; every slot starts
+    # free.  since is clip(now), the time from which the lane's current
+    # segment counts; a lane past its reach adds to its row's last column;
+    # arrivals and patience are its seller buffers, the buyer's follow each.
+    now = since = next_seller = next_buyer = tau = horizon = np.empty(0)
+    x = bound = slot = row = reach = arrivals = patience = np.empty(0, dtype=np.int64)
+    free = list(range(slots))
+    lane_of = [None] * slots
+    waiting = iter(lanes)
     for j in range(len(scenarios)):
         with np.errstate(divide="ignore", invalid="ignore"):
             while remaining[j]:
+                admitted = [admit(free.pop(), *lane) for lane in islice(waiting, len(free))]
+                if admitted:
+                    (now, since, next_seller, next_buyer, tau, horizon, x, bound, slot, row, reach, arrivals,
+                     patience) = map(np.concatenate, zip((now, since, next_seller, next_buyer, tau, horizon, x, bound,
+                                                          slot, row, reach, arrivals, patience), zip(*admitted)))
                 ax = np.abs(x)
                 # memoryless patience: a fresh clock after every event has the
                 # same law.  A lane at x = 0 reads a draw it does not consume
@@ -545,22 +543,12 @@ def _lockstep(
 
                 done = event >= horizon
                 if np.count_nonzero(done):
-                    freed = slot[done].tolist()
-                    for s, finished in zip(freed, lane[done].tolist()):
-                        finish(s, finished)
+                    for s in slot[done].tolist():
+                        finish(s)
                     keep = ~done
-                    live = [a[keep] for a in (now, since, next_seller, next_buyer, tau, horizon, x, bound, slot, lane)]
-                    admitted = []
-                    while freed and next_lane < len(lanes):
-                        admitted.append(admit(freed.pop(), next_lane))
-                        next_lane += 1
-                    if admitted:
-                        live = [np.concatenate(pair) for pair in zip(live, as_arrays(admitted))]
-                    now, since, next_seller, next_buyer, tau, horizon, x, bound, slot, lane = live
-                    row = slot * hist.shape[1] + width
-                    reach = np.minimum(bound, width)
-                    arrivals = 4 * slot
-                    patience = arrivals + 2
+                    (now, since, next_seller, next_buyer, tau, horizon, x, bound, slot, row, reach, arrivals,
+                     patience) = (a[keep] for a in (now, since, next_seller, next_buyer, tau, horizon, x, bound, slot,
+                                                    row, reach, arrivals, patience))
                 exhausted = pos == end
                 if np.count_nonzero(exhausted):
                     for flat in exhausted.nonzero()[0].tolist():

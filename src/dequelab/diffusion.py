@@ -283,7 +283,6 @@ class PiecewiseOUParams:
 class ModelOneResult:
     """Heavy-traffic model: constant-coefficient asymmetric O-U around zero."""
 
-    ou: PiecewiseOUParams
     L1: float
     L2: float
 
@@ -295,15 +294,8 @@ def model_one(params: QueueParams) -> ModelOneResult:
     sqrt(alpha^3 sigma^2 + beta^3 varsigma^2); the moment estimates are those
     of its stationary law.
     """
-    a = params.diffusion_coeff
-    ou = PiecewiseOUParams(
-        theta=params.theta,
-        gamma=params.gamma,
-        drift_offset=params.drift_offset,
-        diffusion=a,
-    )
-    mom = psi_moments(params.drift_offset, a, params.theta, params.gamma)
-    return ModelOneResult(ou=ou, L1=mom.ev, L2=mom.ev2)
+    mom = psi_moments(params.drift_offset, params.diffusion_coeff, params.theta, params.gamma)
+    return ModelOneResult(L1=mom.ev, L2=mom.ev2)
 
 
 @dataclass(frozen=True)

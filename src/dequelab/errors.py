@@ -2,9 +2,10 @@
 
 The CLI maps these onto exit codes: configuration problems exit with 2,
 numerical/resource failures with 3.  A rule raises DomainError, or ConfigError
-for a comparison config; a value it cannot compare, such as None or a string,
-fails it, and so do a truth value such as True, which is not a number here,
-and an integer too large for a float.
+for a comparison config.  A rule tests the value as a Python float, so a
+numpy float32 is not compared in float32.  A value that float() does not
+take, such as None, fails it, and so do a string, a truth value such as True,
+neither of which is a number here, and an integer too large for a float.
 """
 
 import math
@@ -43,6 +44,7 @@ class ConfigError(DequeLabError):
 
 
 _TRUTH_VALUES = (bool, np.bool_)
+_NOT_NUMBERS = (*_TRUTH_VALUES, str, bytes)
 
 
 def _holds(test, *values) -> bool:
@@ -54,13 +56,16 @@ def _holds(test, *values) -> bool:
 
 
 def _holds_any(test, values: tuple) -> bool:
-    if any(isinstance(v, _TRUTH_VALUES) for v in values):
+    # float() would parse a string, and take a truth value as 0 or 1
+    if any(isinstance(v, _NOT_NUMBERS) for v in values):
         return False
     try:
-        # every rule asks for finite floats; an int past the float range compares as finite
-        return bool(test(*values)) and all(math.isfinite(float(v)) for v in values)
-    except (TypeError, OverflowError):
+        # the test sees Python floats, so a numpy float32 is not compared in float32;
+        # an int past the float range fails here
+        floats = [float(v) for v in values]
+    except (TypeError, ValueError, OverflowError):
         return False
+    return bool(test(*floats)) and all(map(math.isfinite, floats))
 
 
 def _scalar_rule(test, wording: str):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import des, diffusion, poisson_ctmc
 from .errors import ConfigError, finite, finite_result, positive, time_window, whole_number
-from .numerics import FAMILIES, LatticeLaw, canonical_family
+from .numerics import FAMILIES, _on_box, canonical_family
 from .params import QueueParams
 
 __all__ = [
@@ -332,17 +332,9 @@ def export_density_comparison(
         states=states,
         psi=density.pdf(states.astype(float)),
         psi_cell_mass=density.cell_masses(np.arange(-span, span + 2) - 0.5),
-        poisson_pmf=_on_lattice(pmf, span),
-        simulated_pmf=_on_lattice(simulated, span),
+        poisson_pmf=_on_box(pmf.probs, span),
+        simulated_pmf=_on_box(simulated.probs, span),
     )
-
-
-def _on_lattice(law: LatticeLaw, span: int) -> np.ndarray:
-    """The law's probs read on the states -span..span by one slice, with zeros outside its box."""
-    c = min(law.bound, span)
-    out = np.zeros(2 * span + 1)
-    out[span - c : span + c + 1] = law.probs[law.bound - c : law.bound + c + 1]
-    return out
 
 
 def psi_density_grid(

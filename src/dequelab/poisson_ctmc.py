@@ -70,10 +70,6 @@ _SERIES_TAIL_TOL = 1e-14
 # temporaries; each full buffer has its edge masses read once and is reduced
 # to six moment sums per row by one (rows x box) @ (box x 6) product.
 _SERIES_ROWS = 64
-# Longest dot product of _half_line_sums, a rung of stationary_distribution's
-# box ladder.  OpenBLAS wakes its threads past 10 000 values: on a 2-vCPU x86
-# box one of 10 001 values took 5.3 ms on cold threads, one of 10 000 4.7 us.
-_DOT_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -190,35 +186,17 @@ class GammaMomentSummary:
         return self.s_plus + self.s_minus
 
 
-def _half_line_sums(probs: np.ndarray) -> tuple[float, float, float]:
-    """(sum p_i, sum i p_i, sum i^2 p_i) over i = 1..len(probs), probs[i-1] the mass at distance i from 0.
-
-    The weighted sums add one dot product per block of at most _DOT_BLOCK values, with the block's distances
-    built for it alone.
-    """
-    first = second = 0.0
-    for lo in range(0, probs.size, _DOT_BLOCK):
-        p = probs[lo : lo + _DOT_BLOCK]
-        k = np.arange(lo + 1, lo + 1 + p.size, dtype=float)
-        first += float(k @ p)
-        second += float((k * k) @ p)
-    return float(probs.sum()), first, second
-
-
 def gamma_moment_summary(params: QueueParams) -> GammaMomentSummary:
-    """Limiting moments from the stationary pmf, one half-line sum for each side.
+    """Limiting moments from the stationary pmf, its half_moments on each side.
 
-    The negative side is a contiguous copy in mirror order, summed exactly as
-    the positive side, so a symmetric chain gives bit-equal halves and a
-    first moment of exactly 0.  A half-line weight 1 + p above e^700 raises
-    NumericalOverflowError naming its rate ratio.
+    A symmetric chain gives bit-equal halves and a first moment of exactly 0.
+    A half-line weight 1 + p above e^700 raises NumericalOverflowError naming
+    its rate ratio.
     """
     alpha, beta, theta, gamma = params.alpha, params.beta, params.theta, params.gamma
     pmf = stationary_distribution(params, _SUMMARY_TAIL_TOL)
-    b = pmf.support_bound
-    pi0 = float(pmf.probs[b])
-    mass_plus, m_plus, s_plus = _half_line_sums(pmf.probs[b + 1:])
-    mass_minus, m_minus, s_minus = _half_line_sums(pmf.probs[b - 1::-1].copy())
+    pi0 = pmf.prob(0)
+    (mass_plus, m_plus, s_plus), (mass_minus, m_minus, s_minus) = pmf.half_moments()
     for mass, rate_ratio, tail_ratio in (
         (mass_plus, beta / theta, alpha / theta),
         (mass_minus, alpha / gamma, beta / gamma),

@@ -168,7 +168,7 @@ def edge_scenario(name, family):
 
 def warmup_on_first_arrival(family, stream):
     """The edge scenario whose warmup is the first seller arrival on stream: an event exactly at the warmup."""
-    first = InterarrivalModel(family, 1.0).sample(stream.substream(0).rng, 1)[0]
+    first = InterarrivalModel(family, 1.0).sample(RandomStream(stream.seed, stream.stream_id).rng, 1)[0]
     return Scenario.for_family(family, 1.0, 2.0, 0.1, 0.2, horizon=40.0, warmup=float(first), replications=1)
 
 

@@ -294,8 +294,6 @@ class TestModelOne:
         result = model_one(params)
         assert result.L1 == 0.0
         assert result.L2 == pytest.approx(1.0, rel=1e-12)
-        assert result.ou.drift_offset == 0.0
-        assert result.ou.diffusion == pytest.approx(math.sqrt(2.0))
 
     def test_table_anchor_moderate(self):
         params = QueueParams.for_family("exponential", 1, 1.5, 0.1, 0.15)

@@ -30,7 +30,7 @@ POOL = [
     np.float64(2.5), np.float64(-0.0), np.float64(math.nan), np.float64(math.inf),
     np.float32(0.5), np.float32(math.inf), np.int64(7), np.int64(-7),
     True, False, np.True_, np.False_,
-    None, "1.0",
+    None, "1.0", b"1.0",
 ]
 
 # each scalar rule and a copy of its test
@@ -57,7 +57,21 @@ def test_scalar_rules_keep_their_verdicts(name):
 
 def test_time_window_keeps_its_verdicts():
     pairs = list(itertools.product(POOL, repeat=2))
-    # numpy warns when it casts a float past the float32 range to compare it with a float32
+    got = [accepts(time_window, w, h) for w, h in pairs]
+    # numpy warns when it casts a float past the float32 range to compare it with a float32;
+    # the rule compares Python floats and must not
     with np.errstate(over="ignore"):
-        got = [accepts(time_window, w, h) for w, h in pairs]
         assert got == [scanned_holds(lambda w, h: 0.0 <= w < h < math.inf, w, h) for w, h in pairs]
+
+
+@pytest.mark.parametrize(
+    "warmup, horizon, verdict",
+    [
+        (1e300, np.float32(0.5), False),
+        (np.float32(0.5), 1.7976931348623157e308, True),
+        # 0.1 < float(np.float32(0.1)), though the two are equal in float32
+        (0.1, np.float32(0.1), True),
+    ],
+)
+def test_time_window_compares_a_float32_as_a_float(warmup, horizon, verdict):
+    assert accepts(time_window, warmup, horizon) == verdict

@@ -11,10 +11,13 @@ from dequelab import des
 from dequelab.des import Scenario
 from dequelab.errors import DomainError, finite
 from dequelab.numerics import (
+    _DOT_BLOCK,
     FAMILY_ALIASES,
     InterarrivalModel,
     LatticeLaw,
     RandomStream,
+    _blocked_dot,
+    _on_box,
     erfcx,
     log_ndtr,
     normal_hazard,
@@ -291,9 +294,8 @@ class TestRandomStream:
         assert np.array_equal(self.draws(twin), expected)
         assert np.array_equal(self.draws(rng), expected)
 
-    def test_substream(self):
-        s = RandomStream(9, 100)
-        assert s.substream(3).stream_id == 103
+    def test_stream_id(self):
+        assert RandomStream(9, 103).stream_id == 103
         with pytest.raises(DomainError):
             RandomStream(1, -1)
 
@@ -347,6 +349,85 @@ class TestLatticeLaw:
         assert law.lattice.tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
         assert law.pmf is law.probs
         assert [law.prob(i) for i in (-3, -2, 0, 2, 3)] == [0.0, 0.1, 0.3, 0.15, 0.0]
+
+
+def half_line_sums(probs: np.ndarray) -> tuple[float, float, float]:
+    """The chain's half-line sums before the lattice law took them: (sum p, sum d p, sum d^2 p) over the distances
+    d = 1..len(probs), one dot per block of _DOT_BLOCK values, each block's distances built for it alone."""
+    first = second = 0.0
+    for lo in range(0, probs.size, _DOT_BLOCK):
+        p = probs[lo : lo + _DOT_BLOCK]
+        k = np.arange(lo + 1, lo + 1 + p.size, dtype=float)
+        first += float(k @ p)
+        second += float((k * k) @ p)
+    return float(probs.sum()), first, second
+
+
+class TestBlockedSums:
+    @pytest.mark.parametrize("size", [1, 100, _DOT_BLOCK])
+    def test_one_block_is_a_plain_dot(self, size):
+        weights, probs = np.random.default_rng(size).random((2, size))
+        assert _blocked_dot(weights.__getitem__, probs) == float(weights @ probs)
+
+    def test_sums_across_blocks(self):
+        size = 2**17
+        probs = np.random.default_rng(7).random(size)
+        k = np.arange(1, size + 1, dtype=float)
+        squares = k * k
+        values = probs.tolist()
+        expected = (
+            math.fsum(d * p for d, p in enumerate(values, 1)),
+            math.fsum(d * d * p for d, p in enumerate(values, 1)),
+        )
+        got = (_blocked_dot(k.__getitem__, probs), _blocked_dot(squares.__getitem__, probs))
+        assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    def test_half_moments_equal_the_half_line_sums(self, blocks):
+        rng = np.random.default_rng(blocks)
+        for _ in range(4):
+            bound = int(rng.integers((blocks - 1) * _DOT_BLOCK + 1, blocks * _DOT_BLOCK + 1))
+            probs = rng.dirichlet(np.full(2 * bound + 1, 0.5))
+            upper, lower = LatticeLaw(bound, probs, 0.0, 1.0).half_moments()
+            assert upper == half_line_sums(probs[bound + 1:])
+            assert lower == half_line_sums(probs[bound - 1::-1].copy())
+
+    def test_symmetric_law_has_equal_halves(self):
+        half = np.random.default_rng(5).random(2 * _DOT_BLOCK + 7)
+        probs = np.concatenate((half[::-1], [0.5], half))
+        upper, lower = LatticeLaw(half.size, probs, 0.0, 1.0).half_moments()
+        assert upper == lower
+
+    def test_moments_on_three_blocks_are_the_blockwise_sums(self):
+        bound = 12_000
+        probs = np.random.default_rng(11).dirichlet(np.full(2 * bound + 1, 0.5))
+        law = LatticeLaw(bound, probs, 0.0, 3.0)
+        cuts = [slice(lo, lo + _DOT_BLOCK) for lo in range(0, probs.size, _DOT_BLOCK)]
+        assert len(cuts) == 3
+        lattice = law.lattice
+        assert law.mean() == float(lattice[cuts[0]] @ probs[cuts[0]]) + float(
+            lattice[cuts[1]] @ probs[cuts[1]]) + float(lattice[cuts[2]] @ probs[cuts[2]])
+        squares = lattice**2
+        assert law.second_moment() == float(squares[cuts[0]] @ probs[cuts[0]]) + float(
+            squares[cuts[1]] @ probs[cuts[1]]) + float(squares[cuts[2]] @ probs[cuts[2]])
+
+
+class TestOnBox:
+    probs = np.arange(1.0, 8.0)  # the states -3..3
+
+    def test_crops(self):
+        assert _on_box(self.probs, 1).tolist() == [3.0, 4.0, 5.0]
+        assert _on_box(self.probs, 0).tolist() == [4.0]
+
+    def test_pads(self):
+        padded = _on_box(self.probs, 5)
+        assert padded.tolist() == [0.0, 0.0, *self.probs.tolist(), 0.0, 0.0]
+        assert not np.shares_memory(padded, self.probs)
+
+    def test_box_of_its_own_half_width_is_unchanged(self):
+        same = _on_box(self.probs, 3)
+        assert np.array_equal(same, self.probs)
+        assert np.shares_memory(same, self.probs)
 
 
 def test_integer_past_the_float_range_breaks_the_rules():
