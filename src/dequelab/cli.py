@@ -127,7 +127,7 @@ def _cmd_diffusion(args) -> dict | Iterator[str]:
     if args.mode == "model2":
         result = diffusion.model_two(params)
         return {"L1_d2": result.L1, "L2_d2": result.L2}
-    density = diffusion.tilted_psi_density(params.drift_offset, params.diffusion_coeff, params.theta, params.gamma)
+    density = diffusion.model_one_density(params)
     grid = () if args.grid is None else _parse_grid(args.grid)
     return harness.csv_lines("x,psi", harness.array_rows(*harness.psi_density_grid(density, *grid)))
 

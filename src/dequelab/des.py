@@ -33,6 +33,7 @@ from .numerics import InterarrivalModel, LatticeLaw, RandomStream, _blocked_dot,
 __all__ = [
     "MAX_REPLICATIONS",
     "MAX_START_STATE",
+    "MAX_HISTOGRAM_BOUND",
     "Scenario",
     "ScaledTemplate",
     "ReplicationResult",
@@ -82,6 +83,9 @@ MAX_REPLICATIONS = 10**6
 # far start one customer an event, so it also takes about |initial_state|
 # events to reach the body of the law.
 MAX_START_STATE = 10**4
+# The largest histogram_bound, the Poisson chain's cap on the states a side:
+# an estimate builds its states -B..B at once, 16 MB at the cap.
+MAX_HISTOGRAM_BOUND = 10**6
 
 
 @dataclass(frozen=True)
@@ -105,7 +109,7 @@ class Scenario:
         for name, floor, ceiling in (
             ("replications", 1, MAX_REPLICATIONS),
             ("initial_state", -MAX_START_STATE, MAX_START_STATE),
-            ("histogram_bound", 1, math.inf),
+            ("histogram_bound", 1, MAX_HISTOGRAM_BOUND),
         ):
             object.__setattr__(self, name, whole_number(getattr(self, name), name, floor, ceiling=ceiling))
 

@@ -6,10 +6,13 @@ constant or a fluid-modulated diffusion coefficient.  Their stationary
 density glues two Gaussians at zero; this module evaluates that density and
 its moments, builds the two finite-system approximation models, provides the
 theta == gamma transient closed forms, and simulates paths by Euler-Maruyama
-for empirical validation.  stationary_samples holds the one Euler-Maruyama
-loop; simulate_sde_path is its one-path, no-warmup, unthinned case.  The
-transient forms are elementary, with no quadrature:
-fluid.discounted_source_integral gives the variance source term.
+for empirical validation.  PsiDensity's pdf, logpdf and cdf put a point on
+one side by one rule, x < 0 or not, so a NaN point gives NaN.
+model_one_density builds model one's law for model_one, the harness and the
+CLI.  stationary_samples holds the one Euler-Maruyama loop;
+simulate_sde_path is its one-path, no-warmup, unthinned case.  The transient
+forms are elementary, with no quadrature: fluid.discounted_source_integral
+gives the variance source term.
 """
 
 from __future__ import annotations
@@ -32,13 +35,13 @@ __all__ = [
     "PsiMoments",
     "TimeVaryingDiffusion",
     "PiecewiseOUParams",
-    "ModelOneResult",
-    "ModelTwoResult",
+    "ModelMoments",
     "OUTransientMoments",
     "SDEPath",
     "psi_density",
     "tilted_psi_density",
     "psi_moments",
+    "model_one_density",
     "model_one",
     "model_two",
     "ou_closed_form_moments",
@@ -74,26 +77,17 @@ class PsiDensity:
         return self.mu / rate, self.sigma**2 / (2.0 * rate)
 
     def logpdf(self, x):
+        # each side's terms picked point by point, as in cdf, and added in a fixed order, which the pinned outputs
+        # hold; a NaN point takes the x >= 0 side and gives NaN
         x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        for positive in (True, False):
-            sel = x >= 0.0 if positive else x < 0.0
-            if not np.any(sel):
-                continue
-            rate = self.theta if positive else self.gamma
-            mean, var = self._branch(positive)
-            # z and z * z overflow to inf only where the density underflows to 0
-            with np.errstate(over="ignore"):
-                z = (x[sel] - mean) / math.sqrt(var)
-                out[sel] = (
-                    self.log_c
-                    - 0.5 * math.log(rate)
-                    + self.kappa / rate
-                    - 0.5 * z * z
-                    - _LOG_SQRT_2PI
-                    - 0.5 * math.log(var)
-                )
-        return out
+        neg = x < 0.0
+        (m1, v1), (m2, v2) = self._branch(positive=True), self._branch(positive=False)
+        head1, head2 = (self.log_c - 0.5 * math.log(rate) + self.kappa / rate for rate in (self.theta, self.gamma))
+        # z and z * z overflow to inf only where the density underflows to 0
+        with np.errstate(over="ignore"):
+            z = (x - np.where(neg, m2, m1)) / np.where(neg, math.sqrt(v2), math.sqrt(v1))
+            half_log_var = np.where(neg, 0.5 * math.log(v2), 0.5 * math.log(v1))
+            return np.where(neg, head2, head1) - 0.5 * z * z - _LOG_SQRT_2PI - half_log_var
 
     def pdf(self, x):
         out = np.exp(self.logpdf(x))
@@ -280,38 +274,31 @@ class PiecewiseOUParams:
 
 
 @dataclass(frozen=True)
-class ModelOneResult:
-    """Heavy-traffic model: constant-coefficient asymmetric O-U around zero."""
+class ModelMoments:
+    """An approximation model's estimates of the first two stationary moments, E[X] and E[X^2]."""
 
     L1: float
     L2: float
 
 
-def model_one(params: QueueParams) -> ModelOneResult:
-    """Constant-diffusion approximation; usable in any parameter regime.
-
-    The process has offset alpha - beta and coefficient a =
-    sqrt(alpha^3 sigma^2 + beta^3 varsigma^2); the moment estimates are those
-    of its stationary law.
-    """
-    mom = psi_moments(params.drift_offset, params.diffusion_coeff, params.theta, params.gamma)
-    return ModelOneResult(L1=mom.ev, L2=mom.ev2)
+def model_one_density(params: QueueParams) -> PsiDensity:
+    """Model one's stationary law: the constant-coefficient process with offset alpha - beta and coefficient
+    a = sqrt(alpha^3 sigma^2 + beta^3 varsigma^2), in the kappa = mu^2/sigma^2 family."""
+    return tilted_psi_density(params.drift_offset, params.diffusion_coeff, params.theta, params.gamma)
 
 
-@dataclass(frozen=True)
-class ModelTwoResult:
-    """Fluid-centered model: the mean comes from the fluid fixed point and the
-    second moment adds the centered diffusion's stationary second moment."""
-
-    L1: float
-    L2: float
+def model_one(params: QueueParams) -> ModelMoments:
+    """Constant-diffusion approximation, usable in any parameter regime: the moments of model_one_density."""
+    law = model_one_density(params)
+    return ModelMoments(finite(law.mean(), "the psi mean"), finite(law.second_moment(), "the psi second moment"))
 
 
-def model_two(params: QueueParams) -> ModelTwoResult:
-    """Fluid-centered approximation with coefficient b = sqrt(a^2 + |alpha-beta|)."""
+def model_two(params: QueueParams) -> ModelMoments:
+    """Fluid-centered approximation with coefficient b = sqrt(a^2 + |alpha-beta|): L1 is the fluid fixed
+    point, L2 its square plus the centered diffusion's stationary second moment."""
     level = finite_result(lambda: fluid_limit(params), "the fluid fixed point")
     mom = psi_moments(0.0, params.heavy_traffic_coeff, params.theta, params.gamma)
-    return ModelTwoResult(L1=level, L2=finite_result(lambda: level**2 + mom.ev2, "the model-two second moment"))
+    return ModelMoments(L1=level, L2=finite_result(lambda: level**2 + mom.ev2, "the model-two second moment"))
 
 
 @dataclass(frozen=True)

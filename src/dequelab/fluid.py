@@ -21,6 +21,7 @@ from .errors import ResourceLimitError, equal_rates, euler_step, finite, positiv
 from .params import QueueParams
 
 __all__ = [
+    "MAX_GRID_POINTS",
     "FluidPath",
     "fluid_limit",
     "zero_hitting_time",
@@ -30,8 +31,8 @@ __all__ = [
     "fluid_integrate",
 ]
 
-# Points of a sampled path: 80 MB per array, and 10^7 RK4 steps of Python
-_MAX_GRID_POINTS = 10**7
+# Points of a sampled path or of a psi density grid: 80 MB per array, and 10^7 RK4 steps of Python
+MAX_GRID_POINTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -96,11 +97,11 @@ def fluid_closed_form(params: QueueParams, x0: float, t) -> float | np.ndarray:
 
 
 def _time_grid(step: float, horizon: float) -> np.ndarray:
-    """The uniform grid 0, step, ..., horizon of a path, for a checked step; at most _MAX_GRID_POINTS points."""
+    """The uniform grid 0, step, ..., horizon of a path, for a checked step; at most MAX_GRID_POINTS points."""
     positive(horizon, "horizon")
-    if (horizon + 0.5 * step) / step > _MAX_GRID_POINTS:
+    if (horizon + 0.5 * step) / step > MAX_GRID_POINTS:
         raise ResourceLimitError(
-            f"a grid of step {step:g} up to horizon {horizon:g} would pass the cap of {_MAX_GRID_POINTS} points"
+            f"a grid of step {step:g} up to horizon {horizon:g} would pass the cap of {MAX_GRID_POINTS} points"
         )
     return np.arange(0.0, horizon + 0.5 * step, step)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import des, diffusion, poisson_ctmc
+from . import des, diffusion, fluid, poisson_ctmc
 from .errors import ConfigError, finite, finite_result, positive, time_window, whole_number
 from .numerics import FAMILIES, _on_box, canonical_family
 from .params import QueueParams
@@ -46,6 +46,8 @@ BUDGETS = {
 def _listed(value, name: str) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{name} must be a list, got {value!r}")
+    if not value:
+        raise ConfigError(f"{name} must not be empty")
     return tuple(value)
 
 
@@ -72,9 +74,9 @@ class ComparisonConfig:
     families: tuple[str, ...] = FAMILIES
     rate_pairs: tuple[tuple[float, float], ...] = ((1.0, 1.0), (1.0, 1.5), (1.0, 2.0))
     reneging_multipliers: tuple[float, ...] = (1.0, 0.1, 0.01)
-    replications: int = 50
-    warmup: float = 250.0
-    horizon: float = 1000.0
+    replications: int = BUDGETS["desk"]["replications"]
+    warmup: float = BUDGETS["desk"]["warmup"]
+    horizon: float = BUDGETS["desk"]["horizon"]
     histogram_bound: int = 1000
 
     def __post_init__(self):
@@ -86,7 +88,7 @@ class ComparisonConfig:
         }
         time_window(self.warmup, self.horizon, ConfigError)
         checked.update(warmup=float(self.warmup), horizon=float(self.horizon))
-        for name, ceiling in (("replications", des.MAX_REPLICATIONS), ("histogram_bound", math.inf)):
+        for name, ceiling in (("replications", des.MAX_REPLICATIONS), ("histogram_bound", des.MAX_HISTOGRAM_BOUND)):
             checked[name] = whole_number(getattr(self, name), name, 1, ConfigError, ceiling)
         for name, value in checked.items():
             object.__setattr__(self, name, value)
@@ -301,8 +303,7 @@ class DensityComparison:
 
 def heavy_traffic_density(family: str, alpha: float, beta: float, theta: float, gamma: float):
     """Stationary density of the constant-coefficient diffusion model."""
-    params = QueueParams.for_family(family, alpha, beta, theta, gamma)
-    return diffusion.tilted_psi_density(params.drift_offset, params.diffusion_coeff, theta, gamma)
+    return diffusion.model_one_density(QueueParams.for_family(family, alpha, beta, theta, gamma))
 
 
 def export_density_comparison(
@@ -355,7 +356,7 @@ def psi_density_grid(
     if not hi > lo:
         raise ConfigError(f"need hi > lo, got [{lo}, {hi}]")
     finite(hi - lo, "the grid width hi - lo", ConfigError)
-    count = whole_number(count, "grid point count", 2, ConfigError)
+    count = whole_number(count, "grid point count", 2, ConfigError, fluid.MAX_GRID_POINTS)
     x = np.linspace(lo, hi, count)
     return x, density.pdf(x)
 

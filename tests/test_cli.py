@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -16,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dequelab
-from dequelab import des
-from dequelab.cli import main
+from dequelab import des, fluid
+from dequelab.cli import _HANDLERS, main
 
 
 RATES = ["--alpha", "1", "--beta", "1", "--theta", "1", "--gamma", "1"]
@@ -203,7 +204,7 @@ def test_fluid_answers_or_fails_cleanly_at_extreme_inputs(rates, x0, step, horiz
 
 
 EXTREME_VALUES = EXTREME_RATES + ("0", "-1", "inf", "nan")
-# small point counts only: a valid grid's count is not capped
+# small point counts only: test_grid_point_count_is_capped takes the cap
 EXTREME_GRIDS = ("-3:3:5", "0:1:1", "nan:1:3", "-inf:1:3", "0:1e300:3", "-1e308:1e308:3", "1:0:3", "0:1:2.5",
                  "-5e-324:5e-324:3")
 
@@ -343,6 +344,39 @@ def test_fluid_grid_past_the_cap_is_a_resource_limit(capsys, mode, horizon):
                              "--x0", "-1", "--step", "0.01", "--horizon", horizon, *mode)
     assert_clean_failure(code, out, err, codes=(3,))
     assert f"step 0.01 up to horizon {float(horizon):g}" in err and "10000000 points" in err
+
+
+def test_grid_point_count_is_capped(capsys, monkeypatch):
+    # the density grid shares the fluid path's cap, read where the count is checked; a small cap stands in
+    monkeypatch.setattr(fluid, "MAX_GRID_POINTS", 100)
+    code, out, err = run_cli(capsys, "diffusion", "density", *RATES, "--grid", "0:1:101")
+    assert_clean_failure(code, out, err, codes=(2,))
+    assert "grid point count must be an integer in [2, 100]" in err
+    code, out, _ = run_cli(capsys, "diffusion", "density", *RATES, "--grid", "0:1:100")
+    assert code == 0 and len(out.splitlines()) == 101
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of every dequelab command in README's "Command line" block."""
+    block = README.read_text(encoding="utf-8").split("## Command line", 1)[1].split("```bash\n", 1)[1]
+    lines = block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("dequelab ")]
+
+
+def test_readme_shows_every_subcommand():
+    assert {argv[0] for argv in readme_commands()} == set(_HANDLERS)
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: "-".join(a for a in argv[:2] if a[0] != "-"))
+def test_readme_command_runs(capsys, monkeypatch, tmp_path, argv):
+    # run from the repository root, as the README's relative config path assumes, writing under tmp_path
+    monkeypatch.chdir(README.parent)
+    argv = [str(tmp_path / "out") if prev == "--out" else arg for prev, arg in zip([None, *argv], argv)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and out
 
 
 class TestFluid:

@@ -83,6 +83,18 @@ class TestScenario:
         for x0 in (des.MAX_START_STATE, -des.MAX_START_STATE):
             assert scenario(x0).initial_state == x0
 
+    def test_histogram_bound_is_capped(self):
+        # the estimate builds the states -B..B at once; past the cap the scenario fails before anything is built
+        def scenario(bound):
+            return Scenario.for_family("exponential", 1.0, 1.0, 1.0, 1.0, horizon=1.0, warmup=0.0,
+                                       replications=1, histogram_bound=bound)
+
+        for bound in (des.MAX_HISTOGRAM_BOUND + 1, 10**9):
+            with pytest.raises(DomainError, match=r"histogram_bound must be an integer in \[1, 1000000\]"):
+                scenario(bound)
+        result = estimate(scenario(des.MAX_HISTOGRAM_BOUND), 1)
+        assert result.bound == des.MAX_HISTOGRAM_BOUND and result.probs.sum() == pytest.approx(1.0)
+
     @pytest.mark.parametrize("field", ["initial_state", "replications", "histogram_bound"])
     def test_integer_fields_take_whole_numbers(self, field):
         whole = {"initial_state": 2, "replications": 2, "histogram_bound": 20}

@@ -10,9 +10,11 @@ from scipy import stats
 from scipy.integrate import quad
 
 from dequelab.diffusion import (
+    ModelMoments,
     PiecewiseOUParams,
     TimeVaryingDiffusion,
     model_one,
+    model_one_density,
     model_two,
     ou_closed_form_moments,
     psi_density,
@@ -90,6 +92,29 @@ def two_call_cell_masses(d, edges) -> np.ndarray:
         piece[across] = -np.expm1(np.logaddexp(tail[:-1], tail[1:])[across]) / np.exp(log_norm)
         masses[cells] += weight * piece
     return masses
+
+
+def masked_logpdf(d, x) -> np.ndarray:
+    """PsiDensity.logpdf as it stood with one masked pass a side into an empty array."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    for positive in (True, False):
+        sel = x >= 0.0 if positive else x < 0.0
+        if not np.any(sel):
+            continue
+        rate = d.theta if positive else d.gamma
+        mean, var = d.mu / rate, d.sigma**2 / (2.0 * rate)
+        with np.errstate(over="ignore"):
+            z = (x[sel] - mean) / math.sqrt(var)
+            out[sel] = (
+                d.log_c
+                - 0.5 * math.log(rate)
+                + d.kappa / rate
+                - 0.5 * z * z
+                - 0.5 * math.log(2.0 * math.pi)
+                - 0.5 * math.log(var)
+            )
+    return out
 
 
 def random_edges(rng, where: str) -> np.ndarray:
@@ -171,6 +196,31 @@ class TestPsiDensity:
             scalar = d.cdf(float(xs[7]))
             assert isinstance(scalar, float)
             assert scalar == pytest.approx(expected[7], rel=1e-13, abs=1e-15)
+
+    def test_logpdf_keeps_the_bits_of_a_masked_pass_a_side(self):
+        # each side's terms are picked point by point, in the order the masked passes added them
+        rng = np.random.default_rng(30)
+        special = [0.0, -0.0, math.inf, -math.inf, 1e200, -1e200, 1e-300, -1e-300, 5e-324, -5e-324, 1e308, -1e308]
+        for _ in range(1000):
+            mu, sigma = rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-2.0, 2.0)
+            theta, gamma = 10.0 ** rng.uniform(-3.0, 1.0, 2)
+            d = psi_density(rng.uniform(-3.0, 3.0), mu, sigma, theta, gamma)
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            x = np.concatenate((special, rng.normal(0.0, scale, 500)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = d.logpdf(x)
+            assert got.tobytes() == masked_logpdf(d, x).tobytes()
+            assert struct.pack("d", d.logpdf(float(x[-1]))) == masked_logpdf(d, x[-1:]).tobytes()
+
+    def test_nan_point_gives_nan(self):
+        # a NaN point takes the x >= 0 side like every other point, in pdf, logpdf and cdf alike
+        d = psi_density(0.0, 0.5, 1.0, 1.0, 2.0)
+        x = np.array([math.nan, 1.0, -math.nan, -1.0])
+        for values in (d.pdf(x), d.logpdf(x), d.cdf(x)):
+            assert np.isnan(values).tolist() == [True, False, True, False]
+        assert d.pdf(x)[[1, 3]].tolist() == [d.pdf(1.0), d.pdf(-1.0)]
+        assert math.isnan(d.pdf(math.nan)) and math.isnan(d.logpdf(math.nan)) and math.isnan(d.cdf(math.nan))
 
     def test_cell_masses_past_the_float_range_of_z_squared(self):
         # with sd 7e-151 both tails of a cell beyond 1e5 are -inf in log space; such a cell holds no mass
@@ -281,6 +331,16 @@ class TestPsiMoments:
 
 
 class TestModelOne:
+    @pytest.mark.parametrize("family", ["exponential", "uniform", "erlang", "hyperexponential"])
+    def test_moments_are_those_of_model_one_density(self, family):
+        # model one's law is built in one place; its moments are read from that law
+        for rates in [(1.0, 1.5, 0.1, 0.15), (2.0, 1.0, 0.2, 0.1), (1.0, 1.0, 1e-4, 1e-4), (1.0, 2.0, 0.01, 0.02)]:
+            params = QueueParams.for_family(family, *rates)
+            law = model_one_density(params)
+            assert law == tilted_psi_density(params.drift_offset, params.diffusion_coeff, *rates[2:])
+            got, expected = model_one(params), ModelMoments(law.mean(), law.second_moment())
+            assert struct.pack("2d", got.L1, got.L2) == struct.pack("2d", expected.L1, expected.L2)
+
     def test_bare_params_have_no_diffusion_coefficient(self):
         # no sigma default: the coefficient comes only from a family or explicit sds
         with pytest.raises(DomainError, match="for_family"):

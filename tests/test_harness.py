@@ -10,6 +10,7 @@ from dequelab.des import Scenario, estimate
 from dequelab.diffusion import model_one, model_two, psi_density
 from dequelab.errors import ConfigError, DomainError
 from dequelab.harness import (
+    BUDGETS,
     ComparisonConfig,
     array_rows,
     comparison_to_csv,
@@ -51,6 +52,17 @@ class TestConfig:
         assert cfg.replications == 400 and cfg.horizon == 4000.0
         cfg = ComparisonConfig.from_dict({"families": ["exp"], "budget": TINY_BUDGET})
         assert cfg.replications == 2
+
+    def test_defaults_are_the_desk_budget(self):
+        cfg = ComparisonConfig()
+        assert (cfg.replications, cfg.warmup, cfg.horizon) == tuple(BUDGETS["desk"].values())
+        assert ComparisonConfig(histogram_bound=des.MAX_HISTOGRAM_BOUND).histogram_bound == des.MAX_HISTOGRAM_BOUND
+
+    @pytest.mark.parametrize("axis", ["families", "rate_pairs", "reneging_multipliers"])
+    def test_empty_axis_is_rejected(self, axis):
+        # an empty axis gives no cell, so compare would write a header-only table
+        with pytest.raises(ConfigError, match=f"{axis} must not be empty"):
+            ComparisonConfig.from_dict({axis: []})
 
     def test_budget_override(self):
         cfg = ComparisonConfig.from_dict({"budget": "desk"}, budget_override="paper")
@@ -122,11 +134,13 @@ class TestConfig:
             ({"budget": {"replications": 2, "warmup": 0, "horizon": 10**400}}, "need 0 <= warmup < horizon"),
             ({"budget": {"replications": 10**400, "warmup": 0, "horizon": 50}},
              r"replications must be an integer in \[1, 1000000\]"),
+            ({"histogram_bound": 10**6 + 1}, r"histogram_bound must be an integer in \[1, 1000000\]"),
         ],
         ids=["rate-string", "multiplier-string", "warmup-string", "horizon-string", "rate-true",
              "multiplier-true", "replications-true", "warmup-false", "bound-true", "budget-extra-key",
              "families-string", "rate-pairs-flat", "multipliers-number", "rate-past-float-range",
-             "multiplier-past-float-range", "horizon-past-float-range", "replications-past-cap"],
+             "multiplier-past-float-range", "horizon-past-float-range", "replications-past-cap",
+             "bound-past-cap"],
     )
     def test_from_dict_takes_json_numbers_and_lists_only(self, raw, message):
         with pytest.raises(ConfigError, match=message):
