@@ -6,26 +6,31 @@ constant or a fluid-modulated diffusion coefficient.  Their stationary
 density glues two Gaussians at zero; this module evaluates that density and
 its moments, builds the two finite-system approximation models, provides the
 theta == gamma transient closed forms, and simulates paths by Euler-Maruyama
-for empirical validation.  PsiDensity's pdf, logpdf and cdf put a point on
-one side by one rule, x < 0 or not, so a NaN point gives NaN.
-model_one_density builds model one's law for model_one, the harness and the
-CLI.  stationary_samples holds the one Euler-Maruyama loop;
-simulate_sde_path is its one-path, no-warmup, unthinned case.  The transient
-forms are elementary, with no quadrature: fluid.discounted_source_integral
-gives the variance source term.
+for empirical validation.  PsiDensity is built from its five parameters and
+works out each side's Gaussian and half-line weight once.  Its pdf, logpdf
+and cdf put a point on one side by one rule, x < 0 or not, so a NaN point
+gives NaN, and cdf and cell_masses take every mass from one tail rule,
+_piece.  model_one_density builds model one's law for model_one, the harness
+and the CLI; model_two reads its centred law's second moment the same way.
+stationary_samples holds the one Euler-Maruyama loop, capped at
+fluid.MAX_GRID_POINTS grid points and kept states; simulate_sde_path is its
+one-path, no-warmup, unthinned case.  The transient forms are elementary,
+with no quadrature: fluid.discounted_source_integral gives the variance
+source term.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
-    DomainError, NumericalOverflowError, equal_rates, euler_step, finite, finite_result, non_negative, positive,
-    time_window, whole_number,
+    DomainError, NumericalOverflowError, ResourceLimitError, equal_rates, euler_step, finite, finite_result,
+    non_negative, positive, start_moments, time_window, whole_number,
 )
+from . import fluid
 from .fluid import FluidPath, discounted_source_integral, fluid_limit
 from .numerics import RandomStream, log_ndtr, normal_logcdf, normal_logsf, truncated_normal_moments
 from .params import QueueParams
@@ -52,14 +57,25 @@ __all__ = [
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
+def _piece(log_mass: float, tail_lo, tail_hi, across):
+    """A side's share of its half-line mass between two points, from the logs of its Gaussian's tails beyond them,
+    away from the mean: a difference of two tails, so a small piece keeps its relative precision, or, across the
+    mean, all but the two.  Both tails are -inf only past the float range of z^2, where a piece holds no mass; the
+    branch np.where drops may divide by 0 or overflow where a side's mass underflows."""
+    near, far = np.maximum(tail_lo, tail_hi), np.minimum(tail_lo, tail_hi)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        one_side = np.exp(near - log_mass) * -np.expm1(np.fmin(far - near, 0.0))
+        return np.where(across, -np.expm1(np.logaddexp(tail_lo, tail_hi)) / np.exp(log_mass), one_side)
+
+
 @dataclass(frozen=True)
 class PsiDensity:
-    """Two-sided glued-Gaussian stationary density of the asymmetric O-U process.
+    """Two-sided glued-Gaussian stationary density of the asymmetric O-U process, built from its five parameters.
 
-    On x >= 0 the density is proportional to exp(kappa/theta) phi(x; mu/theta,
-    sigma^2/2 theta) / sqrt(theta), and symmetrically with gamma on x < 0; C
-    normalizes, and d1/d2 are the resulting half-line weights (d1 + d2 = 1).
-    All exponents are combined in log space before exponentiation.
+    On x >= 0 the density is proportional to exp(kappa/theta) phi(x; mu/theta, sigma^2/2 theta) / sqrt(theta), and
+    symmetrically with gamma on x < 0; C normalizes, and d1/d2 are the resulting half-line weights (d1 + d2 = 1).
+    All exponents are combined in log space before exponentiation.  The constructor derives log C, d1, d2 and each
+    side's Gaussian once, and raises DomainError where a side's Gaussian or log weight leaves the float range.
     """
 
     kappa: float
@@ -67,25 +83,41 @@ class PsiDensity:
     sigma: float
     theta: float
     gamma: float
-    log_c: float
-    d1: float
-    d2: float
+    log_c: float = field(init=False)
+    d1: float = field(init=False)
+    d2: float = field(init=False)
+    # (mean, variance, sd, log of the half line's mass) of the sides x >= 0 and x < 0, in the order of d1 and d2
+    _sides: tuple = field(init=False, repr=False, compare=False)
 
-    def _branch(self, positive: bool) -> tuple[float, float]:
-        """(mean, variance) of the Gaussian on the requested side."""
-        rate = self.theta if positive else self.gamma
-        return self.mu / rate, self.sigma**2 / (2.0 * rate)
+    def __post_init__(self):
+        finite(self.kappa, "kappa")
+        finite(self.mu, "mu")
+        for name in ("sigma", "theta", "gamma"):
+            positive(getattr(self, name), name)
+        sigma_sq = finite_result(lambda: self.sigma**2, f"sigma^2 at sigma = {self.sigma}")
+        sides, log_weights = [], []
+        for rate, log_mass_of, where in ((self.theta, normal_logsf, "x >= 0"), (self.gamma, normal_logcdf, "x < 0")):
+            mean, var = self.mu / rate, sigma_sq / (2.0 * rate)
+            log_mass = log_mass_of(0.0, mean, var)
+            sides.append((mean, var, math.sqrt(var), log_mass))
+            log_weights.append(finite_result(
+                lambda: -0.5 * math.log(rate) + self.kappa / rate + log_mass, f"the log weight of the half line {where}"
+            ))
+        log_norm = np.logaddexp(*log_weights)
+        derived = (-float(log_norm), *(float(math.exp(lw - log_norm)) for lw in log_weights), tuple(sides))
+        for name, value in zip(("log_c", "d1", "d2", "_sides"), derived):
+            object.__setattr__(self, name, value)
 
     def logpdf(self, x):
         # each side's terms picked point by point, as in cdf, and added in a fixed order, which the pinned outputs
         # hold; a NaN point takes the x >= 0 side and gives NaN
         x = np.asarray(x, dtype=float)
         neg = x < 0.0
-        (m1, v1), (m2, v2) = self._branch(positive=True), self._branch(positive=False)
+        (m1, v1, sd1, _), (m2, v2, sd2, _) = self._sides
         head1, head2 = (self.log_c - 0.5 * math.log(rate) + self.kappa / rate for rate in (self.theta, self.gamma))
         # z and z * z overflow to inf only where the density underflows to 0
         with np.errstate(over="ignore"):
-            z = (x - np.where(neg, m2, m1)) / np.where(neg, math.sqrt(v2), math.sqrt(v1))
+            z = (x - np.where(neg, m2, m1)) / np.where(neg, sd2, sd1)
             half_log_var = np.where(neg, 0.5 * math.log(v2), 0.5 * math.log(v1))
             return np.where(neg, head2, head1) - 0.5 * z * z - _LOG_SQRT_2PI - half_log_var
 
@@ -94,29 +126,34 @@ class PsiDensity:
         return float(out) if np.ndim(x) == 0 else out
 
     def cdf(self, x):
+        """d2 times side 2's piece (-inf, x] below 0, and d2 plus d1 times side 1's piece [0, x] from 0 on, each by
+        _piece's rule, so the cdf keeps its relative precision near 0; clipped to [0, 1]."""
         x_arr = np.asarray(x, dtype=float)
         neg = x_arr < 0.0
-        # each side is its Gaussian's lower (upper) tail renormalized to the half line:
-        # x < 0 gives d2 Phi((x - m2)/sd2) / Phi(-m2/sd2), x >= 0 gives
-        # 1 - d1 Phi((m1 - x)/sd1) / Phi(m1/sd1), both from one log_ndtr call
-        m1, v1 = self._branch(positive=True)
-        m2, v2 = self._branch(positive=False)
-        sd1, sd2 = math.sqrt(v1), math.sqrt(v2)
-        log_tail = log_ndtr((x_arr - np.where(neg, m2, m1)) / np.where(neg, sd2, -sd1))
-        log_norm = np.where(neg, normal_logcdf(-m2 / sd2), normal_logcdf(m1 / sd1))
-        out = np.where(neg, 0.0, 1.0) + np.where(neg, self.d2, -self.d1) * np.exp(log_tail - log_norm)
+        (m1, _, sd1, log_mass1), (m2, _, sd2, log_mass2) = self._sides
+        # one log_ndtr pass over the points, each tail away from its side's mean
+        z = (x_arr - np.where(neg, m2, m1)) / np.where(neg, sd2, sd1)
+        tail = log_ndtr(-np.abs(z))
+        # side 1's tail beyond 0, one scalar.  With the mean above 0 it is the lower tail, by the rule every point's
+        # tail follows.  With the mean at or below 0 it is the half-line mass itself, one number as tail and as
+        # norm, so a piece out to +inf is 1.  A point whose z is that of 0 reads it, so a point at 0 gives an empty
+        # piece and cdf(0) is d2
+        z0 = -m1 / sd1
+        tail0 = float(log_ndtr(z0)) if z0 < 0.0 else log_mass1
+        tail1 = np.where(z == z0, tail0, tail)
+        # side 2's piece is at most its whole half line, so the cdf does not step down into 0
+        piece = np.where(neg, np.minimum(_piece(log_mass2, -math.inf, tail, z > 0.0), 1.0),
+                         _piece(log_mass1, tail0, tail1, (z0 < 0.0) & (z > 0.0)))
+        out = np.clip(np.where(neg, 0.0, self.d2) + np.where(neg, self.d2, self.d1) * piece, 0.0, 1.0)
         return float(out) if np.ndim(x) == 0 else out
 
     def cell_masses(self, edges: np.ndarray) -> np.ndarray:
         """The masses of the cells (edges[k], edges[k + 1]], for increasing edges.
 
-        A side's piece of a cell is a difference of two tails of that side's Gaussian, in log space: the lower
-        tails for a piece below the Gaussian's mean and the upper tails above it, so a small mass keeps its
-        relative precision where a difference of two cdf values near 1 would not.  A piece across the mean is all
-        but its two outer tails, and the cell that straddles 0 adds one piece from each side.  The total is
-        checked against the cdf's mass between the end edges, to 1e-9: a piece from the wrong tail or side would
-        miss it, and raises NumericalOverflowError.  Edges may be equal and the end edges infinite; a NaN edge,
-        or one below the edge before it, raises DomainError before anything is evaluated.
+        A side's piece of a cell follows _piece's rule, and the cell that straddles 0 adds one piece from each
+        side.  The total is checked against the cdf's mass between the end edges, to 1e-9: a piece from the wrong
+        tail or side would miss it, and raises NumericalOverflowError.  Edges may be equal and the end edges
+        infinite; a NaN edge, or one below the edge before it, raises DomainError before anything is evaluated.
         """
         edges = np.asarray(edges, dtype=float)
         if edges.ndim != 1 or edges.size == 0 or np.isnan(edges).any() or np.any(edges[1:] < edges[:-1]):
@@ -125,74 +162,38 @@ class PsiDensity:
         # the cells before neg reach below 0, those from pos on above it; each side reads only its own edges
         neg = min(int(np.searchsorted(edges, 0.0)), masses.size)
         pos = max(int(np.searchsorted(edges, 0.0, "right")) - 1, 0)
-        sides = []
-        for cells, x, positive, weight in (
-            (slice(0, neg), np.minimum(edges[:neg + 1], 0.0), False, self.d2),
-            (slice(pos, None), np.maximum(edges[pos:], 0.0), True, self.d1),
-        ):
-            mean, var = self._branch(positive)
-            sd = math.sqrt(var)
-            sides.append((cells, (x - mean) / sd, mean / sd if positive else -mean / sd, weight))
-        # at each edge the log of its side's Gaussian tail beyond it, away from the mean: the smaller tail.  One
-        # log_ndtr call serves both sides' edges: it works element by element, and a call costs about the same
+        (m1, _, sd1, log_mass1), (m2, _, sd2, log_mass2) = self._sides
+        z_below = (np.minimum(edges[:neg + 1], 0.0) - m2) / sd2
+        z_above = (np.maximum(edges[pos:], 0.0) - m1) / sd1
+        # one log_ndtr call serves both sides' edges: it works element by element, and a call costs about the same
         # at any size up to a few hundred points
-        z_below = sides[0][1]
-        tails = np.split(log_ndtr(-np.abs(np.concatenate([z_below, sides[1][1]]))), [z_below.size])
-        for (cells, z, norm_z, weight), tail in zip(sides, tails):
-            near, far = np.maximum(tail[:-1], tail[1:]), np.minimum(tail[:-1], tail[1:])
-            log_norm = normal_logcdf(norm_z)
-            # both tails are -inf only past the float range of z^2, where a piece holds no mass
-            with np.errstate(invalid="ignore"):
-                piece = np.exp(near - log_norm) * -np.expm1(np.fmin(far - near, 0.0))
-            # a piece across the mean holds all but the tails beyond its two edges
-            across = (z[:-1] < 0.0) & (z[1:] > 0.0)
-            piece[across] = -np.expm1(np.logaddexp(tail[:-1], tail[1:])[across]) / np.exp(log_norm)
-            masses[cells] += weight * piece
+        tails = np.split(log_ndtr(-np.abs(np.concatenate([z_below, z_above]))), [z_below.size])
+        for cells, z, tail, log_mass, weight in (
+            (slice(0, neg), z_below, tails[0], log_mass2, self.d2),
+            (slice(pos, None), z_above, tails[1], log_mass1, self.d1),
+        ):
+            masses[cells] += weight * _piece(log_mass, tail[:-1], tail[1:], (z[:-1] < 0.0) & (z[1:] > 0.0))
         below, above = self.cdf(edges[[0, -1]])
         if not abs(float(masses.sum()) - (above - below)) <= 1e-9:
             raise NumericalOverflowError(f"cell masses add up to {masses.sum()!r}, the cdf gives {above - below!r}")
         return masses
 
+    def _moments(self) -> tuple[float, float]:
+        """The mean and the second moment, from one truncated_normal_moments call a side."""
+        (m1, v1, _, _), (m2, v2, _, _) = self._sides
+        (e1, s1), (e2, s2) = truncated_normal_moments(m1, v1, "positive"), truncated_normal_moments(m2, v2, "negative")
+        return self.d1 * e1 + self.d2 * e2, self.d1 * s1 + self.d2 * s2
+
     def mean(self) -> float:
-        e1, _ = truncated_normal_moments(*self._branch(True), "positive")
-        e2, _ = truncated_normal_moments(*self._branch(False), "negative")
-        return self.d1 * e1 + self.d2 * e2
+        return self._moments()[0]
 
     def second_moment(self) -> float:
-        _, s1 = truncated_normal_moments(*self._branch(True), "positive")
-        _, s2 = truncated_normal_moments(*self._branch(False), "negative")
-        return self.d1 * s1 + self.d2 * s2
+        return self._moments()[1]
 
 
 def psi_density(kappa: float, mu: float, sigma: float, theta: float, gamma: float) -> PsiDensity:
-    """Construct the glued-Gaussian density with the given exponent tilt kappa.
-
-    Raises DomainError where a side's Gaussian or log weight leaves the float range.
-    """
-    finite(kappa, "kappa")
-    finite(mu, "mu")
-    for name, value in (("sigma", sigma), ("theta", theta), ("gamma", gamma)):
-        positive(value, name)
-    sigma_sq = finite_result(lambda: sigma**2, f"sigma^2 at sigma = {sigma}")
-    lw1 = finite_result(
-        lambda: -0.5 * math.log(theta) + kappa / theta + normal_logsf(0.0, mu / theta, sigma_sq / (2.0 * theta)),
-        "the log weight of the half line x >= 0",
-    )
-    lw2 = finite_result(
-        lambda: -0.5 * math.log(gamma) + kappa / gamma + normal_logcdf(0.0, mu / gamma, sigma_sq / (2.0 * gamma)),
-        "the log weight of the half line x < 0",
-    )
-    log_norm = np.logaddexp(lw1, lw2)
-    return PsiDensity(
-        kappa=kappa,
-        mu=mu,
-        sigma=sigma,
-        theta=theta,
-        gamma=gamma,
-        log_c=-float(log_norm),
-        d1=float(math.exp(lw1 - log_norm)),
-        d2=float(math.exp(lw2 - log_norm)),
-    )
+    """The glued-Gaussian density with the given exponent tilt kappa, as PsiDensity builds it."""
+    return PsiDensity(kappa, mu, sigma, theta, gamma)
 
 
 def tilted_psi_density(mu: float, sigma: float, theta: float, gamma: float) -> PsiDensity:
@@ -297,8 +298,9 @@ def model_two(params: QueueParams) -> ModelMoments:
     """Fluid-centered approximation with coefficient b = sqrt(a^2 + |alpha-beta|): L1 is the fluid fixed
     point, L2 its square plus the centered diffusion's stationary second moment."""
     level = finite_result(lambda: fluid_limit(params), "the fluid fixed point")
-    mom = psi_moments(0.0, params.heavy_traffic_coeff, params.theta, params.gamma)
-    return ModelMoments(L1=level, L2=finite_result(lambda: level**2 + mom.ev2, "the model-two second moment"))
+    law = tilted_psi_density(0.0, params.heavy_traffic_coeff, params.theta, params.gamma)
+    centred = finite(law.second_moment(), "the psi second moment")
+    return ModelMoments(L1=level, L2=finite_result(lambda: level**2 + centred, "the model-two second moment"))
 
 
 @dataclass(frozen=True)
@@ -328,8 +330,8 @@ def ou_closed_form_moments(
     """
     # checked before a_sq is read, which raises DomainError when sigma is unset
     equal_rates(params.theta, params.gamma, "the closed-form O-U moments")
-    for name, value in (("z0_mean", z0_mean), ("z0_second", z0_second), ("c", c)):
-        finite(value, name)
+    start_moments(z0_mean, z0_second, "z0_mean", "z0_second")
+    finite(c, "c")
     theta = params.theta
     a_sq = params.diffusion_coeff_sq
     t_arr = np.asarray(t, dtype=float)
@@ -388,18 +390,27 @@ def stationary_samples(
     the paths are advanced together (vectorized across paths).  Every
     thin-th state from step ceil(warmup/step) on is kept, each written into
     one (kept, n_paths) array, so memory stays bounded by the retained
-    samples.  A run that would keep no state raises DomainError.
+    samples.  A run that would keep no state raises DomainError; one whose
+    grid 0, step, ..., horizon or whose kept states would pass
+    fluid.MAX_GRID_POINTS raises ResourceLimitError before anything of
+    that size is built.
     """
     euler_step(step, ou.theta, ou.gamma)
     time_window(warmup, horizon)
     finite(x0, "x0")
     n_paths = whole_number(n_paths, "n_paths", 1)
     thin = whole_number(thin, "thin", 1)
-    n_steps = int(round(horizon / step))
+    cap = fluid.MAX_GRID_POINTS
+    # a step count at the cap fails it, so a horizon/step past the float range is never rounded
+    n_steps = int(round(min(horizon / step, cap)))
+    if n_steps + 1 > cap:
+        raise ResourceLimitError(f"a grid of step {step:g} up to horizon {horizon:g} would pass the cap {cap}")
     # with no warmup the first kept state is the thin-th, since state 0 is x0
     kept_steps = range(int(math.ceil(warmup / step)) or thin, n_steps + 1, thin)
     if not kept_steps:
         raise DomainError(f"no state kept: {n_steps} steps of {step} end before step {kept_steps.start}")
+    if len(kept_steps) * n_paths > cap:
+        raise ResourceLimitError(f"{len(kept_steps)} states kept on each of {n_paths} paths would pass the cap {cap}")
     t_grid = step * np.arange(n_steps + 1)
     # frozen at the left endpoint of every step
     coeff = ou.diffusion_at(t_grid[:-1])

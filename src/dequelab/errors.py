@@ -121,6 +121,17 @@ def time_window(warmup, horizon, error: type[DequeLabError] = DomainError) -> No
         raise error(f"need 0 <= warmup < horizon < inf, got {warmup!r}, {horizon!r}")
 
 
+def start_moments(mean, second, mean_name: str, second_name: str) -> None:
+    """Checks that mean and second can be a start law's first two moments: mean finite, second finite and >= 0,
+    and second >= mean^2, short of it by at most 1e-9 relative, the roundoff when both come from a pmf."""
+    finite(mean, mean_name)
+    non_negative(second, second_name)
+    if second < mean * mean * (1.0 - 1e-9):
+        raise DomainError(
+            f"{second_name} = {second!r} lies below {mean_name}**2 = {mean * mean!r} ({mean_name} = {mean!r})"
+        )
+
+
 def times(t, name: str = "t") -> np.ndarray:
     """t as a float array (0-d for a scalar) when every time in it is finite and >= 0.
 

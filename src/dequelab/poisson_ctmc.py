@@ -27,6 +27,7 @@ from .errors import (
     TruncationError,
     non_negative,
     positive,
+    start_moments,
     times,
     whole_number,
 )
@@ -471,10 +472,7 @@ def second_moment_lower_bound(params: QueueParams, m0: float, s0: float, t) -> f
     ((alpha-beta)/theta)^2 + max(alpha, beta)/theta.  m(t) is the fluid path
     from m0, and the source is alpha + beta + 2 (alpha-beta) m + theta |m|.
     """
-    non_negative(s0, "initial second moment s0")
-    # no law has s0 < m0^2; the allowance covers roundoff when both come from a pmf
-    if s0 < m0 * m0 * (1.0 - 1e-9):
-        raise DomainError(f"initial second moment s0={s0} lies below m0**2 = {m0 * m0} (m0={m0})")
+    start_moments(m0, s0, "m0", "initial second moment s0")
     source = discounted_source_integral(
         params, m0, t, params.alpha + params.beta, 2.0 * (params.alpha - params.beta)
     )

@@ -2,16 +2,20 @@ import math
 import struct
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from dequelab.diffusion import (
     ModelMoments,
     PiecewiseOUParams,
+    PsiDensity,
     TimeVaryingDiffusion,
     model_one,
     model_one_density,
@@ -23,10 +27,12 @@ from dequelab.diffusion import (
     stationary_samples,
     tilted_psi_density,
 )
-from dequelab.errors import DomainError, UnsupportedCaseError
+from dequelab.errors import DomainError, ResourceLimitError, UnsupportedCaseError
 from dequelab.fluid import fluid_closed_form_path, fluid_limit, zero_hitting_time
-from dequelab import diffusion
-from dequelab.numerics import RandomStream, log_ndtr, normal_logcdf, normal_logsf
+from dequelab import diffusion, fluid
+from dequelab.numerics import (
+    FAMILIES, RandomStream, log_ndtr, normal_logcdf, normal_logsf, truncated_normal_moments,
+)
 from dequelab.params import QueueParams
 from test_numerics import normal_pdf
 
@@ -296,6 +302,161 @@ class TestPsiDensity:
         assert m.ev == pytest.approx(900.0 / 0.01, rel=1e-12)
 
 
+def old_psi(kappa, mu, sigma, theta, gamma) -> SimpleNamespace:
+    """A law as psi_density built it before PsiDensity derived its own weights: the log weights from normal_logsf
+    and normal_logcdf at 0, the moments from one (mean, variance) pair a side, and cdf as 1 - d1 S(x) from 0 on."""
+    sigma_sq = sigma**2
+    lw1 = -0.5 * math.log(theta) + kappa / theta + normal_logsf(0.0, mu / theta, sigma_sq / (2.0 * theta))
+    lw2 = -0.5 * math.log(gamma) + kappa / gamma + normal_logcdf(0.0, mu / gamma, sigma_sq / (2.0 * gamma))
+    log_norm = np.logaddexp(lw1, lw2)
+    d1, d2 = float(math.exp(lw1 - log_norm)), float(math.exp(lw2 - log_norm))
+    (m1, v1), (m2, v2) = (mu / theta, sigma**2 / (2.0 * theta)), (mu / gamma, sigma**2 / (2.0 * gamma))
+    (e1, s1), (e2, s2) = truncated_normal_moments(m1, v1, "positive"), truncated_normal_moments(m2, v2, "negative")
+
+    def cdf(x):
+        x_arr = np.asarray(x, dtype=float)
+        neg = x_arr < 0.0
+        sd1, sd2 = math.sqrt(v1), math.sqrt(v2)
+        log_tail = log_ndtr((x_arr - np.where(neg, m2, m1)) / np.where(neg, sd2, -sd1))
+        log_norm = np.where(neg, normal_logcdf(-m2 / sd2), normal_logcdf(m1 / sd1))
+        return np.where(neg, 0.0, 1.0) + np.where(neg, d2, -d1) * np.exp(log_tail - log_norm)
+
+    return SimpleNamespace(log_c=-float(log_norm), d1=d1, d2=d2, mean=d1 * e1 + d2 * e2,
+                           second_moment=d1 * s1 + d2 * s2, cdf=cdf)
+
+
+def mp_cdf(d, x: float) -> float:
+    """d's cdf at x in mpmath, as the mass of the cell (-inf, x]."""
+    return float(mp_cell_masses(d, [-math.inf, x])[0])
+
+
+def family_law(family, alpha, beta, theta, gamma, model) -> PsiDensity:
+    """The law model one or model two builds for a queue of the given family and rates."""
+    params = QueueParams.for_family(family, alpha, beta, theta, gamma)
+    if model == "one":
+        return model_one_density(params)
+    return tilted_psi_density(0.0, params.heavy_traffic_coeff, theta, gamma)
+
+
+def side_grids(d) -> list[np.ndarray]:
+    """A uniform grid of an even number of steps over each side's mass, below 0 and above it, 40 steps to the
+    scale of that side's truncated Gaussian: mean +- 10 sd when the mean lies on the side, else from 0 out 12 times
+    sd/|z0|, over which the Gaussian falls off past its mean's far side."""
+    grids = []
+    for rate, sign in ((d.gamma, -1.0), (d.theta, 1.0)):
+        mean, sd = d.mu / rate, d.sigma / math.sqrt(2.0 * rate)
+        if sign * mean > 0.0:
+            ends = sorted(sign * max(0.0, sign * mean + k * 10.0 * sd) for k in (-1.0, 1.0))
+            scale = sd
+        else:
+            scale = sd / max(1.0, abs(mean) / sd)
+            ends = sorted((0.0, sign * 12.0 * scale))
+        steps = 2 * math.ceil(20.0 * (ends[1] - ends[0]) / scale)
+        grids.append(np.linspace(ends[0], ends[1], steps + 1))
+    return grids
+
+
+class TestPsiConstruction:
+    def test_weights_are_derived_from_the_five_parameters(self):
+        law = PsiDensity(0.3, -0.7, 1.1, 0.4, 1.7)
+        same = psi_density(0.3, -0.7, 1.1, 0.4, 1.7)
+        assert law == same and hash(law) == hash(same)
+        assert law.d1 + law.d2 == pytest.approx(1.0, abs=1e-15) and math.isfinite(law.log_c)
+        assert "_sides" not in repr(law) and "d2=" in repr(law)
+        with pytest.raises(TypeError):
+            PsiDensity(0.3, -0.7, 1.1, 0.4, 1.7, log_c=0.0, d1=0.5, d2=0.5)
+
+    def test_construction_keeps_the_bits_of_the_old_formulas(self):
+        # weights and moments keep their bits; cdf moves by about an ulp of 1 on the tilted family, except at 0,
+        # where 1 - d1 S(0) cancels two log tails of size z0^2/2 and cdf reads d2
+        rng = np.random.default_rng(31)
+        for k in range(1000):
+            mu, sigma = rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-3.0, 2.0)
+            theta, gamma = 10.0 ** rng.uniform(-5.0, 1.0, 2)
+            tilted = k % 2 == 0
+            kappa = mu * mu / sigma**2 if tilted else rng.uniform(-3.0, 3.0)
+            new, old = psi_density(kappa, mu, sigma, theta, gamma), old_psi(kappa, mu, sigma, theta, gamma)
+            got = (new.log_c, new.d1, new.d2, new.mean(), new.second_moment())
+            assert struct.pack("5d", *got) == struct.pack("5d", old.log_c, old.d1, old.d2, old.mean, old.second_moment)
+            if tilted:
+                # 100 points about each side's mean, in units of its sd
+                sides = [(mu / rate, sigma / math.sqrt(2.0 * rate)) for rate in (theta, gamma)]
+                x = np.concatenate([[-math.inf, math.inf]] + [m + sd * rng.standard_normal(100) for m, sd in sides])
+                assert np.all(np.abs(new.cdf(x) - old.cdf(x)) <= 1e-14)
+                z0 = sides[0][0] / sides[0][1]
+                assert new.cdf(0.0) == new.d2
+                assert abs(old.cdf(0.0) - new.d2) <= 1e-14 + 4.0 * np.finfo(float).eps * new.d1 * (1.0 + z0 * z0)
+
+
+class TestPsiProperties:
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(
+        family=st.sampled_from(FAMILIES),
+        alpha=st.floats(-1.0, 1.0).map(lambda e: 10.0**e),
+        beta=st.floats(-1.0, 1.0).map(lambda e: 10.0**e),
+        theta=st.floats(-4.0, 1.0).map(lambda e: 10.0**e),
+        gamma=st.floats(-4.0, 1.0).map(lambda e: 10.0**e),
+        model=st.sampled_from(["one", "two"]),
+    )
+    def test_cdf_cells_and_pdf_agree(self, family, alpha, beta, theta, gamma, model):
+        d = family_law(family, alpha, beta, theta, gamma, model)
+        below, above = side_grids(d)
+        x = np.concatenate(([-math.inf], below, above, [math.inf]))
+        cdf = d.cdf(x)
+        assert np.all((0.0 <= cdf) & (cdf <= 1.0)) and np.all(np.diff(cdf) >= 0.0)
+        assert d.cdf(0.0) == d.d2
+        masses = d.cell_masses(np.unique(x))
+        assert np.all(masses >= 0.0) and abs(masses.sum() - 1.0) <= 1e-9
+        # Simpson's rule on each side's grid, two steps a block, against the cdf's differences
+        for grid in (below, above):
+            pdf, h = d.pdf(grid), grid[1] - grid[0]
+            simpson = h / 3.0 * (pdf[:-2:2] + 4.0 * pdf[1::2] + pdf[2::2])
+            assert np.abs(simpson - np.diff(d.cdf(grid[::2]))).max() <= 1e-9
+
+
+    def test_cdf_does_not_step_down_into_zero(self):
+        # side 2's piece rounds above 1 just below 0, where the cdf meets d2
+        d = tilted_psi_density(-0.5994244671357976, 1.2271004399171532, 0.07485160073995867, 0.17654129981338398)
+        below, at = d.cdf(np.array([-5e-324, 0.0]))
+        assert below <= at == d.d2
+
+
+class TestPsiCdfAgainstMpmath:
+    """cdf against mpmath at 60 digits.  Off the tilted family a side's log tails can be of size 1e5, and a mass
+    taken as the difference of two of them carries about eps z^2 relative error, in cdf and cell_masses alike
+    (ROADMAP 4(d), open); there cdf is asked only to be no further from mpmath than the old 1 - d1 S(x)."""
+
+    @pytest.mark.parametrize("x", [0.0, 1e-9, 0.5, -1e-9, 5.0])
+    def test_tilted_law_keeps_relative_precision_near_zero(self, x):
+        # a point near 0 holds little mass, and a difference of two cdf values near 1 would lose it
+        d = tilted_psi_density(2.0, 1.0, 0.1, 0.1)
+        exact = mp_cdf(d, x)
+        assert abs(d.cdf(x) - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("x", [0.0, 0.05, 0.2, 1.0, 10.0])
+    def test_far_tails_law_no_further_from_mpmath_than_the_old_formula(self, x):
+        # side 1's log tails are of size 1e5 here, and the cdf at 0 is 0
+        args = (3.6581513700472703, -0.4640493446611048, 0.3977009161608739, 1.2878363135296946e-05,
+                0.0005471796912329708)
+        d, old = psi_density(*args), old_psi(*args)
+        exact = mp_cdf(d, x)
+        assert abs(d.cdf(x) - exact) <= abs(float(old.cdf(x)) - exact)
+
+    @pytest.mark.parametrize(
+        "args", [(0.3, -0.7, 1.1, 0.4, 1.7), (-2.0, 1.5, 0.8, 0.05, 2.0), (40.0, -3.0, 0.5, 0.01, 0.02)],
+        ids=["mild", "negative-kappa", "large-kappa"],
+    )
+    def test_off_family_law_no_further_from_mpmath_than_the_old_formula(self, args):
+        # from 0 on the cdf is d2 plus a piece, so it carries d2's own rounding, of a few ulps of 1 where d2 is
+        # near 1, which 1 - d1 S(x) avoids; past that, the two may differ by the rounding of their last step
+        d, old = psi_density(*args), old_psi(*args)
+        d2_error = abs(d.d2 - mp_cdf(d, 0.0))
+        for x in (-1.0, -0.05, 0.0, 0.05, 0.2, 1.0, 10.0):
+            exact = mp_cdf(d, x)
+            allowed = abs(float(old.cdf(x)) - exact) + (d2_error if x >= 0.0 else 0.0) + 2.0 * math.ulp(exact)
+            assert abs(d.cdf(x) - exact) <= allowed, x
+
+
 class TestPsiMoments:
     def test_equal_rates_closed_form(self):
         m = psi_moments(0.0, math.sqrt(2.0), 1.0, 1.0)
@@ -447,6 +608,15 @@ class TestOUClosedFormMoments:
         params = QueueParams(1, 1, 0.3, 0.4)
         with pytest.raises(UnsupportedCaseError):
             ou_closed_form_moments(params, 0.0, 0.0, 0.0, 1.0)
+
+    def test_negative_start_second_moment_rejected(self):
+        # no law has a negative second moment
+        with pytest.raises(DomainError, match="z0_second must be finite and >= 0, got -5.0"):
+            ou_closed_form_moments(self._unit_params(), 0.0, -5.0, -0.5, [0.0, 1.0])
+
+    def test_start_second_moment_below_squared_mean_rejected(self):
+        with pytest.raises(DomainError, match=r"z0_second = 1.0 lies below z0_mean\*\*2 = 9.0 \(z0_mean = 3.0\)"):
+            ou_closed_form_moments(self._unit_params(), 3.0, 1.0, 0.0, 1.0)
 
     @pytest.mark.parametrize(
         "changes",
@@ -637,3 +807,33 @@ class TestSDESimulation:
         ou = PiecewiseOUParams(theta=1.0, gamma=1.0, drift_offset=0.0, diffusion=1.0)
         with pytest.raises(DomainError):
             simulate_sde_path(ou, x0, 0.01, horizon, RandomStream(0, 0))
+
+    @pytest.mark.parametrize("cap", [12, 11])
+    def test_grid_point_count_is_capped(self, monkeypatch, cap):
+        # 11 steps make a grid of 12 points, which shares the fluid path's cap; a small cap stands in
+        monkeypatch.setattr(fluid, "MAX_GRID_POINTS", cap)
+        ou = PiecewiseOUParams(theta=1.0, gamma=1.0, drift_offset=0.0, diffusion=1.0)
+        if cap == 12:
+            assert stationary_samples(ou, 0.0, 0.01, 0.11, 0.0, RandomStream(0, 0)).size == 11
+        else:
+            with pytest.raises(ResourceLimitError, match="cap 11"):
+                stationary_samples(ou, 0.0, 0.01, 0.11, 0.0, RandomStream(0, 0))
+
+    @pytest.mark.parametrize("cap", [110, 109])
+    def test_kept_state_count_is_capped(self, monkeypatch, cap):
+        # 11 kept rows of 10 paths: at the cap the run goes ahead, one state past it fails
+        monkeypatch.setattr(fluid, "MAX_GRID_POINTS", cap)
+        ou = PiecewiseOUParams(theta=1.0, gamma=1.0, drift_offset=0.0, diffusion=1.0)
+        if cap == 110:
+            assert stationary_samples(ou, 0.0, 0.01, 0.11, 0.0, RandomStream(0, 0), n_paths=10).size == 110
+        else:
+            with pytest.raises(ResourceLimitError, match="11 states kept on each of 10 paths"):
+                stationary_samples(ou, 0.0, 0.01, 0.11, 0.0, RandomStream(0, 0), n_paths=10)
+
+    @pytest.mark.parametrize("step, horizon, n_paths", [(1e-9, 1e3, 1), (0.01, 1.0, 10**12), (1e-10, 1e300, 1)],
+                             ids=["fine-grid", "many-paths", "steps-past-the-float-range"])
+    def test_oversized_run_fails_before_it_allocates(self, step, horizon, n_paths):
+        # a 10^12-point grid, 10^12 paths, and a step count past the float range, none of which may be allocated
+        ou = PiecewiseOUParams(theta=1.0, gamma=1.0, drift_offset=0.0, diffusion=1.0)
+        with pytest.raises(ResourceLimitError):
+            stationary_samples(ou, 0.0, step, horizon, 0.0, RandomStream(0, 0), n_paths=n_paths)

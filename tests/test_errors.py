@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dequelab.errors import DomainError, finite, non_negative, positive, time_window
+from dequelab.errors import DomainError, finite, non_negative, positive, start_moments, time_window
 
 _TRUTH_VALUES = (bool, np.bool_)
 
@@ -75,3 +75,24 @@ def test_time_window_keeps_its_verdicts():
 )
 def test_time_window_compares_a_float32_as_a_float(warmup, horizon, verdict):
     assert accepts(time_window, warmup, horizon) == verdict
+
+
+@pytest.mark.parametrize("mean, second", [(0.0, 0.0), (3.0, 9.0), (-3.0, 9.0 * (1.0 - 1e-14)), (0.5, 2.0)])
+def test_start_moments_take_a_law_and_roundoff(mean, second):
+    start_moments(mean, second, "m", "s")
+
+
+@pytest.mark.parametrize(
+    "mean, second, message",
+    [
+        (math.nan, 1.0, "m must be finite"),
+        (0.0, math.inf, "s must be finite and >= 0"),
+        (0.0, -5.0, "s must be finite and >= 0"),
+        (3.0, 1.0, r"s = 1.0 lies below m\*\*2 = 9.0 \(m = 3.0\)"),
+        (-3.0, 9.0 * (1.0 - 1e-6), r"lies below m\*\*2"),
+    ],
+    ids=["mean-nan", "second-inf", "second-negative", "below-squared-mean", "just-below"],
+)
+def test_start_moments_reject_what_no_law_has(mean, second, message):
+    with pytest.raises(DomainError, match=message):
+        start_moments(mean, second, "m", "s")
