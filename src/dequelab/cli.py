@@ -179,9 +179,10 @@ def main(argv: list[str] | None = None) -> int:
         output = _HANDLERS[args.command](args)
         sys.stdout.writelines([json.dumps(output, indent=2) + "\n"] if isinstance(output, dict) else output)
         return 0
-    except (DequeLabError, FileNotFoundError) as exc:
+    except (DequeLabError, OSError) as exc:
+        # an OSError is a config or output path that cannot be read or made
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, (ConfigError, FileNotFoundError)) else 3
+        return 2 if isinstance(exc, (ConfigError, OSError)) else 3
 
 
 if __name__ == "__main__":

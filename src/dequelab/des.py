@@ -11,9 +11,11 @@ of Gillespie's direct method).  One loop runs the path in two phases, the
 warmup up to the warmup time and the measurement from it to the horizon; only
 the second keeps the occupancy it records.  Replications are reproducible:
 replication k of a run with base seed s consumes only the streams
-(s, 4k..4k+3).
+(s, 4k..4k+3), read in blocks of _BLOCK values.
 estimate_many advances the replications of many scenarios together in numpy
 lanes, one event per lane per step, with the numbers of the one-at-a-time loop.
+A Scenario's expected arrivals over all its replications are capped at
+MAX_ARRIVALS, so no valid input asks for more work than ends in minutes.
 """
 
 from __future__ import annotations
@@ -23,17 +25,18 @@ import warnings
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .errors import DomainError, positive, time_window, whole_number
+from .errors import DomainError, ResourceLimitError, positive, time_window, whole_number
 from .numerics import InterarrivalModel, LatticeLaw, RandomStream, _blocked_dot, _on_box
 
 __all__ = [
     "MAX_REPLICATIONS",
     "MAX_START_STATE",
     "MAX_HISTOGRAM_BOUND",
+    "MAX_ARRIVALS",
     "Scenario",
     "ScaledTemplate",
     "ReplicationResult",
@@ -45,13 +48,12 @@ __all__ = [
     "scaled_stationary_histogram",
 ]
 
-# Draws come in blocks doubling from 64 to this size (_blocks), in
-# run_replication's loop and in each lockstep lane's four buffers; a lockstep
-# lane that expects at least 4 blocks of arrivals starts on a full block
-# (_lockstep).  Small first blocks keep short replications from drawing
-# variates they never read.  On a 2-vCPU x86 box the heavy benchmark's 18
-# scaled_stationary_histogram calls took a median 1.15 s with this cap and
-# 1.14 s with a cap of 4096 (six interleaved rounds).
+# Every draw request is a block of this many values, in run_replication's loop
+# and in each lockstep lane's four buffers.  Philox is counter-based, so a
+# substream's values do not depend on the blocks they are drawn in.  On a
+# 2-vCPU x86 box the heavy benchmark's 18 scaled_stationary_histogram calls
+# took a median 1.15 s with blocks of 256 and 1.14 s with 4096 (six
+# interleaved rounds).
 _BLOCK = 256
 # Batches of fewer replications than this run each one on run_replication's
 # loop.  On a 2-vCPU x86 box, lockstep lanes of one exponential cell (1, 1.5,
@@ -86,6 +88,10 @@ MAX_START_STATE = 10**4
 # The largest histogram_bound, the Poisson chain's cap on the states a side:
 # an estimate builds its states -B..B at once, 16 MB at the cap.
 MAX_HISTOGRAM_BOUND = 10**6
+# The most expected arrivals, (seller rate + buyer rate) * horizon *
+# replications, one Scenario takes: about 6 minutes at the 2.6 * 10^6
+# arrivals/s of a 2-vCPU x86 box.  The paper budget takes 4.8 * 10^6 a cell.
+MAX_ARRIVALS = 10**9
 
 
 @dataclass(frozen=True)
@@ -112,6 +118,10 @@ class Scenario:
             ("histogram_bound", 1, MAX_HISTOGRAM_BOUND),
         ):
             object.__setattr__(self, name, whole_number(getattr(self, name), name, floor, ceiling=ceiling))
+        arrivals = (self.seller_model.rate + self.buyer_model.rate) * self.horizon * self.replications
+        if arrivals > MAX_ARRIVALS:
+            raise ResourceLimitError(f"{arrivals:.3g} expected arrivals over all replications would pass the cap "
+                                     f"of {MAX_ARRIVALS}")
 
     @classmethod
     def for_family(
@@ -165,22 +175,14 @@ def _samplers(scenario: Scenario, stream: RandomStream) -> tuple:
     )
 
 
-def _blocks(sample, size: int = 64):
-    """Arrays from sample(size) calls, in blocks doubling from size to _BLOCK."""
-    while True:
-        yield sample(size)
-        size = min(2 * size, _BLOCK)
-
-
 def _draws(sample):
-    """Python floats from the blocks of sample, one at a time.
+    """Python floats from sample(_BLOCK) blocks, one at a time.
 
     The iterator is built from itertools, so its bound __next__, which the
-    event loop calls once per draw, runs in C; only the first draw of a block
-    resumes the generator _blocks.  Python floats keep numpy scalars out of
-    the loop.
+    event loop calls once per draw, runs in C, and so does each new block's
+    sample call.  Python floats keep numpy scalars out of the loop.
     """
-    return chain.from_iterable(map(np.ndarray.tolist, _blocks(sample)))
+    return chain.from_iterable(map(np.ndarray.tolist, map(sample, repeat(_BLOCK))))
 
 
 def run_replication(scenario: Scenario, stream: RandomStream) -> ReplicationResult:
@@ -391,12 +393,12 @@ def _lockstep(
     lane by exactly one event, under the rules of run_replication, so each
     lane reproduces run_replication on its own stream bit for bit.  Lanes
     start in order of expected arrivals, most first, at most _LIVE_LANES at
-    once: a pass starts by admitting waiting lanes to the free slots, and a
-    finished lane frees its slot and drops its generators.  Each slot owns
+    once.  After a pass in which lanes finished, one rebuild of the lane
+    arrays drops them and admits waiting lanes to the freed slots; a finished
+    lane drops its samplers.  Each slot owns
 
     - four draw buffers, one per substream, of _BLOCK values each in one
-      flat array, each refilled with the next of its substream's _blocks.
-      A lane that expects to read several blocks starts on a full one;
+      flat array, each refilled with its substream's next _BLOCK values;
     - a histogram row over the states -w..w, whose last column collects the
       overflow of a lane beyond its own bound.  The half-width w is shared
       by all rows.  It starts at 64, or at the batch's largest bound B if
@@ -412,7 +414,8 @@ def _lockstep(
 
     A finished lane's row is cropped to the states it visited until its
     scenario's last lane finishes; the scenario is then reduced to its
-    estimate.  The generator yields the estimates in scenario order.
+    estimate.  Once every lane has finished, the generator yields the
+    estimates in scenario order.
     """
     # longest first: the lanes admitted last are short ones, so the batch does
     # not end with a few long lanes running on their own
@@ -423,10 +426,11 @@ def _lockstep(
     )
     slots = min(_LIVE_LANES, len(lanes))
     buf = np.empty(4 * slots * _BLOCK)
-    # read position and end of the current block of each buffer, as indices into buf
-    pos = np.zeros(4 * slots, dtype=np.int64)
-    end = np.full(4 * slots, -1, dtype=np.int64)  # -1: no lane, never refilled
-    blocks = [None] * (4 * slots)
+    # the read position of each buffer and the end of its block, as indices into buf; a free
+    # slot's positions are -1, so its buffers are never refilled
+    pos = np.full(4 * slots, -1, dtype=np.int64)
+    end = _BLOCK * np.arange(1, 4 * slots + 1, dtype=np.int64)
+    samplers = [None] * (4 * slots)
     top_bound = max(sc.histogram_bound for sc in scenarios)
     width = min(64, top_bound)
     hist = np.zeros((slots, 2 * width + 2))
@@ -434,23 +438,20 @@ def _lockstep(
     reps = [[None] * sc.replications for sc in scenarios]
     remaining = [sc.replications for sc in scenarios]
     results = [None] * len(scenarios)
+    free = list(range(slots))
+    lane_of = [None] * slots
+    waiting = iter(lanes)
 
     def refill(flat: int) -> None:
-        block = next(blocks[flat])
         start = flat * _BLOCK
-        buf[start : start + len(block)] = block
+        buf[start : start + _BLOCK] = samplers[flat](_BLOCK)
         pos[flat] = start
-        end[flat] = start + len(block)
 
     def admit(slot: int, j: int, k: int) -> tuple:
         """Give lane (j, k) the slot and fill its buffers; returns the lane's state, one value per field."""
         sc = scenarios[j]
         flat = 4 * slot
-        # the blocks of 64 and 128 spare a short lane draws it would not read; a long
-        # lane reads about expected_arrivals / 2 draws a buffer and skips them
-        first = _BLOCK if expected_arrivals[j] >= 4 * _BLOCK else 64
-        samplers = _samplers(sc, RandomStream(base_seed, stream_bases[j] + 4 * k))
-        blocks[flat : flat + 4] = (_blocks(sample, first) for sample in samplers)
+        samplers[flat : flat + 4] = _samplers(sc, RandomStream(base_seed, stream_bases[j] + 4 * k))
         for i in range(4):
             refill(flat + i)
         # residual arrival clocks start fresh at time zero, whose clip is the warmup
@@ -470,95 +471,91 @@ def _lockstep(
         visited = hist[slot, width - c : width + c + 1] / total
         reps[j][k] = ReplicationResult(c, visited, float(hist[slot, -1] / total), 1.0)
         hist[slot] = 0.0
-        end[4 * slot : 4 * slot + 4] = -1
-        blocks[4 * slot : 4 * slot + 4] = (None,) * 4
+        pos[4 * slot : 4 * slot + 4] = -1
+        samplers[4 * slot : 4 * slot + 4] = (None,) * 4
         free.append(slot)
         remaining[j] -= 1
         if remaining[j] == 0:
             results[j] = _reduce(sc, base_seed, reps[j])
             reps[j] = None
 
-    # The state of the live lanes, one array per field; every slot starts
-    # free.  since is clip(now), the time from which the lane's current
-    # segment counts; a lane past its reach adds to its row's last column;
-    # arrivals and patience are its seller buffers, the buyer's follow each.
-    now = since = next_seller = next_buyer = tau = horizon = np.empty(0)
-    x = bound = slot = row = reach = arrivals = patience = np.empty(0, dtype=np.int64)
-    free = list(range(slots))
-    lane_of = [None] * slots
-    waiting = iter(lanes)
-    for j in range(len(scenarios)):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            while remaining[j]:
-                admitted = [admit(free.pop(), *lane) for lane in islice(waiting, len(free))]
-                if admitted:
-                    (now, since, next_seller, next_buyer, tau, horizon, x, bound, slot, row, reach, arrivals,
-                     patience) = map(np.concatenate, zip((now, since, next_seller, next_buyer, tau, horizon, x, bound,
-                                                          slot, row, reach, arrivals, patience), zip(*admitted)))
-                ax = np.abs(x)
-                # memoryless patience: a fresh clock after every event has the
-                # same law.  A lane at x = 0 reads a draw it does not consume
-                # and divides it by zero: its clock is inf, or nan, which the
-                # tests below read as "no expiry".  x >> 63 is -1 where x < 0.
-                sub = patience - (x >> 63)
-                at = pos[sub]
-                next_expiry = now + buf[at] / ax
-                pos[sub] = at + np.minimum(ax, 1)
+    def rebuild(keep, *fields: np.ndarray) -> tuple:
+        """Each field of the lanes that keep selects, then of the waiting lanes admitted to the free slots."""
+        admitted = [admit(free.pop(), *lane) for lane in islice(waiting, len(free))]
+        if not admitted:
+            return tuple(a[keep] for a in fields)
+        return tuple(np.concatenate((a[keep], new)) for a, new in zip(fields, zip(*admitted)))
 
-                # arrivals win ties against expiries; sellers win ties against buyers
-                first = np.minimum(next_seller, next_buyer)
-                expired = next_expiry < first
-                event = np.fmin(first, next_expiry)
-                arrived = ~expired
-                seller = arrived & (next_seller <= next_buyer)
-                buyer = arrived ^ seller
+    # The state of the live lanes, one array per field.  since is clip(now),
+    # the time from which the lane's current segment counts; a lane past its
+    # reach adds to its row's last column; arrivals and patience are its
+    # seller buffers, the buyer's follow each.
+    (now, since, next_seller, next_buyer, tau, horizon, x, bound, slot, row, reach, arrivals, patience) = rebuild(
+        slice(None), *(np.empty(0),) * 6, *(np.empty(0, dtype=np.int64),) * 7)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while x.size:
+            ax = np.abs(x)
+            # memoryless patience: a fresh clock after every event has the
+            # same law.  A lane at x = 0 reads a draw it does not consume
+            # and divides it by zero: its clock is inf, or nan, which the
+            # tests below read as "no expiry".  x >> 63 is -1 where x < 0.
+            sub = patience - (x >> 63)
+            at = pos[sub]
+            next_expiry = now + buf[at] / ax
+            pos[sub] = at + np.minimum(ax, 1)
 
-                clipped = np.minimum(np.maximum(event, tau), horizon)
-                span = clipped - since
-                column = row + x
-                beyond = ax > reach
-                if np.count_nonzero(beyond):
-                    top = int(np.minimum(ax, bound).max())
-                    if top > width:
-                        # a lane within its own bound is past the rows: widen them all in one copy
-                        wider = min(max(2 * width, top), top_bound)
-                        grown = np.zeros((slots, 2 * wider + 2))
-                        grown[:, wider - width : wider + width + 1] = hist[:, :-1]
-                        grown[:, -1] = hist[:, -1]
-                        hist, flat_hist, width = grown, grown.reshape(-1), wider
-                        row = slot * hist.shape[1] + width
-                        reach = np.minimum(bound, width)
-                        column = row + x
-                        beyond = ax > reach
-                    column[beyond] = row[beyond] + width + 1
-                flat_hist[column] += span
+            # arrivals win ties against expiries; sellers win ties against buyers
+            first = np.minimum(next_seller, next_buyer)
+            expired = next_expiry < first
+            event = np.fmin(first, next_expiry)
+            arrived = ~expired
+            seller = arrived & (next_seller <= next_buyer)
+            buyer = arrived ^ seller
 
-                sub = arrivals + buyer
-                at = pos[sub]
-                redrawn = event + buf[at]
-                pos[sub] = at + arrived
-                next_seller = np.where(seller, redrawn, next_seller)
-                next_buyer = np.where(buyer, redrawn, next_buyer)
-                # an expiry steps x toward zero, a seller arrival up, a buyer arrival down
-                x -= np.sign(x) * expired
-                x += seller
-                x -= buyer
-                now, since = event, clipped
+            clipped = np.minimum(np.maximum(event, tau), horizon)
+            span = clipped - since
+            column = row + x
+            beyond = ax > reach
+            if np.count_nonzero(beyond):
+                top = int(np.minimum(ax, bound).max())
+                if top > width:
+                    # a lane within its own bound is past the rows: widen them all in one copy
+                    wider = min(max(2 * width, top), top_bound)
+                    grown = np.zeros((slots, 2 * wider + 2))
+                    grown[:, wider - width : wider + width + 1] = hist[:, :-1]
+                    grown[:, -1] = hist[:, -1]
+                    hist, flat_hist, width = grown, grown.reshape(-1), wider
+                    row = slot * hist.shape[1] + width
+                    reach = np.minimum(bound, width)
+                    column = row + x
+                    beyond = ax > reach
+                column[beyond] = row[beyond] + width + 1
+            flat_hist[column] += span
 
-                done = event >= horizon
-                if np.count_nonzero(done):
-                    for s in slot[done].tolist():
-                        finish(s)
-                    keep = ~done
-                    (now, since, next_seller, next_buyer, tau, horizon, x, bound, slot, row, reach, arrivals,
-                     patience) = (a[keep] for a in (now, since, next_seller, next_buyer, tau, horizon, x, bound, slot,
-                                                    row, reach, arrivals, patience))
-                exhausted = pos == end
-                if np.count_nonzero(exhausted):
-                    for flat in exhausted.nonzero()[0].tolist():
-                        refill(flat)
-        yield results[j]
-        results[j] = None
+            sub = arrivals + buyer
+            at = pos[sub]
+            redrawn = event + buf[at]
+            pos[sub] = at + arrived
+            next_seller = np.where(seller, redrawn, next_seller)
+            next_buyer = np.where(buyer, redrawn, next_buyer)
+            # an expiry steps x toward zero, a seller arrival up, a buyer arrival down
+            x -= np.sign(x) * expired
+            x += seller
+            x -= buyer
+            now, since = event, clipped
+
+            done = event >= horizon
+            if np.count_nonzero(done):
+                for s in slot[done].tolist():
+                    finish(s)
+                (now, since, next_seller, next_buyer, tau, horizon, x, bound, slot, row, reach, arrivals,
+                 patience) = rebuild(~done, now, since, next_seller, next_buyer, tau, horizon, x, bound, slot, row,
+                                     reach, arrivals, patience)
+            exhausted = pos == end
+            if np.count_nonzero(exhausted):
+                for flat in exhausted.nonzero()[0].tolist():
+                    refill(flat)
+    yield from results
 
 
 @dataclass(frozen=True)

@@ -371,7 +371,7 @@ def simulate_sde_path(
     which holds the module's only Euler-Maruyama loop and its input checks.
     """
     xs = stationary_samples(ou, x0, step, horizon, 0.0, stream)
-    return SDEPath(t=step * np.arange(len(xs) + 1), x=np.concatenate(([x0], xs)))
+    return SDEPath(t=fluid._time_grid(step, horizon), x=np.concatenate(([x0], xs)))
 
 
 def stationary_samples(
@@ -391,27 +391,24 @@ def stationary_samples(
     thin-th state from step ceil(warmup/step) on is kept, each written into
     one (kept, n_paths) array, so memory stays bounded by the retained
     samples.  A run that would keep no state raises DomainError; one whose
-    grid 0, step, ..., horizon or whose kept states would pass
-    fluid.MAX_GRID_POINTS raises ResourceLimitError before anything of
-    that size is built.
+    grid 0, step, ..., horizon (fluid._time_grid, the fluid path's grid) or
+    whose kept states would pass fluid.MAX_GRID_POINTS raises
+    ResourceLimitError before anything of that size is built.
     """
     euler_step(step, ou.theta, ou.gamma)
     time_window(warmup, horizon)
     finite(x0, "x0")
     n_paths = whole_number(n_paths, "n_paths", 1)
     thin = whole_number(thin, "thin", 1)
-    cap = fluid.MAX_GRID_POINTS
-    # a step count at the cap fails it, so a horizon/step past the float range is never rounded
-    n_steps = int(round(min(horizon / step, cap)))
-    if n_steps + 1 > cap:
-        raise ResourceLimitError(f"a grid of step {step:g} up to horizon {horizon:g} would pass the cap {cap}")
+    t_grid = fluid._time_grid(step, horizon)
+    n_steps = len(t_grid) - 1
     # with no warmup the first kept state is the thin-th, since state 0 is x0
     kept_steps = range(int(math.ceil(warmup / step)) or thin, n_steps + 1, thin)
     if not kept_steps:
         raise DomainError(f"no state kept: {n_steps} steps of {step} end before step {kept_steps.start}")
+    cap = fluid.MAX_GRID_POINTS
     if len(kept_steps) * n_paths > cap:
         raise ResourceLimitError(f"{len(kept_steps)} states kept on each of {n_paths} paths would pass the cap {cap}")
-    t_grid = step * np.arange(n_steps + 1)
     # frozen at the left endpoint of every step
     coeff = ou.diffusion_at(t_grid[:-1])
     rng = stream.rng

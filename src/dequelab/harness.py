@@ -117,7 +117,7 @@ class ComparisonConfig:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(raw, budget_override)
 

@@ -31,7 +31,7 @@ from .errors import (
     times,
     whole_number,
 )
-from .fluid import discounted_source_integral
+from .fluid import discounted_source_integral, fluid_limit
 from .numerics import LatticeLaw
 from .params import QueueParams
 
@@ -526,7 +526,7 @@ def asymptotic_moment_approximations(params: QueueParams) -> AsymptoticApproxima
     exact gamma-based values rather than in place of them.
     """
     delta = params.alpha - params.beta
-    mean = delta / params.theta if params.alpha >= params.beta else delta / params.gamma
+    mean = fluid_limit(params)
     second = (delta / params.theta) ** 2 + max(params.alpha, params.beta) / params.theta
     variance = max(params.alpha, params.beta) / params.theta
     return AsymptoticApproximations(mean, second, variance)

@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -264,7 +265,7 @@ SIMULATE_VALUES = [(flag, value) for flag, values in {
     "--theta": ("1e300", "5e-324", "0", "nan", str(HUGE)),
     "--gamma": ("1e300", "-1", "inf"),
     "--reps": ("1", "3", "0", "-1", "1000001", str(HUGE)),
-    "--horizon": ("5", "5e-324", "0", "inf", "nan", str(HUGE)),
+    "--horizon": ("5", "5e-324", "0", "1e300", "inf", "nan", str(HUGE)),
     "--warmup": ("0", "20", "-1", "nan", str(HUGE)),
     "--seed": ("0", "-1", str(HUGE)),
     "--x0": ("4", "-4", str(2**63), str(des.MAX_START_STATE + 1), str(-des.MAX_START_STATE - 1), str(HUGE),
@@ -301,7 +302,7 @@ COMPARE_VALUES = [(key, value) for key, values in {
     "multiplier": (1, 0, -0.5, HUGE, math.nan),
     "replications": (1, 3, 0, 10**6 + 1, HUGE),
     "warmup": (0, 20, -1, HUGE),
-    "horizon": (5.0, 0, HUGE, math.inf),
+    "horizon": (5.0, 0, 1e12, HUGE, math.inf),
     "histogram_bound": (1, 0, HUGE),
     "seed": ("-1", str(HUGE)),
 }.items() for value in values]
@@ -489,6 +490,16 @@ class TestSimulate:
         assert code == 0
         assert upper == lower
 
+    def test_work_past_the_cap_fails_before_drawing(self, capsys):
+        # 5e12 expected arrivals would run for weeks; the scenario fails before the first draw
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "simulate", "--dist", "exp", "--alpha", "1", "--beta", "1.5",
+                                 "--theta", "0.5", "--gamma", "0.75", "--reps", "2", "--horizon", "1e12",
+                                 "--warmup", "0", "--seed", "7")
+        assert time.perf_counter() - start < 1.0
+        assert_clean_failure(code, out, err, codes=(3,))
+        assert "5e+12 expected arrivals" in err and "cap of 1000000000" in err
+
     def test_deterministic(self, capsys):
         args = ["simulate", "--dist", "uniform", "--alpha", "1", "--beta", "1.5",
                 "--theta", "0.5", "--gamma", "0.75", "--reps", "2", "--horizon", "80",
@@ -570,6 +581,30 @@ class TestCompare:
             "--out", str(tmp_path / "o"),
         )
         assert code == 2
+
+    def test_config_that_is_a_directory(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "compare", "--config", str(tmp_path), "--seed", "1",
+                                 "--out", str(tmp_path / "o"))
+        assert_clean_failure(code, out, err, codes=(2,))
+        assert "Is a directory" in err
+
+    def test_config_that_is_not_utf8(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b'{"families": ["exp\xff"]}')
+        code, out, err = run_cli(capsys, "compare", "--config", str(cfg_path), "--seed", "1",
+                                 "--out", str(tmp_path / "o"))
+        assert_clean_failure(code, out, err, codes=(2,))
+        assert f"config file {cfg_path} is not valid JSON" in err and "utf-8" in err
+
+    def test_output_that_is_a_file(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"families": ["exp"], "budget": TINY_BUDGET}))
+        out_path = tmp_path / "out"
+        out_path.write_text("kept")
+        code, out, err = run_cli(capsys, "compare", "--config", str(cfg_path), "--seed", "1",
+                                 "--out", str(out_path))
+        assert_clean_failure(code, out, err, codes=(2,))
+        assert "File exists" in err and out_path.read_text() == "kept"
 
 
 # sha256 of the stdout of valid calls: any change to an output byte shows here

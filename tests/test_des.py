@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ from dequelab.des import (
     scaled_stationary_histogram,
 )
 from dequelab.diffusion import psi_density
-from dequelab.errors import DomainError
+from dequelab.errors import DomainError, ResourceLimitError
 from dequelab.numerics import InterarrivalModel, RandomStream
 from dequelab.params import QueueParams
 from dequelab.poisson_ctmc import poisson_moment_estimates, stationary_distribution, transient_moments
@@ -94,6 +95,18 @@ class TestScenario:
                 scenario(bound)
         result = estimate(scenario(des.MAX_HISTOGRAM_BOUND), 1)
         assert result.bound == des.MAX_HISTOGRAM_BOUND and result.probs.sum() == pytest.approx(1.0)
+
+    def test_expected_arrivals_are_capped(self):
+        # (seller rate + buyer rate) * horizon * replications, checked when the scenario is built
+        def scenario(alpha, horizon, reps):
+            return Scenario.for_family("exponential", alpha, 1.0, 1.0, 1.0, horizon=horizon, warmup=0.0,
+                                       replications=reps)
+
+        assert scenario(1.0, des.MAX_ARRIVALS / 4, 2).horizon == des.MAX_ARRIVALS / 4
+        for args, count in (((1.0, des.MAX_ARRIVALS / 4, 3), "1.5e+09"), ((1.0, 1e12, 2), "4e+12"),
+                            ((1e300, 1e300, 1), "inf")):
+            with pytest.raises(ResourceLimitError, match=rf"^{re.escape(count)} expected arrivals .* of 1000000000$"):
+                scenario(*args)
 
     @pytest.mark.parametrize("field", ["initial_state", "replications", "histogram_bound"])
     def test_integer_fields_take_whole_numbers(self, field):
@@ -279,18 +292,28 @@ class TestDraws:
 
     @pytest.mark.parametrize("name", sorted(SAMPLERS))
     def test_values_do_not_depend_on_block_sizes(self, name):
-        # 10 000 values span the blocks of 64 and 128, then 38 of _BLOCK (256) and part of the next
+        # 10 000 values read in 39 blocks of _BLOCK (256) and part of the next equal one draw of 10 000
         sample = self.SAMPLERS[name]
         stream = RandomStream(4, 1)
         values = list(itertools.islice(des._draws(lambda n: sample(stream, n)), 10_000))
         assert all(type(v) is float for v in values)
         assert values == sample(RandomStream(4, 1), 10_000).tolist()
 
-    def test_short_replication_draws_few_variates(self, monkeypatch):
+    def test_every_request_is_one_block(self, monkeypatch):
+        # short and long replications, on the scalar loop and in lockstep lanes
         requested = counting_samplers(monkeypatch)
-        sc = Scenario.for_family("exponential", 1.0, 1.0, 1.0, 1.0, horizon=10.0, warmup=0.0, replications=1)
-        run_replication(sc, RandomStream(2, 0))
-        assert 0 < sum(requested) <= 4 * 64
+        jobs = [
+            Scenario.for_family(FAMILIES[i % 4], 1.0, 1.5, 1.0, 1.0, horizon=(2.0, 10.0, 400.0)[i % 3],
+                                warmup=0.0, replications=1)
+            for i in range(des._LOCKSTEP_MIN_LANES)
+        ]
+        bases = [i << 32 for i in range(len(jobs))]
+        for sc in jobs[:12]:
+            run_replication(sc, RandomStream(2, 0))
+        assert len(requested) > 4 * 12
+        estimate_many(jobs, 2, bases)
+        assert len(requested) > 4 * (12 + len(jobs))
+        assert set(requested) == {des._BLOCK}
 
 
 class TestEstimate:
@@ -411,7 +434,7 @@ class TestLockstep:
 
     @pytest.mark.filterwarnings("ignore:overflow share")
     def test_finished_lanes_hand_their_slots_on(self, monkeypatch):
-        # fewer slots than lanes, and blocks that reach their cap
+        # fewer slots than lanes, and blocks of 128 draws
         monkeypatch.setattr(des, "_LIVE_LANES", 10)
         monkeypatch.setattr(des, "_BLOCK", 128)
         jobs, bases = lockstep_batch()
@@ -439,8 +462,8 @@ class TestLockstep:
 
     @pytest.mark.filterwarnings("ignore:overflow share")
     def test_long_lanes_start_on_a_full_block(self, monkeypatch):
-        # 16 lanes expect more than 4 _BLOCK arrivals and start on a full block, 48 short ones on
-        # 64 draws; with 16 slots, the short lanes run in the slots the long ones leave
+        # 16 lanes expect more than 4 _BLOCK arrivals, 48 short ones fewer; every lane draws
+        # blocks of _BLOCK.  With 16 slots, the short lanes run in the slots the long ones leave
         monkeypatch.setattr(des, "_LIVE_LANES", 16)
         requested = counting_samplers(monkeypatch)
         jobs = [
@@ -452,11 +475,10 @@ class TestLockstep:
         ]
         bases = [i << 32 for i in range(len(jobs))]
         assert len(jobs) >= des._LOCKSTEP_MIN_LANES
-        long_lanes = sum(sc.horizon == 120.0 for sc in jobs)
         assert all((sc.seller_model.rate + sc.buyer_model.rate) * 120.0 > 4 * des._BLOCK for sc in jobs)
         estimate_many(jobs, 13, bases)
-        assert requested[: 4 * long_lanes] == [des._BLOCK] * (4 * long_lanes)
-        assert requested.count(64) == 4 * (len(jobs) - long_lanes)
+        assert len(requested) > 4 * len(jobs)
+        assert requested == [des._BLOCK] * len(requested)
         self.assert_lanes_match_scalar_loop(jobs, bases)
 
     def test_rows_do_not_grow_with_the_bound(self):
@@ -525,13 +547,6 @@ class TestLockstep:
             estimate_many([filler, overflowing], 7, [1 << 32, 0])
         assert [str(w.message) for w in batched] == [str(w.message) for w in single]
         assert [w.filename for w in [*batched, *single]] == [__file__] * 2
-
-    def test_short_lanes_draw_few_variates(self, monkeypatch):
-        requested = counting_samplers(monkeypatch)
-        lanes = des._LOCKSTEP_MIN_LANES
-        sc = Scenario.for_family("exponential", 1.0, 1.0, 1.0, 1.0, horizon=10.0, warmup=0.0, replications=lanes)
-        estimate_many([sc], 2, [0])
-        assert 0 < sum(requested) <= 4 * 64 * lanes
 
     @pytest.mark.filterwarnings("ignore:overflow share")
     def test_one_estimate_call_per_scenario(self, monkeypatch):

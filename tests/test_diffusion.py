@@ -816,7 +816,7 @@ class TestSDESimulation:
         if cap == 12:
             assert stationary_samples(ou, 0.0, 0.01, 0.11, 0.0, RandomStream(0, 0)).size == 11
         else:
-            with pytest.raises(ResourceLimitError, match="cap 11"):
+            with pytest.raises(ResourceLimitError, match="cap of 11 points"):
                 stationary_samples(ou, 0.0, 0.01, 0.11, 0.0, RandomStream(0, 0))
 
     @pytest.mark.parametrize("cap", [110, 109])
